@@ -48,7 +48,7 @@ from .serialize import (
     load_graph,
     save_graph,
 )
-from .validate import check_axioms
+from .validate import check_axioms, report_text
 from .wordnet import convert_synsets, read_synset_file
 
 EXIT_OK = 0
@@ -86,16 +86,19 @@ def expand_iri(value: str) -> Iri:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="simkg", description="Cultural-symbolism knowledge graph toolkit")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--graph", metavar="FILE", help="load this Turtle graph before running")
-    common.add_argument("--out", metavar="FILE", help="write the command's output here")
-    common.add_argument("--format", choices=("text", "csv"), default="text", help="report format")
+    graph = argparse.ArgumentParser(add_help=False)
+    graph.add_argument("--graph", metavar="FILE", help="load this Turtle graph before running")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", metavar="FILE", help="write the command's output here")
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--format", choices=("text", "csv"), default="text", help="report format")
+    common = [graph, out]
 
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     p = sub.add_parser(
         "ingest-dict",
-        parents=[common],
+        parents=common,
         help="convert plain-text dictionary files",
         epilog=DICT_GRAMMAR_HELP,
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -105,7 +108,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--phrase-table", metavar="JSON", help="overlay for the relation-phrase table")
     p.set_defaults(func=_cmd_ingest_dict)
 
-    p = sub.add_parser("ingest-dbpedia", parents=[common], help="convert symbol triples from DBpedia")
+    p = sub.add_parser("ingest-dbpedia", parents=common, help="convert symbol triples from DBpedia")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--endpoint", metavar="URL", help="live SPARQL endpoint")
     group.add_argument("--triples", metavar="FILE", help="offline triple file")
@@ -120,33 +123,33 @@ def _build_parser() -> _Parser:
     )
     p.set_defaults(func=_cmd_ingest_dbpedia)
 
-    p = sub.add_parser("ingest-wordnet", parents=[common], help="convert synset records (TSV)")
+    p = sub.add_parser("ingest-wordnet", parents=common, help="convert synset records (TSV)")
     p.add_argument("files", nargs="+", metavar="FILE")
     p.add_argument("--source-label", default="Wordnet")
     p.set_defaults(func=_cmd_ingest_wordnet)
 
-    p = sub.add_parser("validate", parents=[common], help="run the closed-world axiom checks")
+    p = sub.add_parser("validate", parents=[*common, report], help="run the closed-world axiom checks")
     p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("query", parents=[common], help="run a competency question")
+    p = sub.add_parser("query", parents=[*common, report], help="run a competency question")
     p.add_argument("--cq", required=True, metavar="ID", help="e.g. Q2.2")
     p.add_argument("--bind", action="append", default=[], metavar="NAME=IRI")
     p.set_defaults(func=_cmd_query)
 
-    p = sub.add_parser("stats", parents=[common], help="per-source corpus statistics")
+    p = sub.add_parser("stats", parents=[*common, report], help="per-source corpus statistics")
     p.set_defaults(func=_cmd_stats)
 
-    p = sub.add_parser("export", parents=[common], help="serialize the graph as Turtle")
+    p = sub.add_parser("export", parents=common, help="serialize the graph as Turtle")
     p.add_argument("--force", action="store_true", help="serialize even when axiom checks fail")
     p.set_defaults(func=_cmd_export)
 
-    p = sub.add_parser("casestudy", parents=[common], help="colour distribution across shared meanings")
+    p = sub.add_parser("casestudy", parents=common, help="colour distribution across shared meanings")
     p.add_argument("--target", required=True, metavar="IRI")
     p.add_argument("--colors", nargs="+", default=list(DEFAULT_COLOR_LEXICON))
     p.add_argument("--svg", metavar="FILE", help="also write a stacked-bar SVG")
     p.set_defaults(func=_cmd_casestudy)
 
-    p = sub.add_parser("eval", parents=[common], help="score a converted graph against gold annotations")
+    p = sub.add_parser("eval", parents=[out, report], help="score a converted graph against gold annotations")
     p.add_argument("--gold", required=True, metavar="TSV")
     p.add_argument("--converted", required=True, metavar="TTL")
     p.set_defaults(func=_cmd_eval)
@@ -194,6 +197,12 @@ def _write_output(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _text_table(rows: list[list[str]]) -> str:
+    """Left-aligned columns, two spaces apart, one line per row."""
+    widths = [max(len(cell) for cell in column) for column in zip(*rows)]
+    return "".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() + "\n" for row in rows)
+
+
 def _emit_table(args, header: list[str], rows: list[list[str]]) -> None:
     if args.format == "csv":
         buf = io.StringIO()
@@ -202,13 +211,7 @@ def _emit_table(args, header: list[str], rows: list[list[str]]) -> None:
         writer.writerows(rows)
         _write_output(args, buf.getvalue())
         return
-    widths = [len(h) for h in header]
-    for row in rows:
-        widths = [max(w, len(cell)) for w, cell in zip(widths, row)]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-    for row in rows:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-    _write_output(args, "\n".join(lines) + "\n")
+    _write_output(args, _text_table([header, *rows]))
 
 
 # -- ingest commands ---------------------------------------------------------
@@ -308,10 +311,7 @@ def _cmd_validate(args) -> int:
         rows = [[v.axiom.value, str(v.subject), v.detail] for v in violations]
         _emit_table(args, ["axiom", "subject", "detail"], rows)
     else:
-        lines = [v.as_text() for v in violations]
-        count = len(violations)
-        lines.append(f"{count} violation" + ("" if count == 1 else "s"))
-        _write_output(args, "\n".join(lines) + "\n")
+        _write_output(args, report_text(violations) + "\n")
     return EXIT_VIOLATIONS if violations else EXIT_OK
 
 
@@ -329,20 +329,11 @@ def _cmd_query(args) -> int:
             raise _UsageError(f"--bind expects NAME=IRI, got {item!r}")
         bindings[name] = expand_iri(value)
     rows = run_cq(g, cq, bindings)
+    table = [[compact_iri(v) for v in row.values()] for row in rows]
     if args.format == "csv":
-        header = list(rows[0].variables) if rows else []
-        table = [[compact_iri(v) for v in row.values()] for row in rows]
-        _emit_table(args, header, table)
+        _emit_table(args, list(rows[0].variables) if rows else [], table)
     else:
-        if rows:
-            widths = [0] * len(rows[0].variables)
-            rendered = [[compact_iri(v) for v in row.values()] for row in rows]
-            for row in rendered:
-                widths = [max(w, len(cell)) for w, cell in zip(widths, row)]
-            text = "\n".join("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in rendered)
-            _write_output(args, text + "\n")
-        else:
-            _write_output(args, "")
+        _write_output(args, _text_table(table))
     return EXIT_OK
 
 

@@ -17,7 +17,6 @@ from .model import (
     Entity,
     Iri,
     Literal,
-    RcPair,
     RcRelation,
     Simulation,
     SimulationKind,
@@ -68,14 +67,20 @@ def _min_label(a: str, b: str) -> str:
     return a if a <= b else b
 
 
+_RC_RANK = {rel: i for i, rel in enumerate(RcRelation)}
+
+
 class Graph:
-    """Entities, simulations and variants, with derived meaning edges."""
+    """Entities, simulations and variants, with derived meaning edges.
+
+    Each fact is stored once: every member of a stored simulation is the
+    graph's own entity object (``entities[member.id]``), and the meaning
+    and variant relations live only in their indexes.
+    """
 
     def __init__(self) -> None:
         self.entities: dict[Iri, Entity] = {}
         self.simulations: dict[Iri, Simulation] = {}
-        self.variant_edges: set[tuple[Iri, Iri]] = set()
-        self.derived_meanings: set[tuple[Iri, Iri]] = set()
         # Anomalies recorded while loading foreign data; surfaced by the validator.
         self.kind_conflicts: dict[Iri, tuple[SimulationKind, SimulationKind]] = {}
         # Triples with predicates outside the schema, preserved for re-export.
@@ -88,22 +93,38 @@ class Graph:
         self._sims_by_source: dict[Iri, set[Iri]] = defaultdict(set)
         self._meanings_of: dict[Iri, set[Iri]] = defaultdict(set)
 
+    @property
+    def variant_edges(self) -> set[tuple[Iri, Iri]]:
+        """Every base -> variant link, read from the variant index."""
+        return {(base, v) for base, variants in self._variant_children.items() for v in variants}
+
+    @property
+    def derived_meanings(self) -> set[tuple[Iri, Iri]]:
+        """Every simulacrum -> meaning edge, read from the meaning index."""
+        return {(a, m) for a, meanings in self._meanings_of.items() for m in meanings}
+
     # -- entities ---------------------------------------------------------
 
     def upsert_entity(self, e: Entity) -> Entity:
         """Merge an entity into the store by IRI: roles and external links
-        union, label resolved order-independently."""
+        union, label resolved order-independently.  Returns the stored
+        entity; stored simulations that mention a changed entity are
+        re-pointed at the merged one."""
         current = self.entities.get(e.id)
         if current is None:
             self.entities[e.id] = e
             return e
-        merged = Entity(
+        if e.roles <= current.roles and e.external_links <= current.external_links and current.label <= e.label:
+            return current
+        merged = self.entities[e.id] = Entity(
             id=current.id,
             label=_min_label(current.label, e.label),
             roles=current.roles | e.roles,
             external_links=current.external_links | e.external_links,
         )
-        self.entities[e.id] = merged
+        for index in (self._sims_by_simulacrum, self._sims_by_rc, self._sims_by_context, self._sims_by_source):
+            for sim_id in index.get(e.id, ()):
+                self.simulations[sim_id] = self._resolved(self.simulations[sim_id])
         return merged
 
     def entity(self, ref: Union[Entity, Iri, str]) -> Entity:
@@ -140,19 +161,15 @@ class Graph:
     def _store(self, s: Simulation, existing: Optional[Simulation]) -> None:
         for e in s.member_entities():
             self.upsert_entity(e)
-        if existing is None:
-            stored = _canonical(s)
-        else:
-            stored = _canonical(
-                replace(
-                    existing,
-                    simulacra=existing.simulacra + s.simulacra,
-                    reality_counterparts=existing.reality_counterparts + s.reality_counterparts,
-                    contexts=existing.contexts + s.contexts,
-                    sources=existing.sources + s.sources,
-                )
+        if existing is not None:
+            s = replace(
+                s,
+                simulacra=existing.simulacra + s.simulacra,
+                reality_counterparts=existing.reality_counterparts + s.reality_counterparts,
+                contexts=existing.contexts + s.contexts,
+                sources=existing.sources + s.sources,
             )
-        self.simulations[s.id] = stored
+        stored = self.simulations[s.id] = self._resolved(s)
         for e in stored.simulacra:
             self._sims_by_simulacrum[e.id].add(stored.id)
         for _, rc in stored.reality_counterparts:
@@ -163,8 +180,26 @@ class Graph:
             self._sims_by_source[src.id].add(stored.id)
         for a in stored.simulacra:
             for _, rc in stored.reality_counterparts:
-                self.derived_meanings.add((a.id, rc.id))
                 self._meanings_of[a.id].add(rc.id)
+
+    def _resolved(self, s: Simulation) -> Simulation:
+        """``s`` with its members deduplicated by IRI, each one the stored
+        entity, in an order that does not depend on arrival: ids sorted,
+        counterparts by relation rank, then id."""
+        ents = self.entities
+
+        def members(group: tuple[Entity, ...]) -> tuple[Entity, ...]:
+            return tuple(ents[i] for i in sorted({e.id for e in group}))
+
+        rcs = sorted({(rel, e.id) for rel, e in s.reality_counterparts}, key=lambda p: (_RC_RANK[p[0]], p[1]))
+        return Simulation(
+            id=s.id,
+            kind=s.kind,
+            simulacra=members(s.simulacra),
+            reality_counterparts=tuple((rel, ents[i]) for rel, i in rcs),
+            contexts=members(s.contexts),
+            sources=members(s.sources),
+        )
 
     # -- variants ---------------------------------------------------------
 
@@ -179,7 +214,6 @@ class Graph:
         return link
 
     def _add_variant_edge(self, base: Iri, variant: Iri) -> None:
-        self.variant_edges.add((base, variant))
         self._variant_children[base].add(variant)
 
     def _reaches(self, start: Iri, goal: Iri) -> bool:
@@ -266,7 +300,7 @@ class Graph:
             )
         if whole_graph:
             entity_ids: Iterable[Iri] = self.entities
-            n_triples += sum(1 for b, v in self.variant_edges)
+            n_triples += len(self.variant_edges)
             n_triples += len(self.extra_triples)
         else:
             entity_ids = sorted(members)
@@ -285,64 +319,21 @@ class Graph:
 
     # -- equality -----------------------------------------------------------
 
-    def _projection(self):
-        sims = {
-            s.id: (
-                s.kind,
-                frozenset(e.id for e in s.simulacra),
-                frozenset((rel, e.id) for rel, e in s.reality_counterparts),
-                frozenset(e.id for e in s.contexts),
-                frozenset(e.id for e in s.sources),
-            )
-            for s in self.simulations.values()
-        }
-        return (
-            self.entities,
-            sims,
-            frozenset(self.variant_edges),
-            frozenset(self.extra_triples),
-            self.kind_conflicts,
-        )
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._projection() == other._projection()
+        # Members are the stored entities in a canonical order, so equal
+        # simulations hold equal members.
+        return (
+            self.entities == other.entities
+            and self.simulations == other.simulations
+            and self._variant_children == other._variant_children
+            and self.extra_triples == other.extra_triples
+            and self.kind_conflicts == other.kind_conflicts
+        )
 
     def __repr__(self) -> str:
         return (
             f"Graph(entities={len(self.entities)}, simulations={len(self.simulations)}, "
             f"variants={len(self.variant_edges)})"
         )
-
-
-def _canonical(s: Simulation) -> Simulation:
-    """Normalize member order so merged graphs compare equal regardless of
-    the order simulations arrived in."""
-    rc_rank = {rel: i for i, rel in enumerate(RcRelation)}
-    return replace(
-        s,
-        simulacra=_dedupe_sorted(s.simulacra),
-        reality_counterparts=tuple(
-            sorted(_dedupe_rc(s.reality_counterparts), key=lambda p: (rc_rank[p[0]], p[1].id))
-        ),
-        contexts=_dedupe_sorted(s.contexts),
-        sources=_dedupe_sorted(s.sources),
-    )
-
-
-def _dedupe_sorted(entities: tuple[Entity, ...]) -> tuple[Entity, ...]:
-    by_id: dict[Iri, Entity] = {}
-    for e in entities:
-        by_id.setdefault(e.id, e)
-    return tuple(by_id[i] for i in sorted(by_id))
-
-
-def _dedupe_rc(pairs: tuple[RcPair, ...]) -> list[RcPair]:
-    seen: set[tuple[RcRelation, Iri]] = set()
-    out: list[RcPair] = []
-    for rel, e in pairs:
-        if (rel, e.id) not in seen:
-            seen.add((rel, e.id))
-            out.append((rel, e))
-    return out

@@ -82,9 +82,6 @@ class Iri(str):
         cut = max(self.rfind("/"), self.rfind("#"))
         return self[cut + 1:]
 
-    def in_namespace(self, namespace: str) -> bool:
-        return self.startswith(namespace)
-
 
 class Role(Enum):
     """Positions an entity can occupy around simulations."""
@@ -232,9 +229,6 @@ class Simulation:
     @property
     def simulacrum(self) -> Optional[Entity]:
         return self.simulacra[0] if self.simulacra else None
-
-    def rc_entities(self) -> tuple[Entity, ...]:
-        return tuple(e for _, e in self.reality_counterparts)
 
     def member_entities(self) -> Iterable[Entity]:
         yield from self.simulacra

@@ -475,10 +475,10 @@ def import_turtle(text: str) -> Graph:
             Simulation(
                 id=subject,
                 kind=kind,
-                simulacra=tuple(g.entities[i] for i in sorted(simulacra)),
+                simulacra=tuple(g.entities[i] for i in simulacra),
                 reality_counterparts=tuple((rel, g.entities[i]) for rel, i in rcs),
-                contexts=tuple(g.entities[i] for i in sorted(contexts)),
-                sources=tuple(g.entities[i] for i in sorted(sources)),
+                contexts=tuple(g.entities[i] for i in contexts),
+                sources=tuple(g.entities[i] for i in sources),
             )
         )
     g.kind_conflicts.update(conflicts)

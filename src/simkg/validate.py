@@ -24,9 +24,6 @@ class Violation:
     def as_text(self) -> str:
         return f"{self.axiom.value}\t{self.subject}\t{self.detail}"
 
-    def as_record(self) -> dict[str, str]:
-        return {"axiom": self.axiom.value, "subject": str(self.subject), "detail": self.detail}
-
 
 def check_axioms(g: Graph) -> list[Violation]:
     """Run every structural check; returns violations sorted by subject
@@ -109,7 +106,7 @@ def _nodes_on_variant_cycles(g: Graph) -> list[Iri]:
     self-loops, which only foreign data can contain)."""
     children = g._variant_children
     on_cycle = []
-    for start in sorted({b for b, _ in g.variant_edges} | {v for _, v in g.variant_edges}):
+    for start in sorted({node for edge in g.variant_edges for node in edge}):
         stack = list(children.get(start, ()))
         seen: set[Iri] = set()
         hit = False

@@ -38,6 +38,19 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert "MissingContext" in out and "MissingSource" in out
 
+    def test_single_violation_text(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ttl"
+        bad.write_text(
+            HEADER + "kb:x-y a sim:Simulation ;\n    sim:hasSimulacrum kb:x ;\n"
+            "    sim:hasRealityCounterpart kb:y ;\n    sim:hasContext kb:c .\n",
+            encoding="utf-8",
+        )
+        assert main(["validate", "--graph", str(bad)]) == 2
+        assert capsys.readouterr().out == (
+            "MissingSource\thttps://w3id.org/simulation/data/x-y\tno source on this simulation\n"
+            "1 violation\n"
+        )
+
     def test_csv_format(self, toy_file, capsys):
         assert main(["validate", "--graph", str(toy_file), "--format", "csv"]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "axiom,subject,detail"
@@ -50,6 +63,13 @@ class TestQueryCommand:
         assert len(lines) == 2
         assert lines[0].split()[0] == "kb:olive-fertility"
         assert lines[1].split()[0] == "kb:olive-immortality"
+
+    def test_q2_2_text_columns_padded(self, toy_file, capsys):
+        assert main(["query", "--graph", str(toy_file), "--cq", "Q2.2"]) == 0
+        assert capsys.readouterr().out == (
+            "kb:olive-fertility    kb:fertility    kb:dictionaryOfSymbols1\n"
+            "kb:olive-immortality  kb:immortality  kb:dictionaryOfSymbols2\n"
+        )
 
     def test_bound_query_with_prefixed_iri(self, toy_file, capsys):
         assert main(["query", "--graph", str(toy_file), "--cq", "Q1.1", "--bind", "simulacrum=kb:olive"]) == 0
@@ -236,6 +256,24 @@ class TestUsage:
 
     def test_unknown_flag(self, toy_file):
         assert main(["validate", "--graph", str(toy_file), "--frobnicate"]) == 1
+
+    @pytest.mark.parametrize(
+        "command", ["ingest-dict", "ingest-dbpedia", "ingest-wordnet", "export", "casestudy", "eval"]
+    )
+    def test_option_the_command_does_not_read(self, command, toy_file, tmp_path):
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("Simulation\thttps://w3id.org/simulation/data/owl-death\n", encoding="utf-8")
+        argv = {
+            "ingest-dict": ["ingest-dict", str(FIXTURES / "hook.dict")],
+            "ingest-dbpedia": ["ingest-dbpedia", "--triples", str(FIXTURES / "eagle.nt")],
+            "ingest-wordnet": ["ingest-wordnet", str(FIXTURES / "penelope.tsv")],
+            "export": ["export", "--graph", str(toy_file)],
+            "casestudy": ["casestudy", "--graph", str(toy_file), "--target", "kb:olive"],
+            "eval": ["eval", "--gold", str(gold), "--converted", str(toy_file)],
+        }[command]
+        assert main(argv) == 0
+        unread = ["--graph", str(toy_file)] if command == "eval" else ["--format", "csv"]
+        assert main(argv + unread) == 1
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

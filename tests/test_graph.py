@@ -77,6 +77,19 @@ class TestInsert:
         # label choice is order independent: the lexicographically least wins
         assert g.entities[Iri(KB + "whiteRose")].label == "White Rose"
 
+    def test_members_are_the_stored_entity_after_merges(self):
+        g = Graph()
+        g.insert_simulation(_sim("white rose", "purity", ["general"], "olderr"))
+        g.insert_simulation(_sim("White Rose", "innocence", ["general"], "olderr"))
+        g.insert_simulation(_sim("love", "white rose", ["general"], "olderr"))
+        for graph in (g, import_turtle(export_turtle(g))):
+            rose = graph.entities[Iri(KB + "whiteRose")]
+            assert rose.label == "White Rose"
+            assert rose.roles == {Role.SIMULACRUM, Role.REALITY_COUNTERPART}
+            members = [e for s in graph.simulations.values() for e in s.member_entities() if e.id == rose.id]
+            assert len(members) == 3
+            assert all(e is rose for e in members)
+
 
 class TestVariants:
     def test_closure_over_chain(self):
@@ -206,6 +219,8 @@ class TestProperties:
         for seed in range(60):
             g = random_graph(random.Random(seed), max_sims=20)
             assert g.derived_meanings == brute_force_meanings(g), f"seed {seed}"
+            members = [e for s in g.simulations.values() for e in s.member_entities()]
+            assert all(e is g.entities[e.id] for e in members), f"seed {seed}"
 
     def test_merge_idempotence(self):
         for seed in range(30):
