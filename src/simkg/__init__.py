@@ -31,7 +31,7 @@ from .dictionary import (
     convert_entry,
     parse_dictionary,
 )
-from .graph import CorpusStats, Graph, KindConflictError, SourceStats, UnknownEntityError
+from .graph import CorpusStats, Graph, SourceStats, UnknownEntityError
 from .model import (
     KB,
     OWL,

@@ -35,8 +35,8 @@ from .dbpedia import (
     fetch_symbol_data,
     read_triples_file,
 )
-from .dictionary import PHRASE_TABLE, convert_document
-from .graph import Graph, KindConflictError, UnknownEntityError
+from .dictionary import PHRASE_TABLE, ParseError, convert_document
+from .graph import Graph, UnknownEntityError
 from .model import CycleError, Iri, RcRelation, Role, SimulationKind, make_entity
 from .query import CqId, MissingBindingError, run_cq
 from .serialize import (
@@ -47,8 +47,9 @@ from .serialize import (
     export_turtle,
     load_graph,
     save_graph,
+    write_atomic,
 )
-from .validate import check_axioms, report_text
+from .validate import check_axioms, kind_conflict_violations, report_text
 from .wordnet import convert_synsets, read_synset_file
 
 EXIT_OK = 0
@@ -176,10 +177,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (MissingBindingError, UnknownEntityError, GoldFormatError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (KindConflictError, GraphViolationsError, CycleError) as err:
+    except (GraphViolationsError, CycleError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VIOLATIONS
-    except (TurtleSyntaxError, MalformedResponseError, NetworkError, OSError) as err:
+    except (TurtleSyntaxError, MalformedResponseError, ParseError, NetworkError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO
 
@@ -192,7 +193,7 @@ def _load(args) -> Graph:
 
 def _write_output(args, text: str) -> None:
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        write_atomic(args.out, text)
     else:
         sys.stdout.write(text)
 
@@ -218,8 +219,12 @@ def _emit_table(args, header: list[str], rows: list[list[str]]) -> None:
 
 
 def _insert_all(g: Graph, simulations, variants=()) -> None:
+    before = set(kind_conflict_violations(g))
     for sim in simulations:
         g.insert_simulation(sim)
+    for v in kind_conflict_violations(g):
+        if v not in before:
+            print(f"warning: kind-conflict: {v.subject} {v.detail}", file=sys.stderr)
     for link in variants:
         try:
             g.add_variant(link.base, link.variant)
@@ -360,7 +365,7 @@ def _cmd_casestudy(args) -> int:
     dist = color_distribution(g, expand_iri(args.target), colors=args.colors)
     _write_output(args, distribution_csv(dist))
     if args.svg:
-        Path(args.svg).write_text(distribution_svg(dist), encoding="utf-8")
+        write_atomic(args.svg, distribution_svg(dist))
     return EXIT_OK
 
 

@@ -25,6 +25,7 @@ from typing import Iterable, Optional, Union
 
 import requests
 
+from .graph import RDF_TYPE
 from .model import (
     EmptyLabelError,
     Entity,
@@ -42,7 +43,6 @@ logger = logging.getLogger(__name__)
 
 DBP_SYMBOL = Iri("http://dbpedia.org/property/symbol")
 DCT_SUBJECT = Iri("http://purl.org/dc/terms/subject")
-RDF_TYPE = Iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
 
 # Prefixes accepted in offline triple files.
 FILE_PREFIXES = {
@@ -178,7 +178,7 @@ def _fetch_page(http, endpoint, query, offset, max_attempts, retry_wait, timeout
             last_error = err
             logger.warning("page at offset %d, attempt %d/%d failed: %s", offset, attempt + 1, max_attempts, err)
             continue
-        if response.status_code >= 500:
+        if response.status_code >= 500 or response.status_code == 429:
             last_error = RuntimeError(f"HTTP {response.status_code}")
             logger.warning("page at offset %d, attempt %d/%d: HTTP %d", offset, attempt + 1, max_attempts, response.status_code)
             continue
@@ -258,11 +258,14 @@ def _split_triple(body: str, lineno: int) -> tuple[str, str, str]:
 
 
 def _expand_term(term: str, lineno: int) -> Iri:
-    if term.startswith("<") and term.endswith(">"):
-        return Iri(term[1:-1])
-    prefix, sep, local = term.partition(":")
-    if sep and prefix in FILE_PREFIXES:
-        return Iri(FILE_PREFIXES[prefix] + local)
+    try:
+        if term.startswith("<") and term.endswith(">"):
+            return Iri(term[1:-1])
+        prefix, sep, local = term.partition(":")
+        if sep and prefix in FILE_PREFIXES:
+            return Iri(FILE_PREFIXES[prefix] + local)
+    except ValueError as err:
+        raise MalformedResponseError(f"line {lineno}: {err}") from None
     raise MalformedResponseError(f"line {lineno}: cannot resolve term {term!r}")
 
 

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 from .model import (
+    RDF,
     CycleError,
     Entity,
     Iri,
@@ -25,17 +26,8 @@ from .model import (
 
 Triple = tuple[Iri, Iri, Union[Iri, Literal]]
 
-
-class KindConflictError(ValueError):
-    """The same simulation id was inserted with two different kinds."""
-
-    def __init__(self, sim_id: Iri, existing: SimulationKind, incoming: SimulationKind):
-        super().__init__(
-            f"simulation {sim_id} already stored as {existing.value}, refusing to merge {incoming.value}"
-        )
-        self.sim_id = sim_id
-        self.existing = existing
-        self.incoming = incoming
+RDF_TYPE = Iri(RDF + "type")
+KIND_BY_CLASS = {kind.schema_iri: kind for kind in SimulationKind}
 
 
 class UnknownEntityError(KeyError):
@@ -81,9 +73,8 @@ class Graph:
     def __init__(self) -> None:
         self.entities: dict[Iri, Entity] = {}
         self.simulations: dict[Iri, Simulation] = {}
-        # Anomalies recorded while loading foreign data; surfaced by the validator.
-        self.kind_conflicts: dict[Iri, tuple[SimulationKind, SimulationKind]] = {}
-        # Triples with predicates outside the schema, preserved for re-export.
+        # Triples outside the schema, preserved for re-export; this includes
+        # the extra kinds of a simulation typed with more than one.
         self.extra_triples: set[Triple] = set()
 
         self._variant_children: dict[Iri, set[Iri]] = defaultdict(set)
@@ -102,6 +93,17 @@ class Graph:
     def derived_meanings(self) -> set[tuple[Iri, Iri]]:
         """Every simulacrum -> meaning edge, read from the meaning index."""
         return {(a, m) for a, meanings in self._meanings_of.items() for m in meanings}
+
+    @property
+    def kind_conflicts(self) -> dict[Iri, tuple[SimulationKind, SimulationKind]]:
+        """Simulations typed with more than one kind: the stored kind and
+        the lowest other one, read from the extra ``rdf:type`` triples."""
+        others: dict[Iri, SimulationKind] = {}
+        for s, p, o in self.extra_triples:
+            kind = KIND_BY_CLASS.get(o) if p == RDF_TYPE and s in self.simulations else None
+            if kind is not None and (s not in others or kind.value < others[s].value):
+                others[s] = kind
+        return {s: (self.simulations[s].kind, others[s]) for s in sorted(others)}
 
     # -- entities ---------------------------------------------------------
 
@@ -139,26 +141,17 @@ class Graph:
     def insert_simulation(self, s: Simulation) -> Simulation:
         """Insert or merge a simulation; returns the stored value.
 
-        A simulation with the same id and kind absorbs the incoming
-        contexts, reality counterparts and sources.  The same id with a
-        different kind raises :class:`KindConflictError`.
+        A simulation with the same id absorbs the incoming contexts,
+        reality counterparts and sources.  When the kinds differ, the kind
+        lowest by ``SimulationKind.value`` is stored and the other one is
+        kept as an extra ``rdf:type`` triple, so the result does not depend
+        on arrival order; :attr:`kind_conflicts` reports it.
         """
         existing = self.simulations.get(s.id)
         if existing is not None and existing.kind is not s.kind:
-            raise KindConflictError(s.id, existing.kind, s.kind)
-        self._store(s, existing)
-        return self.simulations[s.id]
-
-    def _insert_lenient(self, s: Simulation) -> None:
-        """Import path: a kind conflict is recorded, not raised; the first
-        stored kind wins."""
-        existing = self.simulations.get(s.id)
-        if existing is not None and existing.kind is not s.kind:
-            self.kind_conflicts.setdefault(s.id, tuple(sorted((existing.kind, s.kind), key=lambda k: k.value)))
-            s = replace(s, kind=existing.kind)
-        self._store(s, existing)
-
-    def _store(self, s: Simulation, existing: Optional[Simulation]) -> None:
+            kept, other = sorted((existing.kind, s.kind), key=lambda k: k.value)
+            self.extra_triples.add((s.id, RDF_TYPE, other.schema_iri))
+            s = replace(s, kind=kept)
         for e in s.member_entities():
             self.upsert_entity(e)
         if existing is not None:
@@ -181,6 +174,7 @@ class Graph:
         for a in stored.simulacra:
             for _, rc in stored.reality_counterparts:
                 self._meanings_of[a.id].add(rc.id)
+        return stored
 
     def _resolved(self, s: Simulation) -> Simulation:
         """``s`` with its members deduplicated by IRI, each one the stored
@@ -329,7 +323,6 @@ class Graph:
             and self.simulations == other.simulations
             and self._variant_children == other._variant_children
             and self.extra_triples == other.extra_triples
-            and self.kind_conflicts == other.kind_conflicts
         )
 
     def __repr__(self) -> str:

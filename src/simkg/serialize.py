@@ -10,10 +10,12 @@ subjects sorted by IRI, predicates in a fixed schema order, objects sorted.
 from __future__ import annotations
 
 import logging
+import os
 import re
+import secrets
 from typing import Optional, Union
 
-from .graph import Graph, Triple
+from .graph import KIND_BY_CLASS, RDF_TYPE, Graph, Triple
 from .model import (
     KB,
     OWL,
@@ -42,7 +44,6 @@ PREFIXES: tuple[tuple[str, str], ...] = (
     ("kb", KB),
 )
 
-RDF_TYPE = Iri(RDF + "type")
 RDFS_LABEL = Iri(RDFS + "label")
 OWL_SAME_AS = Iri(OWL + "sameAs")
 PROV_WAS_DERIVED_FROM = Iri(PROV + "wasDerivedFrom")
@@ -50,7 +51,6 @@ SIM_HAS_SIMULACRUM = Iri(SIM + "hasSimulacrum")
 SIM_HAS_CONTEXT = Iri(SIM + "hasContext")
 SIM_HAS_VARIANT = Iri(SIM + "hasVariant")
 
-_KIND_BY_CLASS = {kind.schema_iri: kind for kind in SimulationKind}
 _ROLE_BY_CLASS = {role.schema_iri: role for role in Role}
 _REL_BY_PRED = {rel.schema_iri: rel for rel in RcRelation}
 _SIM_STRUCTURAL = {SIM_HAS_SIMULACRUM, SIM_HAS_CONTEXT, PROV_WAS_DERIVED_FROM, *_REL_BY_PRED}
@@ -376,8 +376,7 @@ def import_turtle(text: str) -> Graph:
     entity_ids: set[Iri] = set()
     variant_edges: list[tuple[Iri, Iri]] = []
     extras: set[Triple] = set()
-    sims: list[tuple[Iri, SimulationKind, list[Iri], list[tuple[RcRelation, Iri]], list[Iri], list[Iri]]] = []
-    conflicts: dict[Iri, tuple[SimulationKind, SimulationKind]] = {}
+    sims: list[tuple[Iri, list[SimulationKind], list[Iri], list[tuple[RcRelation, Iri]], list[Iri], list[Iri]]] = []
 
     def note_entity(iri: Iri, role: Optional[Role] = None) -> None:
         entity_ids.add(iri)
@@ -396,20 +395,14 @@ def import_turtle(text: str) -> Graph:
 
     for subject, preds in by_subject.items():
         types = [o for o in preds.get(RDF_TYPE, []) if isinstance(o, Iri)]
-        is_sim = any(t in _KIND_BY_CLASS for t in types) or any(p in _SIM_STRUCTURAL for p in preds)
+        is_sim = any(t in KIND_BY_CLASS for t in types) or any(p in _SIM_STRUCTURAL for p in preds)
         if is_sim:
-            kinds = sorted({_KIND_BY_CLASS[t] for t in types if t in _KIND_BY_CLASS}, key=lambda k: k.value)
-            unknown_types = [t for t in types if t not in _KIND_BY_CLASS]
+            kinds = [KIND_BY_CLASS[t] for t in types if t in KIND_BY_CLASS]
+            unknown_types = [t for t in types if t not in KIND_BY_CLASS]
             if not kinds:
-                kind = SimulationKind.GENERIC
+                kinds = [SimulationKind.GENERIC]
                 if unknown_types:
                     logger.warning("unknown class %s on %s, defaulting to the generic simulation", unknown_types[0], subject)
-            else:
-                kind = kinds[0]
-                if len(kinds) > 1:
-                    conflicts[subject] = (kinds[0], kinds[1])
-                    for other in kinds[1:]:
-                        extras.add((subject, RDF_TYPE, other.schema_iri))
             for t in unknown_types:
                 extras.add((subject, RDF_TYPE, t))
 
@@ -428,7 +421,7 @@ def import_turtle(text: str) -> Graph:
                 note_entity(iri, Role.CONTEXT)
             for iri in sources:
                 note_entity(iri, Role.SOURCE)
-            sims.append((subject, kind, simulacra, rcs, contexts, sources))
+            sims.append((subject, kinds, simulacra, rcs, contexts, sources))
             handled = {RDF_TYPE, SIM_HAS_SIMULACRUM, SIM_HAS_CONTEXT, PROV_WAS_DERIVED_FROM, *_REL_BY_PRED}
             for pred, objects in preds.items():
                 if pred not in handled:
@@ -470,18 +463,18 @@ def import_turtle(text: str) -> Graph:
                 external_links=frozenset(links.get(iri, ())),
             )
         )
-    for subject, kind, simulacra, rcs, contexts, sources in sorted(sims):
-        g._insert_lenient(
-            Simulation(
-                id=subject,
-                kind=kind,
-                simulacra=tuple(g.entities[i] for i in simulacra),
-                reality_counterparts=tuple((rel, g.entities[i]) for rel, i in rcs),
-                contexts=tuple(g.entities[i] for i in contexts),
-                sources=tuple(g.entities[i] for i in sources),
+    for subject, kinds, simulacra, rcs, contexts, sources in sorted(sims, key=lambda sim: sim[0]):
+        for kind in kinds:
+            g.insert_simulation(
+                Simulation(
+                    id=subject,
+                    kind=kind,
+                    simulacra=tuple(g.entities[i] for i in simulacra),
+                    reality_counterparts=tuple((rel, g.entities[i]) for rel, i in rcs),
+                    contexts=tuple(g.entities[i] for i in contexts),
+                    sources=tuple(g.entities[i] for i in sources),
+                )
             )
-        )
-    g.kind_conflicts.update(conflicts)
     for base, variant in variant_edges:
         g._add_variant_edge(base, variant)
     g.extra_triples.update(extras)
@@ -494,5 +487,23 @@ def load_graph(path) -> Graph:
 
 
 def save_graph(g: Graph, path, force: bool = False) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(export_turtle(g, force=force))
+    write_atomic(path, export_turtle(g, force=force))
+
+
+def write_atomic(path, text: str) -> None:
+    """Replace the file at ``path`` with ``text`` in one step.
+
+    The text goes to a new file in the same directory, which is then
+    renamed over ``path``; if anything fails, ``path`` is left as it was
+    and the new file is removed.
+    """
+    head, tail = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{tail}.{secrets.token_hex(4)}.tmp")
+    fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise

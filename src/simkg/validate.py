@@ -92,36 +92,65 @@ def check_axioms(g: Graph) -> list[Violation]:
                 Violation(Axiom.DANGLING_ENTITY, iri, "simulacrum/reality-counterpart not linked to any simulation or variant")
             )
 
-    for sim_id, (kept, other) in g.kind_conflicts.items():
-        found.append(
-            Violation(Axiom.KIND_CONFLICT, sim_id, f"typed both {kept.value} and {other.value}")
-        )
+    found.extend(kind_conflict_violations(g))
 
     found.sort(key=lambda v: (v.subject, v.axiom.value, v.detail))
     return found
 
 
+def kind_conflict_violations(g: Graph) -> list[Violation]:
+    """One violation per simulation typed with more than one kind."""
+    return [
+        Violation(Axiom.KIND_CONFLICT, sim_id, f"typed both {kept.value} and {other.value}")
+        for sim_id, (kept, other) in g.kind_conflicts.items()
+    ]
+
+
 def _nodes_on_variant_cycles(g: Graph) -> list[Iri]:
     """Nodes that can reach themselves through variant edges (includes
-    self-loops, which only foreign data can contain)."""
+    self-loops, which only foreign data can contain), sorted.
+
+    One iterative pass of Tarjan's strongly-connected-components algorithm
+    (Tarjan 1972): a node is on a cycle when its component has more than
+    one node or it links to itself.
+    """
     children = g._variant_children
-    on_cycle = []
-    for start in sorted({node for edge in g.variant_edges for node in edge}):
-        stack = list(children.get(start, ()))
-        seen: set[Iri] = set()
-        hit = False
-        while stack:
-            node = stack.pop()
-            if node == start:
-                hit = True
-                break
-            if node in seen:
-                continue
-            seen.add(node)
-            stack.extend(children.get(node, ()))
-        if hit:
-            on_cycle.append(start)
-    return on_cycle
+    index: dict[Iri, int] = {}
+    low: dict[Iri, int] = {}
+    stack: list[Iri] = []
+    on_stack: set[Iri] = set()
+    on_cycle: list[Iri] = []
+    for root in sorted(children):
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(children[root]))]
+        while work:
+            node, pending = work[-1]
+            for child in pending:
+                if child not in index:
+                    index[child] = low[child] = len(index)
+                    stack.append(child)
+                    on_stack.add(child)
+                    work.append((child, iter(children.get(child, ()))))
+                    break
+                if child in on_stack:
+                    low[node] = min(low[node], index[child])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    component = [stack.pop()]
+                    while component[-1] != node:
+                        component.append(stack.pop())
+                    on_stack.difference_update(component)
+                    if len(component) > 1 or node in children.get(node, ()):
+                        on_cycle.extend(component)
+    return sorted(on_cycle)
 
 
 def report_text(violations: list[Violation]) -> str:

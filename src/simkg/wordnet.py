@@ -15,6 +15,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from .dictionary import ParseError
 from .model import (
     EmptyLabelError,
     Entity,
@@ -60,11 +61,15 @@ def read_synset_file(path) -> list[SynsetRecord]:
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != 4:
-                raise ValueError(f"line {lineno}: expected 4 tab-separated fields, got {len(row)}")
+                raise ParseError(f"expected 4 tab-separated fields, got {len(row)}", lineno)
             iri, label, gloss, flag = (cell.strip() for cell in row)
+            try:
+                synset_iri = Iri(iri)
+            except ValueError as err:
+                raise ParseError(str(err), lineno) from None
             records.append(
                 SynsetRecord(
-                    synset_iri=Iri(iri),
+                    synset_iri=synset_iri,
                     label=label,
                     gloss=gloss,
                     is_symbol_hyponym=flag.lower() in ("1", "true", "yes"),

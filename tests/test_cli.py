@@ -193,6 +193,50 @@ class TestIngestCommands:
         assert not any("thunderbolt" in i for i in g.simulations)
 
 
+    def test_kind_conflict_is_saved_and_reported(self, tmp_path, capsys):
+        probe = tmp_path / "probe.dict"
+        probe.write_text("hook\n  attraction\n  related to: attraction\n", encoding="utf-8")
+        out_file = tmp_path / "probe.ttl"
+        assert main(["ingest-dict", str(probe), "--out", str(out_file)]) == 0
+        assert out_file.exists()
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "kind-conflict" in line] == [
+            "warning: kind-conflict: https://w3id.org/simulation/data/hook-attraction typed both Generic and Relatedness"
+        ]
+        assert main(["validate", "--graph", str(out_file)]) == 2
+        out = capsys.readouterr().out
+        assert [line for line in out.splitlines() if line.startswith("KindConflict")] == [
+            "KindConflict\thttps://w3id.org/simulation/data/hook-attraction\ttyped both Generic and Relatedness"
+        ]
+
+
+class TestReaderErrors:
+    """A malformed input line ends the run with one error line, no traceback."""
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "http://example.org/synset/a\tlabel\n",
+            "http://example.org/synset/a b\tlabel\tsymbol of peace\t1\n",
+        ],
+    )
+    def test_wordnet_bad_row(self, tmp_path, capsys, row):
+        tsv = tmp_path / "synsets.tsv"
+        tsv.write_text("http://example.org/synset/dove\tdove\tsymbol of peace\t1\n" + row, encoding="utf-8")
+        assert main(["ingest-wordnet", str(tsv)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: ")
+        assert len(err.splitlines()) == 1
+
+    def test_dbpedia_empty_subject_iri(self, tmp_path, capsys):
+        nt = tmp_path / "bad.nt"
+        nt.write_text('<> <http://dbpedia.org/property/symbol> "peace" .\n', encoding="utf-8")
+        assert main(["ingest-dbpedia", "--triples", str(nt)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 1: ")
+        assert len(err.splitlines()) == 1
+
+
 class TestExportCommand:
     def test_export_stdout(self, toy_file, capsys):
         assert main(["export", "--graph", str(toy_file)]) == 0

@@ -189,10 +189,11 @@ class TestFetch:
         ])
         assert fetch_symbol_data("http://example.org/sparql", session=session) == []
 
-    def test_retry_then_success(self):
+    @pytest.mark.parametrize("status", [503, 429])
+    def test_retry_then_success(self, status):
         ok = _page([])
         session = _StubSession([
-            _StubResponse(status_code=503),
+            _StubResponse(status_code=status),
             _StubResponse(payload=ok),
             _StubResponse(payload=ok),
         ])

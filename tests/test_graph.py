@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,15 +7,16 @@ from hypothesis import strategies as st
 
 from graphgen import brute_force_meanings, build_graph, random_graph, random_parts
 from simkg import (
+    Axiom,
     CycleError,
     Graph,
     Iri,
-    KindConflictError,
     RcRelation,
     Role,
     SimulationKind,
     UnknownEntityError,
     build_simulation,
+    check_axioms,
     export_turtle,
     import_turtle,
     make_entity,
@@ -56,10 +58,27 @@ class TestInsert:
     def test_kind_conflict_is_reported(self):
         g = Graph()
         g.insert_simulation(_sim("owl", "death", ["hindu"], "olderr"))
-        with pytest.raises(KindConflictError):
-            g.insert_simulation(
-                _sim("owl", "death", ["hindu"], "olderr", kind=SimulationKind.ASSOCIATION)
-            )
+        g.insert_simulation(_sim("owl", "death", ["hindu"], "olderr", kind=SimulationKind.ASSOCIATION))
+        sim_id = Iri(KB + "owl-death")
+        assert g.kind_conflicts == {sim_id: (SimulationKind.ASSOCIATION, SimulationKind.GENERIC)}
+        assert [(v.axiom, v.subject) for v in check_axioms(g)] == [(Axiom.KIND_CONFLICT, sim_id)]
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_kind_conflict_independent_of_arrival_order(self, order):
+        kinds = (SimulationKind.RELATEDNESS, SimulationKind.ASSOCIATION, SimulationKind.CORRESPONDENCE)
+        reference = Graph()
+        for kind in kinds:
+            reference.insert_simulation(_sim("owl", "death", ["hindu"], "olderr", kind=kind))
+        g = Graph()
+        for i in order:
+            g.insert_simulation(_sim("owl", "death", ["hindu"], "olderr", kind=kinds[i]))
+        assert g == reference
+        text = export_turtle(g, force=True)
+        assert text == export_turtle(reference, force=True)
+        assert import_turtle(text) == g
+        assert [v.as_text() for v in check_axioms(g)] == [
+            f"KindConflict\t{KB}owl-death\ttyped both Association and Correspondence"
+        ]
 
     def test_entity_roles_union_across_inserts(self):
         g = Graph()

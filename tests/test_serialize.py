@@ -18,8 +18,10 @@ from simkg import (
     export_turtle,
     import_turtle,
     make_entity,
+    save_graph,
 )
 from simkg.model import KB
+from simkg.serialize import write_atomic
 
 
 def test_empty_graph_exports_prefix_header_only():
@@ -55,6 +57,27 @@ def test_export_requires_clean_graph():
     with pytest.raises(GraphViolationsError):
         export_turtle(g)
     assert export_turtle(g, force=True)  # force serializes as-is
+
+
+def test_refused_save_keeps_the_old_file(tmp_path):
+    path = tmp_path / "g.ttl"
+    path.write_text("old contents\n", encoding="utf-8")
+    g = Graph()
+    g.upsert_entity(make_entity("lonely", Role.SIMULACRUM))
+    with pytest.raises(GraphViolationsError):
+        save_graph(g, path)
+    assert path.read_bytes() == b"old contents\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.ttl"]
+
+
+def test_failed_replace_leaves_no_temporary_file(tmp_path):
+    target = tmp_path / "taken"
+    target.mkdir()
+    (target / "inner").write_text("x", encoding="utf-8")
+    with pytest.raises(OSError):
+        write_atomic(target, "text\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+    assert sorted(p.name for p in target.iterdir()) == ["inner"]
 
 
 def test_round_trip_identity(toy_graph):

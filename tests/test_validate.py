@@ -1,4 +1,5 @@
 import random
+import time
 
 from graphgen import random_graph
 from simkg import (
@@ -86,6 +87,18 @@ kb:nightBird sim:hasVariant kb:bird .
     )
     axioms = [v.axiom for v in check_axioms(g)]
     assert axioms.count(Axiom.VARIANT_CYCLE) == 2
+
+
+def test_variant_cycle_check_is_linear():
+    chain = "".join(f"kb:n{i} sim:hasVariant kb:n{i + 1} .\n" for i in range(4000))
+    cycle = "kb:x sim:hasVariant kb:y .\nkb:y sim:hasVariant kb:z .\nkb:z sim:hasVariant kb:x .\n"
+    g = import_turtle(HEADER + chain + cycle)
+    start = time.perf_counter()
+    violations = check_axioms(g)
+    elapsed = time.perf_counter() - start
+    cycles = [v.subject for v in violations if v.axiom is Axiom.VARIANT_CYCLE]
+    assert cycles == [Iri(KB + "x"), Iri(KB + "y"), Iri(KB + "z")]
+    assert elapsed < 1.0
 
 
 def test_kind_conflict_recorded_on_import():
@@ -189,7 +202,7 @@ kb:owl-death a sim:Simulation ;
         contexts=(),
         sources=(),
     )
-    g._insert_lenient(bad)
+    g.insert_simulation(bad)
     after = set(check_axioms(g))
     assert before <= after
     assert len(after) > len(before)
