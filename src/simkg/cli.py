@@ -77,12 +77,28 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+class _InputError(Exception):
+    """A malformed input file; the message names the file."""
+
+
 def expand_iri(value: str) -> Iri:
     """Accept kb:/sim:/... prefixed names anywhere an IRI is expected."""
     for name, ns in PREFIXES:
         if value.startswith(name + ":"):
-            return Iri(ns + value[len(name) + 1:])
-    return Iri(value)
+            value = ns + value[len(name) + 1:]
+            break
+    try:
+        return Iri(value)
+    except ValueError as err:
+        raise _UsageError(str(err)) from None
+
+
+def _read(reader, path):
+    """``reader(path)``, with the file named in any syntax error."""
+    try:
+        return reader(path)
+    except (TurtleSyntaxError, ParseError, MalformedResponseError) as err:
+        raise _InputError(f"{path}: {err}") from None
 
 
 def _build_parser() -> _Parser:
@@ -180,14 +196,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (GraphViolationsError, CycleError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VIOLATIONS
-    except (TurtleSyntaxError, MalformedResponseError, ParseError, NetworkError, OSError) as err:
+    except (_InputError, MalformedResponseError, NetworkError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO
 
 
 def _load(args) -> Graph:
     if args.graph:
-        return load_graph(args.graph)
+        return _read(load_graph, args.graph)
     return Graph()
 
 
@@ -274,7 +290,7 @@ def _cmd_ingest_dict(args) -> int:
 def _cmd_ingest_dbpedia(args) -> int:
     g = _load(args)
     if args.triples:
-        triples = read_triples_file(args.triples)
+        triples = _read(read_triples_file, args.triples)
     else:
         triples = fetch_symbol_data(args.endpoint, page_size=args.page_size)
     excluded = set(DEFAULT_EXCLUDED_TYPES) | set(args.exclude_type)
@@ -292,7 +308,7 @@ def _cmd_ingest_wordnet(args) -> int:
     g = _load(args)
     source = make_entity(args.source_label, Role.SOURCE)
     for name in args.files:
-        records = read_synset_file(name)
+        records = _read(read_synset_file, name)
         conv = convert_synsets(records, source)
         for warning in conv.warnings:
             print(f"{name}: {warning}", file=sys.stderr)
@@ -371,7 +387,7 @@ def _cmd_casestudy(args) -> int:
 
 def _cmd_eval(args) -> int:
     gold = parse_gold(Path(args.gold).read_text(encoding="utf-8"))
-    predicted = load_graph(args.converted)
+    predicted = _read(load_graph, args.converted)
     report = eval_conversion(gold, predicted)
     header = ["element", "tp", "fp", "fn", "precision", "recall", "f1"]
     rows = [

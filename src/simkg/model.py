@@ -62,16 +62,21 @@ class Axiom(Enum):
     KIND_CONFLICT = "KindConflict"
 
 
+# One IRIREF character of W3C RDF 1.1 Turtle (https://www.w3.org/TR/turtle/),
+# minus Unicode whitespace; \u escapes are not supported.  ``Iri`` and the
+# Turtle reader share it, so every IRI the exporter writes reads back.
+IRI_CHAR = r'[^\x00-\x20\s<>"{}|^`\\]'
+_IRI_RE = re.compile(IRI_CHAR + "+")
+
+
 class Iri(str):
     """An absolute IRI.  Behaves as a plain string plus namespace helpers."""
 
     __slots__ = ()
 
     def __new__(cls, value: str) -> "Iri":
-        if not value:
-            raise ValueError("IRI must be non-empty")
-        if any(ch.isspace() for ch in value):
-            raise ValueError(f"IRI may not contain whitespace: {value!r}")
+        if not _IRI_RE.fullmatch(value):
+            raise ValueError(f"not an IRI: {value!r} (empty, or has whitespace, a control character or one of <>\"{{}}|^`\\)")
         return super().__new__(cls, value)
 
     @property

@@ -13,10 +13,11 @@ import logging
 import os
 import re
 import secrets
-from typing import Optional, Union
+from typing import Union
 
 from .graph import KIND_BY_CLASS, RDF_TYPE, Graph, Triple
 from .model import (
+    IRI_CHAR,
     KB,
     OWL,
     PROV,
@@ -185,10 +186,10 @@ def _object_sort_key(o: Union[Iri, Literal]):
 # -- import ----------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
+    rf"""(?P<ws>\s+)
       | (?P<comment>\#[^\n]*)
       | (?P<prefix>@prefix)
-      | (?P<iriref><[^<>\s"{}|^`\\]*>)
+      | (?P<iriref><{IRI_CHAR}*>)
       | (?P<string>"(?:[^"\\\n]|\\.)*")
       | (?P<lang>@[A-Za-z]+(?:-[A-Za-z0-9]+)*)
       | (?P<pname>[A-Za-z][A-Za-z0-9_\-]*:(?:[A-Za-z0-9_](?:[A-Za-z0-9_\-.]*[A-Za-z0-9_\-])?)?)
@@ -198,161 +199,131 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-
-class _Token:
-    __slots__ = ("kind", "value", "offset")
-
-    def __init__(self, kind: str, value: str, offset: int):
-        self.kind = kind
-        self.value = value
-        self.offset = offset
+Token = tuple[str, str, int]  # (kind, text, offset)
 
 
-def _line_col(text: str, offset: int) -> tuple[int, int]:
+def _syntax_error(text: str, offset: int, message: str) -> TurtleSyntaxError:
     line = text.count("\n", 0, offset) + 1
-    col = offset - text.rfind("\n", 0, offset)
-    return line, col
+    return TurtleSyntaxError(message, line, offset - text.rfind("\n", 0, offset))
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
+def _tokenize(text: str) -> list[Token]:
+    """Every token but whitespace and comments, then an ``end`` sentinel at
+    the start of the last line, where end-of-document errors point."""
+    tokens: list[Token] = []
     pos = 0
     for m in _TOKEN_RE.finditer(text):
         if m.start() != pos:
-            raise TurtleSyntaxError(f"unexpected character {text[pos]!r}", *_line_col(text, pos))
-        kind = m.lastgroup or ""
+            break
+        kind = m.lastgroup
         if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, m.group(), m.start()))
+            tokens.append((kind, m.group(), pos))
         pos = m.end()
     if pos != len(text):
-        raise TurtleSyntaxError(f"unexpected character {text[pos]!r}", *_line_col(text, pos))
+        raise _syntax_error(text, pos, f"unexpected character {text[pos]!r}")
+    tokens.append(("end", "", text.rfind("\n") + 1))
     return tokens
 
 
-class _TokenStream:
-    def __init__(self, tokens: list[_Token], text: str):
-        self._tokens = tokens
-        self._pos = 0
-        self._text = text
-
-    def peek(self) -> Optional[_Token]:
-        return self._tokens[self._pos] if self._pos < len(self._tokens) else None
-
-    def next(self, expected: str) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise TurtleSyntaxError(
-                f"unexpected end of document, expected {expected}", self._text.count("\n") + 1, 1
-            )
-        self._pos += 1
-        return tok
-
-    def fail(self, tok: _Token, message: str):
-        raise TurtleSyntaxError(message, *_line_col(self._text, tok.offset))
-
-
 _ESCAPE_MAP = {'"': '"', "\\": "\\", "n": "\n", "r": "\r", "t": "\t"}
+_ESCAPE_RE = re.compile(r"\\(u.{0,4}|U.{0,8}|.)")
 
 
-def _decode_string(raw: str, tok: _Token, stream: "_TokenStream") -> str:
-    body = raw[1:-1]
+def _decode_string(text: str, tok: Token) -> str:
+    body = tok[1][1:-1]
     if "\\" not in body:
         return body
-    out: list[str] = []
-    i = 0
-    while i < len(body):
-        ch = body[i]
-        if ch != "\\":
-            out.append(ch)
-            i += 1
-            continue
-        esc = body[i + 1]
+
+    def unescape(m: re.Match) -> str:
+        esc = m.group(1)
         if esc in _ESCAPE_MAP:
-            out.append(_ESCAPE_MAP[esc])
-            i += 2
-        elif esc in ("u", "U"):
-            width = 4 if esc == "u" else 8
-            hexpart = body[i + 2 : i + 2 + width]
-            if len(hexpart) != width or not re.fullmatch(r"[0-9A-Fa-f]+", hexpart):
-                stream.fail(tok, f"bad unicode escape \\{esc}{hexpart}")
-            out.append(chr(int(hexpart, 16)))
-            i += 2 + width
-        else:
-            stream.fail(tok, f"unknown escape \\{esc}")
-    return "".join(out)
+            return _ESCAPE_MAP[esc]
+        if esc[0] not in "uU":
+            raise _syntax_error(text, tok[2], f"unknown escape \\{esc}")
+        code = esc[1:]
+        valid = len(code) == (4 if esc[0] == "u" else 8) and re.fullmatch(r"[0-9A-Fa-f]+", code)
+        if not valid or int(code, 16) > 0x10FFFF:
+            raise _syntax_error(text, tok[2], f"bad unicode escape \\{esc}")
+        return chr(int(code, 16))
+
+    return _ESCAPE_RE.sub(unescape, body)
 
 
-def _parse_statements(text: str) -> list[tuple[Iri, Iri, Union[Iri, Literal]]]:
-    stream = _TokenStream(_tokenize(text), text)
+def _parse_statements(text: str) -> list[Triple]:
+    tokens = _tokenize(text)
     prefixes: dict[str, str] = {}
-    triples: list[tuple[Iri, Iri, Union[Iri, Literal]]] = []
+    triples: list[Triple] = []
     resolved: dict[str, Iri] = {}  # token text -> IRI; names repeat heavily
 
-    def resolve(tok: _Token) -> Iri:
-        iri = resolved.get(tok.value)
+    def take(i: int, expected: str) -> Token:
+        tok = tokens[i]
+        if tok[0] == "end":
+            raise _syntax_error(text, tok[2], f"unexpected end of document, expected {expected}")
+        return tok
+
+    def resolve(tok: Token) -> Iri:
+        kind, value, offset = tok
+        iri = resolved.get(value)
         if iri is not None:
             return iri
-        if tok.kind == "iriref":
-            iri = Iri(tok.value[1:-1])
-        elif tok.kind == "pname":
-            name, _, local = tok.value.partition(":")
+        if kind == "iriref":
+            raw = value[1:-1]
+        elif kind == "pname":
+            name, _, local = value.partition(":")
             if name not in prefixes:
-                stream.fail(tok, f"undeclared prefix {name!r}")
-            iri = Iri(prefixes[name] + local)
+                raise _syntax_error(text, offset, f"undeclared prefix {name!r}")
+            raw = prefixes[name] + local
         else:
-            stream.fail(tok, f"expected an IRI, got {tok.value!r}")
-        resolved[tok.value] = iri
+            raise _syntax_error(text, offset, f"expected an IRI, got {value!r}")
+        if not raw:
+            raise _syntax_error(text, offset, "empty IRI; relative IRIs are not supported")
+        iri = resolved[value] = Iri(raw)
         return iri
 
-    def parse_object() -> Union[Iri, Literal]:
-        tok = stream.next("an object")
-        if tok.kind == "string":
-            lang = None
-            nxt = stream.peek()
-            if nxt is not None and nxt.kind == "lang":
-                lang = stream.next("language tag").value[1:]
-            return Literal(_decode_string(tok.value, tok, stream), lang)
-        return resolve(tok)
-
-    while True:
-        tok = stream.peek()
-        if tok is None:
-            break
-        if tok.kind == "prefix":
-            stream.next("@prefix")
-            name_tok = stream.next("a prefix name")
-            if name_tok.kind != "pname" or not name_tok.value.endswith(":"):
-                stream.fail(name_tok, "expected a prefix name ending in ':'")
-            iri_tok = stream.next("a namespace IRI")
-            if iri_tok.kind != "iriref":
-                stream.fail(iri_tok, "expected a namespace IRI")
-            dot = stream.next("'.'")
-            if not (dot.kind == "punct" and dot.value == "."):
-                stream.fail(dot, "expected '.' after @prefix")
-            prefixes[name_tok.value[:-1]] = iri_tok.value[1:-1]
+    i = 0
+    while tokens[i][0] != "end":
+        if tokens[i][0] == "prefix":
+            name = take(i + 1, "a prefix name")
+            if name[0] != "pname" or not name[1].endswith(":"):
+                raise _syntax_error(text, name[2], "expected a prefix name ending in ':'")
+            ns = take(i + 2, "a namespace IRI")
+            if ns[0] != "iriref":
+                raise _syntax_error(text, ns[2], "expected a namespace IRI")
+            dot = take(i + 3, "'.'")
+            if dot[1] != ".":
+                raise _syntax_error(text, dot[2], "expected '.' after @prefix")
+            prefixes[name[1][:-1]] = ns[1][1:-1]
+            i += 4
             continue
 
-        subject = resolve(stream.next("a subject"))
+        subject = resolve(tokens[i])
+        i += 1
         while True:
-            verb_tok = stream.next("a predicate")
-            if verb_tok.kind == "kw_a":
-                predicate = RDF_TYPE
-            else:
-                predicate = resolve(verb_tok)
+            verb = take(i, "a predicate")
+            predicate = RDF_TYPE if verb[0] == "kw_a" else resolve(verb)
+            i += 1
             while True:
-                triples.append((subject, predicate, parse_object()))
-                sep = stream.next("',', ';' or '.'")
-                if sep.kind != "punct":
-                    stream.fail(sep, f"expected punctuation, got {sep.value!r}")
-                if sep.value == ",":
-                    continue
-                break
-            if sep.value == ".":
+                tok = take(i, "an object")
+                i += 1
+                if tok[0] == "string":
+                    lang = None
+                    if tokens[i][0] == "lang":
+                        lang = tokens[i][1][1:]
+                        i += 1
+                    triples.append((subject, predicate, Literal(_decode_string(text, tok), lang)))
+                else:
+                    triples.append((subject, predicate, resolve(tok)))
+                sep = take(i, "',', ';' or '.'")
+                i += 1
+                if sep[0] != "punct":
+                    raise _syntax_error(text, sep[2], f"expected punctuation, got {sep[1]!r}")
+                if sep[1] != ",":
+                    break
+            if sep[1] == ".":
                 break
             # after ';' either a new predicate or a dangling '.' ends the block
-            nxt = stream.peek()
-            if nxt is not None and nxt.kind == "punct" and nxt.value == ".":
-                stream.next("'.'")
+            if tokens[i][1] == ".":
+                i += 1
                 break
     return triples
 
@@ -364,120 +335,79 @@ def import_turtle(text: str) -> Graph:
     unknown predicates are all representable, and the validator reports them.
     Strict about syntax: malformed documents raise :class:`TurtleSyntaxError`.
     """
-    triples = _parse_statements(text)
-
+    # Whether a subject is a simulation depends on all of its predicates.
     by_subject: dict[Iri, dict[Iri, list[Union[Iri, Literal]]]] = {}
-    for s, p, o in triples:
+    for s, p, o in _parse_statements(text):
         by_subject.setdefault(s, {}).setdefault(p, []).append(o)
 
-    labels: dict[Iri, str] = {}
-    roles: dict[Iri, set[Role]] = {}
-    links: dict[Iri, set[Iri]] = {}
-    entity_ids: set[Iri] = set()
-    variant_edges: list[tuple[Iri, Iri]] = []
-    extras: set[Triple] = set()
-    sims: list[tuple[Iri, list[SimulationKind], list[Iri], list[tuple[RcRelation, Iri]], list[Iri], list[Iri]]] = []
+    g = Graph()
+    extras = g.extra_triples
 
-    def note_entity(iri: Iri, role: Optional[Role] = None) -> None:
-        entity_ids.add(iri)
-        if role is not None:
-            roles.setdefault(iri, set()).add(role)
-
-    def iri_objects(subject: Iri, pred: Iri, objects: list) -> list[Iri]:
+    def objects(subject: Iri, preds: dict, pred: Iri, keep: type, warn: bool = False) -> list:
+        """Takes ``pred``'s objects off ``preds``; those not of type ``keep``
+        are kept as extra triples."""
         kept = []
-        for o in objects:
-            if isinstance(o, Literal) and pred != RDFS_LABEL:
-                logger.warning("ignoring literal object %r of %s on %s", o.text, pred, subject)
-                extras.add((subject, pred, o))
-            else:
+        for o in preds.pop(pred, ()):
+            if isinstance(o, keep):
                 kept.append(o)
+                continue
+            if warn:
+                logger.warning("ignoring literal object %r of %s on %s", o.text, pred, subject)
+            extras.add((subject, pred, o))
         return kept
 
-    for subject, preds in by_subject.items():
-        types = [o for o in preds.get(RDF_TYPE, []) if isinstance(o, Iri)]
-        is_sim = any(t in KIND_BY_CLASS for t in types) or any(p in _SIM_STRUCTURAL for p in preds)
-        if is_sim:
-            kinds = [KIND_BY_CLASS[t] for t in types if t in KIND_BY_CLASS]
-            unknown_types = [t for t in types if t not in KIND_BY_CLASS]
-            if not kinds:
-                kinds = [SimulationKind.GENERIC]
-                if unknown_types:
-                    logger.warning("unknown class %s on %s, defaulting to the generic simulation", unknown_types[0], subject)
-            for t in unknown_types:
-                extras.add((subject, RDF_TYPE, t))
+    def entity(iri: Iri) -> Entity:
+        return g.entities.get(iri) or Entity(iri, iri.local_name)
 
-            simulacra = iri_objects(subject, SIM_HAS_SIMULACRUM, preds.get(SIM_HAS_SIMULACRUM, []))
-            contexts = iri_objects(subject, SIM_HAS_CONTEXT, preds.get(SIM_HAS_CONTEXT, []))
-            sources = iri_objects(subject, PROV_WAS_DERIVED_FROM, preds.get(PROV_WAS_DERIVED_FROM, []))
-            rcs: list[tuple[RcRelation, Iri]] = []
-            for pred, rel in _REL_BY_PRED.items():
-                for o in iri_objects(subject, pred, preds.get(pred, [])):
-                    rcs.append((rel, o))
-            for iri in simulacra:
-                note_entity(iri, Role.SIMULACRUM)
-            for _, iri in rcs:
-                note_entity(iri, Role.REALITY_COUNTERPART)
-            for iri in contexts:
-                note_entity(iri, Role.CONTEXT)
-            for iri in sources:
-                note_entity(iri, Role.SOURCE)
-            sims.append((subject, kinds, simulacra, rcs, contexts, sources))
-            handled = {RDF_TYPE, SIM_HAS_SIMULACRUM, SIM_HAS_CONTEXT, PROV_WAS_DERIVED_FROM, *_REL_BY_PRED}
-            for pred, objects in preds.items():
-                if pred not in handled:
-                    extras.update((subject, pred, o) for o in objects)
-        else:
-            note_entity(subject)
-            for t in types:
-                role = _ROLE_BY_CLASS.get(t)
-                if role is not None:
-                    note_entity(subject, role)
-                else:
-                    extras.add((subject, RDF_TYPE, t))
-            for o in preds.get(RDFS_LABEL, []):
-                if isinstance(o, Literal):
-                    current = labels.get(subject)
-                    labels[subject] = o.text if current is None else min(current, o.text)
-                else:
-                    extras.add((subject, RDFS_LABEL, o))
-            for o in preds.get(OWL_SAME_AS, []):
-                if isinstance(o, Iri):
-                    links.setdefault(subject, set()).add(o)
-                else:
-                    extras.add((subject, OWL_SAME_AS, o))
-            for o in iri_objects(subject, SIM_HAS_VARIANT, preds.get(SIM_HAS_VARIANT, [])):
-                variant_edges.append((subject, o))
-                note_entity(o)
-            handled = {RDF_TYPE, RDFS_LABEL, OWL_SAME_AS, SIM_HAS_VARIANT}
-            for pred, objects in preds.items():
-                if pred not in handled:
-                    extras.update((subject, pred, o) for o in objects)
-
-    g = Graph()
-    for iri in sorted(entity_ids):
+    # Entity subjects go in first, so a member's default label (its local
+    # name) never competes with a declared label in the min-label rule.
+    sims: list[tuple[Iri, list[Iri]]] = []
+    variant_edges: list[tuple[Iri, Iri]] = []
+    for subject in sorted(by_subject):
+        preds = by_subject[subject]
+        types = [t for t in preds.pop(RDF_TYPE, ()) if isinstance(t, Iri)]
+        if any(t in KIND_BY_CLASS for t in types) or any(p in _SIM_STRUCTURAL for p in preds):
+            sims.append((subject, types))
+            continue
+        extras.update((subject, RDF_TYPE, t) for t in types if t not in _ROLE_BY_CLASS)
+        labels = [o.text for o in objects(subject, preds, RDFS_LABEL, Literal)]
         g.upsert_entity(
             Entity(
-                id=iri,
-                label=labels.get(iri, iri.local_name),
-                roles=frozenset(roles.get(iri, ())),
-                external_links=frozenset(links.get(iri, ())),
+                subject,
+                min(labels) if labels else subject.local_name,
+                frozenset(_ROLE_BY_CLASS[t] for t in types if t in _ROLE_BY_CLASS),
+                frozenset(objects(subject, preds, OWL_SAME_AS, Iri)),
             )
         )
-    for subject, kinds, simulacra, rcs, contexts, sources in sorted(sims, key=lambda sim: sim[0]):
+        variant_edges += ((subject, o) for o in objects(subject, preds, SIM_HAS_VARIANT, Iri, warn=True))
+        for pred, rest in preds.items():
+            extras.update((subject, pred, o) for o in rest)
+
+    for subject, types in sims:
+        preds = by_subject[subject]
+        kinds = [KIND_BY_CLASS[t] for t in types if t in KIND_BY_CLASS]
+        unknown_types = [t for t in types if t not in KIND_BY_CLASS]
+        if not kinds:
+            kinds = [SimulationKind.GENERIC]
+            if unknown_types:
+                logger.warning("unknown class %s on %s, defaulting to the generic simulation", unknown_types[0], subject)
+        extras.update((subject, RDF_TYPE, t) for t in unknown_types)
+
+        def members(pred: Iri, role: Role) -> tuple[Entity, ...]:
+            return tuple(entity(iri).with_roles(role) for iri in objects(subject, preds, pred, Iri, warn=True))
+
+        simulacra = members(SIM_HAS_SIMULACRUM, Role.SIMULACRUM)
+        contexts = members(SIM_HAS_CONTEXT, Role.CONTEXT)
+        sources = members(PROV_WAS_DERIVED_FROM, Role.SOURCE)
+        rcs = tuple((rel, e) for pred, rel in _REL_BY_PRED.items() for e in members(pred, Role.REALITY_COUNTERPART))
         for kind in kinds:
-            g.insert_simulation(
-                Simulation(
-                    id=subject,
-                    kind=kind,
-                    simulacra=tuple(g.entities[i] for i in simulacra),
-                    reality_counterparts=tuple((rel, g.entities[i]) for rel, i in rcs),
-                    contexts=tuple(g.entities[i] for i in contexts),
-                    sources=tuple(g.entities[i] for i in sources),
-                )
-            )
+            g.insert_simulation(Simulation(subject, kind, simulacra, rcs, contexts, sources))
+        for pred, rest in preds.items():
+            extras.update((subject, pred, o) for o in rest)
+
     for base, variant in variant_edges:
+        g.upsert_entity(entity(variant))
         g._add_variant_edge(base, variant)
-    g.extra_triples.update(extras)
     return g
 
 

@@ -225,7 +225,7 @@ class TestReaderErrors:
         tsv.write_text("http://example.org/synset/dove\tdove\tsymbol of peace\t1\n" + row, encoding="utf-8")
         assert main(["ingest-wordnet", str(tsv)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("error: line 2: ")
+        assert err.startswith(f"error: {tsv}: line 2: ")
         assert len(err.splitlines()) == 1
 
     def test_dbpedia_empty_subject_iri(self, tmp_path, capsys):
@@ -233,8 +233,42 @@ class TestReaderErrors:
         nt.write_text('<> <http://dbpedia.org/property/symbol> "peace" .\n', encoding="utf-8")
         assert main(["ingest-dbpedia", "--triples", str(nt)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("error: line 1: ")
+        assert err.startswith(f"error: {nt}: line 1: ")
         assert len(err.splitlines()) == 1
+
+    def test_wordnet_iri_with_turtle_delimiter(self, tmp_path, capsys):
+        # exported as <http://example.org/a>b>, the row would make a file no reader accepts
+        tsv = tmp_path / "synsets.tsv"
+        tsv.write_text("http://example.org/a>b\tbadge\tsymbol of honour\t1\n", encoding="utf-8")
+        out = tmp_path / "g.ttl"
+        assert main(["ingest-wordnet", str(tsv), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tsv}: line 1: ")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_wordnet_error_names_the_file(self, tmp_path, capsys):
+        ok = tmp_path / "ok.tsv"
+        ok.write_text("http://example.org/synset/dove\tdove\tsymbol of peace\t1\n", encoding="utf-8")
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("http://example.org/synset/a\tlabel\n", encoding="utf-8")
+        assert main(["ingest-wordnet", str(ok), str(bad)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == f"error: {bad}: line 1: expected 4 tab-separated fields, got 2"
+        assert not any(line.startswith("error:") for line in err[:-1])
+
+    @pytest.mark.parametrize("command", ["export", "eval"])
+    def test_malformed_turtle_names_the_file(self, command, tmp_path, capsys):
+        bad = tmp_path / "broken.ttl"
+        bad.write_text('kb:a kb:b "unclosed .\n', encoding="utf-8")
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("Simulation\thttps://w3id.org/simulation/data/owl-death\n", encoding="utf-8")
+        argv = {
+            "export": ["export", "--graph", str(bad)],
+            "eval": ["eval", "--gold", str(gold), "--converted", str(bad)],
+        }[command]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"error: {bad}: line 1, col 11: unexpected character '\"'\n"
 
 
 class TestExportCommand:
@@ -318,6 +352,19 @@ class TestUsage:
         assert main(argv) == 0
         unread = ["--graph", str(toy_file)] if command == "eval" else ["--format", "csv"]
         assert main(argv + unread) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["query", "--cq", "Q1.1", "--bind", "simulacrum=a b"],
+            ["casestudy", "--target", "kb:a b"],
+        ],
+    )
+    def test_invalid_iri_argument_is_usage_error(self, argv, toy_file, capsys):
+        assert main(argv + ["--graph", str(toy_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ")
+        assert len(err.splitlines()) == 1
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import FIXTURES
 from graphgen import random_graph
 from simkg import (
+    Entity,
     Graph,
     GraphViolationsError,
     Iri,
@@ -21,7 +23,7 @@ from simkg import (
     save_graph,
 )
 from simkg.model import KB
-from simkg.serialize import write_atomic
+from simkg.serialize import _TOKEN_RE, write_atomic
 
 
 def test_empty_graph_exports_prefix_header_only():
@@ -112,6 +114,42 @@ def test_emitted_triple_count_equals_stats_total():
 def test_round_trip_property(seed):
     g = random_graph(random.Random(seed), max_sims=8)
     assert import_turtle(export_turtle(g)) == g
+
+
+_IRI_CHARS = st.one_of(st.sampled_from('<>"{}|^`\\ \t:/#.%'), st.characters())
+
+
+@settings(max_examples=200)
+@given(st.text(_IRI_CHARS, max_size=20))
+def test_round_trip_of_any_accepted_iri(text):
+    # every string Iri accepts survives export and re-import, as a subject and as an object
+    try:
+        iri = Iri(text)
+    except ValueError:
+        return
+    g = Graph()
+    g.insert_simulation(
+        build_simulation(
+            SimulationKind.GENERIC,
+            Entity(iri, "odd", external_links=frozenset({iri})),
+            [(RcRelation.HAS, make_entity("peace"))],
+            [make_entity("hindu")],
+            [make_entity("olderr", Role.SOURCE)],
+        )
+    )
+    assert import_turtle(export_turtle(g)) == g
+
+
+def test_empty_iri_is_a_syntax_error():
+    with pytest.raises(TurtleSyntaxError) as err:
+        import_turtle("<> <http://example.org/p> <http://example.org/o> .\n")
+    assert str(err.value) == "line 1, col 1: empty IRI; relative IRIs are not supported"
+
+
+def test_escape_beyond_unicode_is_a_syntax_error():
+    with pytest.raises(TurtleSyntaxError) as err:
+        import_turtle('<http://example.org/s> <http://example.org/p> "\\UFFFFFFFF" .\n')
+    assert str(err.value) == "line 1, col 47: bad unicode escape \\UFFFFFFFF"
 
 
 def test_import_specialized_rc_fixture():
@@ -243,3 +281,67 @@ def test_importer_never_hangs_or_crashes_unexpectedly(doc):
         import_turtle(doc)
     except TurtleSyntaxError:
         pass
+
+
+_FUZZ_TOKENS = [
+    m.group()
+    for m in _TOKEN_RE.finditer((FIXTURES / "golden" / "hook.ttl").read_text(encoding="utf-8"))
+    if m.lastgroup not in ("ws", "comment")
+]
+_TOKEN_INDEX = st.integers(0, len(_FUZZ_TOKENS) - 1)
+_EDITS = st.tuples(st.sampled_from(("delete", "duplicate", "swap")), _TOKEN_INDEX, _TOKEN_INDEX)
+
+
+@given(st.lists(_EDITS, min_size=1, max_size=4))
+@settings(max_examples=100)
+def test_importer_on_edited_token_sequences(edits):
+    # deletes, duplicates or swaps tokens of an exported graph (the golden hook.ttl),
+    # so documents get past the first token
+    tokens = list(_FUZZ_TOKENS)
+    for op, i, j in edits:
+        i, j = i % len(tokens), j % len(tokens)
+        if op == "delete":
+            del tokens[i]
+        elif op == "duplicate":
+            tokens.insert(i, tokens[i])
+        else:
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+    try:
+        assert isinstance(import_turtle(" ".join(tokens)), Graph)
+    except TurtleSyntaxError:
+        pass
+
+
+_KB_PREFIX = "@prefix kb: <https://w3id.org/simulation/data/> .\n"
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (_KB_PREFIX + "kb:a kb:b kb:c ! .\n", "line 2, col 16: unexpected character '!'"),
+        (_KB_PREFIX + 'kb:a kb:p "oops .\n', "line 2, col 11: unexpected character '\"'"),
+        ("kb:a kb:b kb:c .", "line 1, col 1: undeclared prefix 'kb'"),
+        ("@prefix kb <https://w3id.org/simulation/data/> .\n", "line 1, col 9: unexpected character 'k'"),
+        ("@prefix kb: kb:x .\n", "line 1, col 13: expected a namespace IRI"),
+        ("@prefix kb:a", "line 1, col 9: expected a prefix name ending in ':'"),
+        ("@prefix kb: kb:x", "line 1, col 13: expected a namespace IRI"),
+        ("@prefix : <https://w3id.org/simulation/data/> .\n", "line 1, col 9: unexpected character ':'"),
+        ("@prefix kb: <https://w3id.org/simulation/data/>\nkb:a kb:b kb:c .\n", "line 2, col 1: expected '.' after @prefix"),
+        ("@prefix kb:", "line 1, col 1: unexpected end of document, expected a namespace IRI"),
+        (_KB_PREFIX + "kb:a kb:b .\n", "line 2, col 11: expected an IRI, got '.'"),
+        (_KB_PREFIX + "kb:a kb:b kb:c ;", "line 2, col 1: unexpected end of document, expected a predicate"),
+        (_KB_PREFIX + "kb:a kb:b kb:c ,\n", "line 3, col 1: unexpected end of document, expected an object"),
+        (_KB_PREFIX + "kb:a kb:b kb:c", "line 2, col 1: unexpected end of document, expected ',', ';' or '.'"),
+        (_KB_PREFIX + "kb:a kb:p [ kb:q kb:r ] .", "line 2, col 11: unexpected character '['"),
+        (_KB_PREFIX + 'kb:a kb:p "x\\u12G4" .\n', "line 2, col 11: bad unicode escape \\u12G4"),
+        (_KB_PREFIX + 'kb:a kb:p "x\\q" .\n', "line 2, col 11: unknown escape \\q"),
+        (_KB_PREFIX + "kb:a kb:p kb:c kb:d .\n", "line 2, col 16: expected punctuation, got 'kb:d'"),
+        (_KB_PREFIX + '"x" kb:p kb:c .\n', "line 2, col 1: expected an IRI, got '\"x\"'"),
+    ],
+)
+def test_syntax_error_messages(doc, message):
+    with pytest.raises(TurtleSyntaxError) as err:
+        import_turtle(doc)
+    assert str(err.value) == message
+    line, col = message[len("line "):].split(":")[0].split(", col ")
+    assert (err.value.line, err.value.col) == (int(line), int(col))
