@@ -21,9 +21,7 @@ import re
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional, Union
-
-import requests
+from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 from .graph import RDF_TYPE
 from .model import (
@@ -38,6 +36,9 @@ from .model import (
     general_context,
     make_entity,
 )
+
+if TYPE_CHECKING:
+    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -112,6 +113,8 @@ def fetch_symbol_data(
     either the whole result arrives or the failing page is reported.  No
     partial result is ever returned silently.
     """
+    import requests  # only the endpoint path needs the HTTP stack
+
     own_session = session is None
     http = session or requests.Session()
     try:
@@ -163,6 +166,8 @@ def _fetch_all_pages(http, endpoint, query_template, page_size, max_attempts, re
 
 
 def _fetch_page(http, endpoint, query, offset, max_attempts, retry_wait, timeout):
+    import requests
+
     last_error = None
     for attempt in range(max_attempts):
         if attempt:
@@ -193,18 +198,27 @@ def _fetch_page(http, endpoint, query, offset, max_attempts, retry_wait, timeout
 
 
 def _binding_iri(row: dict, var: str) -> Iri:
-    return Iri(_binding(row, var)["value"])
+    return _endpoint_iri(_binding(row, var)[1])
 
 
 def _binding_value(row: dict, var: str) -> Union[Iri, str]:
-    b = _binding(row, var)
-    return Iri(b["value"]) if b.get("type") == "uri" else str(b["value"])
+    kind, value = _binding(row, var)
+    return _endpoint_iri(value) if kind == "uri" else str(value)
 
 
-def _binding(row: dict, var: str) -> dict:
+def _endpoint_iri(value) -> Iri:
     try:
-        return row[var]
-    except (KeyError, TypeError) as err:
+        return Iri(value)
+    except (ValueError, TypeError) as err:
+        raise MalformedResponseError(f"endpoint returned a bad IRI: {err}") from None
+
+
+def _binding(row: dict, var: str) -> tuple[Optional[str], object]:
+    """The binding's ``type`` and ``value``."""
+    try:
+        b = row[var]
+        return b.get("type"), b["value"]
+    except (KeyError, TypeError, AttributeError) as err:
         raise MalformedResponseError(f"binding {var!r} missing from result row") from err
 
 

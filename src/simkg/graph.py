@@ -113,6 +113,8 @@ class Graph:
         entity; stored simulations that mention a changed entity are
         re-pointed at the merged one."""
         current = self.entities.get(e.id)
+        if current is e:
+            return e
         if current is None:
             self.entities[e.id] = e
             return e

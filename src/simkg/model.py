@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Union
 
 KB = "https://w3id.org/simulation/data/"
@@ -96,7 +96,7 @@ class Role(Enum):
     CONTEXT = "Context"
     SOURCE = "Source"
 
-    @property
+    @cached_property
     def schema_iri(self) -> Iri:
         return Iri(SIM + self.value)
 
@@ -115,7 +115,7 @@ class SimulationKind(Enum):
     EMBLEMATIC = "Emblematic"
     HEALING = "Healing"
 
-    @property
+    @cached_property
     def schema_iri(self) -> Iri:
         if self is SimulationKind.GENERIC:
             return Iri(SIM + "Simulation")
@@ -136,7 +136,7 @@ class RcRelation(Enum):
     EASED = "easedRealityCounterpart"
     ELICITED = "elicitedRealityCounterpart"
 
-    @property
+    @cached_property
     def schema_iri(self) -> Iri:
         return Iri(SIM + self.value)
 

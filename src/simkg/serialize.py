@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import os
 import re
-import secrets
+from functools import cache
 from typing import Union
 
 from .graph import KIND_BY_CLASS, RDF_TYPE, Graph, Triple
@@ -53,8 +53,13 @@ SIM_HAS_CONTEXT = Iri(SIM + "hasContext")
 SIM_HAS_VARIANT = Iri(SIM + "hasVariant")
 
 _ROLE_BY_CLASS = {role.schema_iri: role for role in Role}
-_REL_BY_PRED = {rel.schema_iri: rel for rel in RcRelation}
-_SIM_STRUCTURAL = {SIM_HAS_SIMULACRUM, SIM_HAS_CONTEXT, PROV_WAS_DERIVED_FROM, *_REL_BY_PRED}
+# member predicate -> (position of its group in Simulation, role, relation)
+_MEMBER_SLOT = {
+    SIM_HAS_SIMULACRUM: (0, Role.SIMULACRUM, None),
+    **{rel.schema_iri: (1, Role.REALITY_COUNTERPART, rel) for rel in RcRelation},
+    SIM_HAS_CONTEXT: (2, Role.CONTEXT, None),
+    PROV_WAS_DERIVED_FROM: (3, Role.SOURCE, None),
+}
 
 _PREDICATE_RANK: dict[Iri, int] = {
     RDF_TYPE: 0,
@@ -131,7 +136,8 @@ def export_turtle(g: Graph, force: bool = False) -> str:
     for s, p, o in graph_triples(g):
         by_subject.setdefault(s, {}).setdefault(p, set()).add(o)
 
-    out = [f"@prefix {name}: <{ns}> ." for name, ns in PREFIXES]
+    name = cache(compact_iri)  # IRIs repeat heavily; memoised for this call only
+    out = [f"@prefix {prefix}: <{ns}> ." for prefix, ns in PREFIXES]
     for subject in sorted(by_subject):
         out.append("")
         preds = sorted(
@@ -141,16 +147,16 @@ def export_turtle(g: Graph, force: bool = False) -> str:
         block = []
         for p in preds:
             objects = sorted(by_subject[subject][p], key=_object_sort_key)
-            rendered = ", ".join(_render_object(o) for o in objects)
-            verb = "a" if p == RDF_TYPE else compact_iri(p)
+            rendered = ", ".join(_render_literal(o) if isinstance(o, Literal) else name(o) for o in objects)
+            verb = "a" if p == RDF_TYPE else name(p)
             block.append(f"{verb} {rendered}")
         first, *rest = block
         if rest:
-            out.append(f"{compact_iri(subject)} {first} ;")
+            out.append(f"{name(subject)} {first} ;")
             out.extend(f"    {part} ;" for part in rest[:-1])
             out.append(f"    {rest[-1]} .")
         else:
-            out.append(f"{compact_iri(subject)} {first} .")
+            out.append(f"{name(subject)} {first} .")
     return "\n".join(out) + "\n"
 
 
@@ -167,14 +173,12 @@ def compact_iri(iri: Iri) -> str:
     return f"<{iri}>"
 
 
-_LITERAL_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+_LITERAL_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"})
 
 
-def _render_object(o: Union[Iri, Literal]) -> str:
-    if isinstance(o, Literal):
-        text = "".join(_LITERAL_ESCAPES.get(ch, ch) for ch in o.text)
-        return f'"{text}"@{o.lang}' if o.lang else f'"{text}"'
-    return compact_iri(o)
+def _render_literal(o: Literal) -> str:
+    text = o.text.translate(_LITERAL_ESCAPES)
+    return f'"{text}"@{o.lang}' if o.lang else f'"{text}"'
 
 
 def _object_sort_key(o: Union[Iri, Literal]):
@@ -185,17 +189,21 @@ def _object_sort_key(o: Union[Iri, Literal]):
 
 # -- import ----------------------------------------------------------------
 
+_SKIP_RE = re.compile(r"\s*(?:\#[^\n]*\s*)*")  # whitespace and comments
+# One match is one token plus the whitespace and comments after it, so every
+# match starts where the last one ended; ``end`` and ``bad`` always match.
+# Alternatives go in order of frequency; ``@prefix`` must come before ``lang``.
 _TOKEN_RE = re.compile(
-    rf"""(?P<ws>\s+)
-      | (?P<comment>\#[^\n]*)
-      | (?P<prefix>@prefix)
-      | (?P<iriref><{IRI_CHAR}*>)
-      | (?P<string>"(?:[^"\\\n]|\\.)*")
-      | (?P<lang>@[A-Za-z]+(?:-[A-Za-z0-9]+)*)
-      | (?P<pname>[A-Za-z][A-Za-z0-9_\-]*:(?:[A-Za-z0-9_](?:[A-Za-z0-9_\-.]*[A-Za-z0-9_\-])?)?)
-      | (?P<kw_a>a(?![A-Za-z0-9_:\-]))
+    rf"""(?: (?P<pname>[A-Za-z][A-Za-z0-9_\-]*:(?:[A-Za-z0-9_](?:[A-Za-z0-9_\-.]*[A-Za-z0-9_\-])?)?)
       | (?P<punct>[.;,])
-    """,
+      | (?P<string>"(?:[^"\\\n]|\\.)*")
+      | (?P<kw_a>a(?![A-Za-z0-9_:\-]))
+      | (?P<iriref><{IRI_CHAR}*>)
+      | (?P<prefix>@prefix)
+      | (?P<lang>@[A-Za-z]+(?:-[A-Za-z0-9]+)*)
+      | (?P<end>\Z)
+      | (?P<bad>[\s\S]+)  # the rest of the document, from the first stray character
+    ) {_SKIP_RE.pattern}""",
     re.VERBOSE,
 )
 
@@ -210,18 +218,12 @@ def _syntax_error(text: str, offset: int, message: str) -> TurtleSyntaxError:
 def _tokenize(text: str) -> list[Token]:
     """Every token but whitespace and comments, then an ``end`` sentinel at
     the start of the last line, where end-of-document errors point."""
-    tokens: list[Token] = []
-    pos = 0
-    for m in _TOKEN_RE.finditer(text):
-        if m.start() != pos:
-            break
-        kind = m.lastgroup
-        if kind not in ("ws", "comment"):
-            tokens.append((kind, m.group(), pos))
-        pos = m.end()
-    if pos != len(text):
-        raise _syntax_error(text, pos, f"unexpected character {text[pos]!r}")
-    tokens.append(("end", "", text.rfind("\n") + 1))
+    start = _SKIP_RE.match(text).end()
+    tokens = [(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup)) for m in _TOKEN_RE.finditer(text, start)]
+    if len(tokens) > 1 and tokens[-2][0] == "bad":  # ``bad`` runs up to the final ``end``
+        _, rest, offset = tokens[-2]
+        raise _syntax_error(text, offset, f"unexpected character {rest[0]!r}")
+    tokens[-1] = ("end", "", text.rfind("\n") + 1)
     return tokens
 
 
@@ -249,10 +251,14 @@ def _decode_string(text: str, tok: Token) -> str:
     return _ESCAPE_RE.sub(unescape, body)
 
 
-def _parse_statements(text: str) -> list[Triple]:
+Statements = dict[Iri, dict[Iri, list[Union[Iri, Literal]]]]
+
+
+def _parse_statements(text: str) -> Statements:
+    """subject -> predicate -> objects, each list in document order."""
     tokens = _tokenize(text)
     prefixes: dict[str, str] = {}
-    triples: list[Triple] = []
+    statements: Statements = {}
     resolved: dict[str, Iri] = {}  # token text -> IRI; names repeat heavily
 
     def take(i: int, expected: str) -> Token:
@@ -293,14 +299,16 @@ def _parse_statements(text: str) -> list[Triple]:
             if dot[1] != ".":
                 raise _syntax_error(text, dot[2], "expected '.' after @prefix")
             prefixes[name[1][:-1]] = ns[1][1:-1]
+            resolved.clear()  # a redeclared prefix changes what its names mean
             i += 4
             continue
 
         subject = resolve(tokens[i])
+        preds = statements.setdefault(subject, {})
         i += 1
         while True:
             verb = take(i, "a predicate")
-            predicate = RDF_TYPE if verb[0] == "kw_a" else resolve(verb)
+            objects = preds.setdefault(RDF_TYPE if verb[0] == "kw_a" else resolve(verb), [])
             i += 1
             while True:
                 tok = take(i, "an object")
@@ -310,9 +318,9 @@ def _parse_statements(text: str) -> list[Triple]:
                     if tokens[i][0] == "lang":
                         lang = tokens[i][1][1:]
                         i += 1
-                    triples.append((subject, predicate, Literal(_decode_string(text, tok), lang)))
+                    objects.append(Literal(_decode_string(text, tok), lang))
                 else:
-                    triples.append((subject, predicate, resolve(tok)))
+                    objects.append(resolve(tok))
                 sep = take(i, "',', ';' or '.'")
                 i += 1
                 if sep[0] != "punct":
@@ -325,7 +333,7 @@ def _parse_statements(text: str) -> list[Triple]:
             if tokens[i][1] == ".":
                 i += 1
                 break
-    return triples
+    return statements
 
 
 def import_turtle(text: str) -> Graph:
@@ -336,10 +344,7 @@ def import_turtle(text: str) -> Graph:
     Strict about syntax: malformed documents raise :class:`TurtleSyntaxError`.
     """
     # Whether a subject is a simulation depends on all of its predicates.
-    by_subject: dict[Iri, dict[Iri, list[Union[Iri, Literal]]]] = {}
-    for s, p, o in _parse_statements(text):
-        by_subject.setdefault(s, {}).setdefault(p, []).append(o)
-
+    statements = _parse_statements(text)
     g = Graph()
     extras = g.extra_triples
 
@@ -361,12 +366,12 @@ def import_turtle(text: str) -> Graph:
 
     # Entity subjects go in first, so a member's default label (its local
     # name) never competes with a declared label in the min-label rule.
-    sims: list[tuple[Iri, list[Iri]]] = []
+    sims: list[tuple[Iri, list]] = []
     variant_edges: list[tuple[Iri, Iri]] = []
-    for subject in sorted(by_subject):
-        preds = by_subject[subject]
-        types = [t for t in preds.pop(RDF_TYPE, ()) if isinstance(t, Iri)]
-        if any(t in KIND_BY_CLASS for t in types) or any(p in _SIM_STRUCTURAL for p in preds):
+    for subject in sorted(statements):
+        preds = statements[subject]
+        types = preds.pop(RDF_TYPE, [])  # a literal here is kept as an extra triple
+        if any(t in KIND_BY_CLASS for t in types) or any(p in _MEMBER_SLOT for p in preds):
             sims.append((subject, types))
             continue
         extras.update((subject, RDF_TYPE, t) for t in types if t not in _ROLE_BY_CLASS)
@@ -384,24 +389,26 @@ def import_turtle(text: str) -> Graph:
             extras.update((subject, pred, o) for o in rest)
 
     for subject, types in sims:
-        preds = by_subject[subject]
         kinds = [KIND_BY_CLASS[t] for t in types if t in KIND_BY_CLASS]
         unknown_types = [t for t in types if t not in KIND_BY_CLASS]
         if not kinds:
             kinds = [SimulationKind.GENERIC]
             if unknown_types:
-                logger.warning("unknown class %s on %s, defaulting to the generic simulation", unknown_types[0], subject)
+                first = unknown_types[0]
+                first = _render_literal(first) if isinstance(first, Literal) else first
+                logger.warning("unknown class %s on %s, defaulting to the generic simulation", first, subject)
         extras.update((subject, RDF_TYPE, t) for t in unknown_types)
 
-        def members(pred: Iri, role: Role) -> tuple[Entity, ...]:
-            return tuple(entity(iri).with_roles(role) for iri in objects(subject, preds, pred, Iri, warn=True))
-
-        simulacra = members(SIM_HAS_SIMULACRUM, Role.SIMULACRUM)
-        contexts = members(SIM_HAS_CONTEXT, Role.CONTEXT)
-        sources = members(PROV_WAS_DERIVED_FROM, Role.SOURCE)
-        rcs = tuple((rel, e) for pred, rel in _REL_BY_PRED.items() for e in members(pred, Role.REALITY_COUNTERPART))
+        preds = statements[subject]
+        groups: tuple[list, ...] = ([], [], [], [])  # simulacra, counterparts, contexts, sources
+        for pred in [p for p in preds if p in _MEMBER_SLOT]:
+            index, role, rel = _MEMBER_SLOT[pred]
+            for iri in objects(subject, preds, pred, Iri, warn=True):
+                e = entity(iri).with_roles(role)
+                groups[index].append(e if rel is None else (rel, e))
+        members = [tuple(group) for group in groups]
         for kind in kinds:
-            g.insert_simulation(Simulation(subject, kind, simulacra, rcs, contexts, sources))
+            g.insert_simulation(Simulation(subject, kind, *members))
         for pred, rest in preds.items():
             extras.update((subject, pred, o) for o in rest)
 
@@ -428,7 +435,7 @@ def write_atomic(path, text: str) -> None:
     and the new file is removed.
     """
     head, tail = os.path.split(os.fspath(path))
-    tmp = os.path.join(head, f".{tail}.{secrets.token_hex(4)}.tmp")
+    tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
     fh = open(tmp, "x", encoding="utf-8", newline="\n")
     try:
         with fh:

@@ -78,7 +78,7 @@ def random_parts(rng: random.Random, max_sims: int = 30) -> tuple[list[Simulatio
     """
     sims = [random_simulation(rng) for _ in range(rng.randint(1, max_sims))]
     variants = []
-    labels = sorted(set(SIMULACRUM_WORDS) | set(MEANING_WORDS), key=lambda w: camel_case(w))
+    labels = sorted(set(SIMULACRUM_WORDS) | set(MEANING_WORDS), key=lambda w: (camel_case(w), w))
     for _ in range(rng.randint(0, 4)):
         i, j = sorted(rng.sample(range(len(labels)), 2))
         base, variant = make_entity(labels[i]), make_entity(labels[j])

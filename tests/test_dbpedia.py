@@ -1,11 +1,17 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 from urllib.parse import parse_qs, urlparse
 
 import pytest
+import requests
 
+import simkg
 from conftest import FIXTURES
 from simkg import (
     Iri,
@@ -19,6 +25,7 @@ from simkg import (
     make_entity,
     read_triples_file,
 )
+from simkg.cli import main
 from simkg.model import KB
 
 
@@ -158,7 +165,10 @@ class _StubSession:
 
     def get(self, url, params=None, headers=None, timeout=None):
         self.requests.append(params["query"])
-        return self.responses.pop(0)
+        response = self.responses.pop(0)
+        if isinstance(response, Exception):
+            raise response
+        return response
 
 
 def _page(bindings):
@@ -211,6 +221,48 @@ class TestFetch:
         session = _StubSession([_StubResponse(payload={"unexpected": True})])
         with pytest.raises(MalformedResponseError):
             fetch_symbol_data("http://example.org/sparql", session=session)
+
+    @pytest.mark.parametrize("binding", [{"type": "uri"}, "http://dbpedia.org/resource/Zeus"])
+    def test_binding_without_value_is_a_malformed_response(self, binding):
+        row = {"s": binding, "o": {"type": "literal", "value": "x"}}
+        session = _StubSession([_StubResponse(payload=_page([row])), _StubResponse(payload=_page([]))])
+        with pytest.raises(MalformedResponseError, match="binding 's'"):
+            fetch_symbol_data("http://example.org/sparql", session=session)
+
+    def test_connection_error_is_retried(self):
+        ok = _page([])
+        session = _StubSession([requests.ConnectionError("refused"), _StubResponse(payload=ok), _StubResponse(payload=ok)])
+        assert fetch_symbol_data("http://example.org/sparql", session=session, retry_wait=0.001) == []
+        assert len(session.requests) == 3
+
+    @pytest.mark.parametrize("var", ["s", "o", "type"])
+    def test_bad_endpoint_iri_is_a_malformed_response(self, var):
+        row = {
+            "s": {"type": "uri", "value": "http://dbpedia.org/resource/Zeus"},
+            "o": {"type": "uri", "value": "http://dbpedia.org/resource/Eagle"},
+            "type": {"type": "uri", "value": "http://dbpedia.org/ontology/Deity"},
+        }
+        row[var] = {"type": "uri", "value": "http://dbpedia.org/resource/a>b"}
+        session = _StubSession([_StubResponse(payload=_page([row])), _StubResponse(payload=_page([]))])
+        with pytest.raises(MalformedResponseError, match="a>b"):
+            fetch_symbol_data("http://example.org/sparql", session=session)
+
+    def test_bad_endpoint_iri_exits_3_with_one_line(self, monkeypatch, tmp_path, capsys):
+        row = {"s": {"type": "uri", "value": "http://dbpedia.org/resource/a b"}, "o": {"type": "literal", "value": "x"}}
+        session = _StubSession([_StubResponse(payload=_page([row])), _StubResponse(payload=_page([]))])
+        session.close = lambda: None
+        monkeypatch.setattr(requests, "Session", lambda: session)
+        code = main(["ingest-dbpedia", "--endpoint", "http://example.org/sparql", "--out", str(tmp_path / "out.ttl")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert not (tmp_path / "out.ttl").exists()
+
+
+def test_cli_import_leaves_out_the_http_stack():
+    env = {**os.environ, "PYTHONPATH": str(Path(simkg.__file__).parents[1])}
+    code = "import sys, simkg.cli; sys.exit('requests' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class _SparqlHandler(BaseHTTPRequestHandler):

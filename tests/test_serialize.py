@@ -284,9 +284,9 @@ def test_importer_never_hangs_or_crashes_unexpectedly(doc):
 
 
 _FUZZ_TOKENS = [
-    m.group()
+    m[m.lastgroup]
     for m in _TOKEN_RE.finditer((FIXTURES / "golden" / "hook.ttl").read_text(encoding="utf-8"))
-    if m.lastgroup not in ("ws", "comment")
+    if m.lastgroup != "end"
 ]
 _TOKEN_INDEX = st.integers(0, len(_FUZZ_TOKENS) - 1)
 _EDITS = st.tuples(st.sampled_from(("delete", "duplicate", "swap")), _TOKEN_INDEX, _TOKEN_INDEX)
@@ -345,3 +345,51 @@ def test_syntax_error_messages(doc, message):
     assert str(err.value) == message
     line, col = message[len("line "):].split(":")[0].split(", col ")
     assert (err.value.line, err.value.col) == (int(line), int(col))
+
+
+def test_redeclared_prefix_applies_to_later_names():
+    # W3C Turtle: a later @prefix for the same name rebinds it from there on
+    doc = "@prefix p: <http://a.org/> . p:x p:y p:z . @prefix p: <http://b.org/> . p:x p:y p:z ."
+    g = import_turtle(doc)
+    assert g.extra_triples == {
+        (Iri("http://a.org/x"), Iri("http://a.org/y"), Iri("http://a.org/z")),
+        (Iri("http://b.org/x"), Iri("http://b.org/y"), Iri("http://b.org/z")),
+    }
+
+
+@pytest.mark.parametrize(
+    "doc, line",
+    [
+        (
+            '@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n<http://e.org/a> a "x" ; rdfs:label "a" .\n',
+            '<http://e.org/a> a "x" ;',
+        ),
+        (
+            _KB_PREFIX + "@prefix sim: <https://w3id.org/simulation/ontology/> .\n"
+            "@prefix prov: <http://www.w3.org/ns/prov#> .\n"
+            'kb:olive-peace a sim:Simulation, "x" ; sim:hasSimulacrum kb:olive ;\n'
+            "    sim:hasRealityCounterpart kb:peace ; sim:hasContext kb:greek ; prov:wasDerivedFrom kb:src .\n",
+            'kb:olive-peace a sim:Simulation, "x" ;',
+        ),
+        (
+            _KB_PREFIX + "@prefix sim: <https://w3id.org/simulation/ontology/> .\n"
+            "@prefix prov: <http://www.w3.org/ns/prov#> .\n"
+            'kb:olive-peace a "x" ; sim:hasSimulacrum kb:olive ;\n'
+            "    sim:hasRealityCounterpart kb:peace ; sim:hasContext kb:greek ; prov:wasDerivedFrom kb:src .\n",
+            'kb:olive-peace a sim:Simulation, "x" ;',
+        ),
+    ],
+    ids=["entity", "simulation", "simulation-without-class"],
+)
+def test_literal_type_kept_as_extra_triple(doc, line):
+    g = import_turtle(doc)
+    text = export_turtle(g)
+    assert line in text.splitlines()
+    assert import_turtle(text) == g
+
+
+def test_tokenizer_error_wins_over_an_earlier_parse_error():
+    doc = _KB_PREFIX + "kb:a kb:b .\nkb:c kb:d kb:e ! .\n"
+    with pytest.raises(TurtleSyntaxError) as err:
+        import_turtle(doc)
+    assert str(err.value) == "line 3, col 16: unexpected character '!'"
