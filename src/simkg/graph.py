@@ -250,9 +250,6 @@ class Graph:
     def simulations_with_context(self, iri: Iri) -> set[Iri]:
         return self._sims_by_context.get(iri, set())
 
-    def simulations_with_source(self, iri: Iri) -> set[Iri]:
-        return self._sims_by_source.get(iri, set())
-
     def meanings_of(self, iri: Iri) -> set[Iri]:
         return self._meanings_of.get(iri, set())
 
@@ -296,11 +293,11 @@ class Graph:
             )
         if whole_graph:
             entity_ids: Iterable[Iri] = self.entities
-            n_triples += len(self.variant_edges)
+            n_triples += sum(map(len, self._variant_children.values()))
             n_triples += len(self.extra_triples)
         else:
             entity_ids = sorted(members)
-            n_triples += sum(1 for b, v in self.variant_edges if b in members and v in members)
+            n_triples += sum(len(vs & members) for b, vs in self._variant_children.items() if b in members)
         for eid in entity_ids:
             e = self.entities[eid]
             n_triples += 1 + len(e.roles) + len(e.external_links)

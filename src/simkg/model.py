@@ -96,6 +96,10 @@ class Role(Enum):
     CONTEXT = "Context"
     SOURCE = "Source"
 
+    # Members are singletons and equal only to themselves, so the identity
+    # hash agrees with equality and skips Enum.__hash__, a Python-level call.
+    __hash__ = object.__hash__
+
     @cached_property
     def schema_iri(self) -> Iri:
         return Iri(SIM + self.value)
@@ -114,6 +118,8 @@ class SimulationKind(Enum):
     PROTECTION = "Protection"
     EMBLEMATIC = "Emblematic"
     HEALING = "Healing"
+
+    __hash__ = object.__hash__
 
     @cached_property
     def schema_iri(self) -> Iri:
@@ -135,6 +141,8 @@ class RcRelation(Enum):
     RESTORED = "restoredRealityCounterpart"
     EASED = "easedRealityCounterpart"
     ELICITED = "elicitedRealityCounterpart"
+
+    __hash__ = object.__hash__
 
     @cached_property
     def schema_iri(self) -> Iri:

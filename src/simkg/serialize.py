@@ -5,6 +5,13 @@ declarations, IRIs and prefixed names, ``a``, predicate lists with ``;``,
 object lists with ``,`` and string literals with optional language tags.
 No collections, blank nodes or relative IRIs.  Output is byte-deterministic:
 subjects sorted by IRI, predicates in a fixed schema order, objects sorted.
+
+Export renders each subject's block straight from the graph's stores, whose
+members are already in that order; only role types, ``owl:sameAs`` links and
+variants are sorted, and a subject that two stores share, or that has extra
+triples, is merged and sorted on its own.  Import splits the document into
+plain string tokens with one regex pass and types each token by its text;
+a token's position in the document is worked out only for an error message.
 """
 
 from __future__ import annotations
@@ -13,6 +20,8 @@ import logging
 import os
 import re
 from functools import cache
+from itertools import groupby, islice
+from operator import itemgetter
 from typing import Union
 
 from .graph import KIND_BY_CLASS, RDF_TYPE, Graph, Triple
@@ -132,32 +141,53 @@ def export_turtle(g: Graph, force: bool = False) -> str:
         if violations:
             raise GraphViolationsError(violations)
 
-    by_subject: dict[Iri, dict[Iri, set[Union[Iri, Literal]]]] = {}
-    for s, p, o in graph_triples(g):
-        by_subject.setdefault(s, {}).setdefault(p, set()).add(o)
+    extras: dict[Iri, dict[Iri, set[Union[Iri, Literal]]]] = {}
+    for s, p, o in g.extra_triples:
+        extras.setdefault(s, {}).setdefault(p, set()).add(o)
+    sims, entities, variants = g.simulations, g.entities, g._variant_children
+    subjects = sims.keys() | entities.keys() | variants.keys() | extras.keys()
 
-    name = cache(compact_iri)  # IRIs repeat heavily; memoised for this call only
+    term = cache(_render_term)  # terms repeat heavily; memoised for this call only
     out = [f"@prefix {prefix}: <{ns}> ." for prefix, ns in PREFIXES]
-    for subject in sorted(by_subject):
-        out.append("")
-        preds = sorted(
-            by_subject[subject],
-            key=lambda p: (_PREDICATE_RANK.get(p, 13), p),
+    for subject in sorted(subjects):
+        preds = _stored_predicates(sims.get(subject), entities.get(subject), variants.get(subject))
+        extra = extras.get(subject)
+        if extra:
+            merged = dict(preds)
+            for p, objects in extra.items():
+                merged[p] = sorted(objects.union(merged.get(p, ())), key=_object_sort_key)
+            preds = sorted(merged.items(), key=lambda po: (_PREDICATE_RANK.get(po[0], 13), po[0]))
+        block = " ;\n    ".join(
+            [f"{'a' if p == RDF_TYPE else term(p)} {', '.join(map(term, objects))}" for p, objects in preds]
         )
-        block = []
-        for p in preds:
-            objects = sorted(by_subject[subject][p], key=_object_sort_key)
-            rendered = ", ".join(_render_literal(o) if isinstance(o, Literal) else name(o) for o in objects)
-            verb = "a" if p == RDF_TYPE else name(p)
-            block.append(f"{verb} {rendered}")
-        first, *rest = block
-        if rest:
-            out.append(f"{name(subject)} {first} ;")
-            out.extend(f"    {part} ;" for part in rest[:-1])
-            out.append(f"    {rest[-1]} .")
-        else:
-            out.append(f"{name(subject)} {first} .")
+        out.append(f"\n{term(subject)} {block} .")
     return "\n".join(out) + "\n"
+
+
+def _stored_predicates(sim: Simulation | None, entity: Entity | None, variants: set[Iri] | None) -> list:
+    """A subject's (predicate, objects) pairs from the stores, both in
+    export order.  Stored members are already sorted (ids, counterparts by
+    relation rank), and only the type is held by two stores."""
+    types = [role.schema_iri for role in entity.roles] if entity is not None else []
+    if sim is not None:
+        types.append(sim.kind.schema_iri)
+    preds: list = [(RDF_TYPE, sorted(types))] if types else []
+    if entity is not None:
+        preds.append((RDFS_LABEL, [Literal(entity.label)]))
+    if sim is not None:
+        if sim.simulacra:
+            preds.append((SIM_HAS_SIMULACRUM, [e.id for e in sim.simulacra]))
+        for rel, pairs in groupby(sim.reality_counterparts, key=itemgetter(0)):
+            preds.append((rel.schema_iri, [e.id for _, e in pairs]))
+        if sim.contexts:
+            preds.append((SIM_HAS_CONTEXT, [e.id for e in sim.contexts]))
+        if sim.sources:
+            preds.append((PROV_WAS_DERIVED_FROM, [e.id for e in sim.sources]))
+    if variants:
+        preds.append((SIM_HAS_VARIANT, sorted(variants)))
+    if entity is not None and entity.external_links:
+        preds.append((OWL_SAME_AS, sorted(entity.external_links)))
+    return preds
 
 
 _SAFE_LOCAL = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_\-]*\Z")
@@ -176,6 +206,10 @@ def compact_iri(iri: Iri) -> str:
 _LITERAL_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"})
 
 
+def _render_term(o: Union[Iri, Literal]) -> str:
+    return _render_literal(o) if isinstance(o, Literal) else compact_iri(o)
+
+
 def _render_literal(o: Literal) -> str:
     text = o.text.translate(_LITERAL_ESCAPES)
     return f'"{text}"@{o.lang}' if o.lang else f'"{text}"'
@@ -191,23 +225,23 @@ def _object_sort_key(o: Union[Iri, Literal]):
 
 _SKIP_RE = re.compile(r"\s*(?:\#[^\n]*\s*)*")  # whitespace and comments
 # One match is one token plus the whitespace and comments after it, so every
-# match starts where the last one ended; ``end`` and ``bad`` always match.
-# Alternatives go in order of frequency; ``@prefix`` must come before ``lang``.
+# match starts where the last one ended.  Alternatives go in order of
+# frequency; ``@prefix`` must come before the language tag.  The captured
+# token is empty at the end of the document, and also where no token
+# matches: the last alternative then takes the rest of the document.
 _TOKEN_RE = re.compile(
-    rf"""(?: (?P<pname>[A-Za-z][A-Za-z0-9_\-]*:(?:[A-Za-z0-9_](?:[A-Za-z0-9_\-.]*[A-Za-z0-9_\-])?)?)
-      | (?P<punct>[.;,])
-      | (?P<string>"(?:[^"\\\n]|\\.)*")
-      | (?P<kw_a>a(?![A-Za-z0-9_:\-]))
-      | (?P<iriref><{IRI_CHAR}*>)
-      | (?P<prefix>@prefix)
-      | (?P<lang>@[A-Za-z]+(?:-[A-Za-z0-9]+)*)
-      | (?P<end>\Z)
-      | (?P<bad>[\s\S]+)  # the rest of the document, from the first stray character
+    rf"""(?: ( [A-Za-z][A-Za-z0-9_\-]*:(?:[A-Za-z0-9_](?:[A-Za-z0-9_\-.]*[A-Za-z0-9_\-])?)?  # prefixed name
+             | [.;,]
+             | "(?:[^"\\\n]|\\.)*"
+             | a(?![A-Za-z0-9_:\-])
+             | <{IRI_CHAR}*>
+             | @prefix
+             | @[A-Za-z]+(?:-[A-Za-z0-9]+)*  # language tag
+             | \Z )
+      | [\s\S]+  # a stray character, and the rest of the document
     ) {_SKIP_RE.pattern}""",
     re.VERBOSE,
 )
-
-Token = tuple[str, str, int]  # (kind, text, offset)
 
 
 def _syntax_error(text: str, offset: int, message: str) -> TurtleSyntaxError:
@@ -215,37 +249,24 @@ def _syntax_error(text: str, offset: int, message: str) -> TurtleSyntaxError:
     return TurtleSyntaxError(message, line, offset - text.rfind("\n", 0, offset))
 
 
-def _tokenize(text: str) -> list[Token]:
-    """Every token but whitespace and comments, then an ``end`` sentinel at
-    the start of the last line, where end-of-document errors point."""
-    start = _SKIP_RE.match(text).end()
-    tokens = [(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup)) for m in _TOKEN_RE.finditer(text, start)]
-    if len(tokens) > 1 and tokens[-2][0] == "bad":  # ``bad`` runs up to the final ``end``
-        _, rest, offset = tokens[-2]
-        raise _syntax_error(text, offset, f"unexpected character {rest[0]!r}")
-    tokens[-1] = ("end", "", text.rfind("\n") + 1)
-    return tokens
-
-
 _ESCAPE_MAP = {'"': '"', "\\": "\\", "n": "\n", "r": "\r", "t": "\t"}
 _ESCAPE_RE = re.compile(r"\\(u.{0,4}|U.{0,8}|.)")
 
 
-def _decode_string(text: str, tok: Token) -> str:
-    body = tok[1][1:-1]
-    if "\\" not in body:
-        return body
+def _unescape(body: str) -> str:
+    """A string token's body with its escapes decoded; ``ValueError`` names
+    the first bad one."""
 
     def unescape(m: re.Match) -> str:
         esc = m.group(1)
         if esc in _ESCAPE_MAP:
             return _ESCAPE_MAP[esc]
         if esc[0] not in "uU":
-            raise _syntax_error(text, tok[2], f"unknown escape \\{esc}")
+            raise ValueError(f"unknown escape \\{esc}")
         code = esc[1:]
         valid = len(code) == (4 if esc[0] == "u" else 8) and re.fullmatch(r"[0-9A-Fa-f]+", code)
         if not valid or int(code, 16) > 0x10FFFF:
-            raise _syntax_error(text, tok[2], f"bad unicode escape \\{esc}")
+            raise ValueError(f"bad unicode escape \\{esc}")
         return chr(int(code, 16))
 
     return _ESCAPE_RE.sub(unescape, body)
@@ -255,82 +276,109 @@ Statements = dict[Iri, dict[Iri, list[Union[Iri, Literal]]]]
 
 
 def _parse_statements(text: str) -> Statements:
-    """subject -> predicate -> objects, each list in document order."""
-    tokens = _tokenize(text)
+    """subject -> predicate -> objects, each list in document order.
+
+    Tokens are plain strings, typed by their text: ``<`` starts an IRI,
+    ``"`` a string, ``@prefix`` is the directive and any other ``@`` a
+    language tag, ``.``/``;``/``,`` are punctuation, ``a`` is the keyword,
+    the empty string is the end, and anything else is a prefixed name.
+    """
+    start = _SKIP_RE.match(text).end()
+    tokens = _TOKEN_RE.findall(text, start)
     prefixes: dict[str, str] = {}
     statements: Statements = {}
-    resolved: dict[str, Iri] = {}  # token text -> IRI; names repeat heavily
+    resolved: dict[str, Iri] = {}  # token -> IRI; names repeat heavily
 
-    def take(i: int, expected: str) -> Token:
+    def offset(i: int) -> int:
+        """Where token ``i`` starts, found by scanning again."""
+        if i == len(tokens) - 1:  # end-of-document errors point at the start of the last line
+            return text.rfind("\n") + 1
+        return next(islice(_TOKEN_RE.finditer(text, start), i, None)).start()
+
+    def fail(i: int, message: str) -> TurtleSyntaxError:
+        return _syntax_error(text, offset(i), message)
+
+    if len(tokens) > 1 and not tokens[-2]:  # a stray character, before the end
+        at = offset(len(tokens) - 2)
+        raise _syntax_error(text, at, f"unexpected character {text[at]!r}")
+
+    def take(i: int, expected: str) -> str:
         tok = tokens[i]
-        if tok[0] == "end":
-            raise _syntax_error(text, tok[2], f"unexpected end of document, expected {expected}")
+        if not tok:
+            raise fail(i, f"unexpected end of document, expected {expected}")
         return tok
 
-    def resolve(tok: Token) -> Iri:
-        kind, value, offset = tok
-        iri = resolved.get(value)
-        if iri is not None:
-            return iri
-        if kind == "iriref":
-            raw = value[1:-1]
-        elif kind == "pname":
-            name, _, local = value.partition(":")
+    def resolve(i: int, expected: str) -> Iri:
+        """The IRI that token ``i`` names, on a miss in ``resolved``."""
+        tok = take(i, expected)
+        if tok[0] == "<":
+            raw = tok[1:-1]
+        elif tok[0] not in '"@.;,' and tok != "a":
+            name, _, local = tok.partition(":")
             if name not in prefixes:
-                raise _syntax_error(text, offset, f"undeclared prefix {name!r}")
+                raise fail(i, f"undeclared prefix {name!r}")
             raw = prefixes[name] + local
         else:
-            raise _syntax_error(text, offset, f"expected an IRI, got {value!r}")
+            raise fail(i, f"expected an IRI, got {tok!r}")
         if not raw:
-            raise _syntax_error(text, offset, "empty IRI; relative IRIs are not supported")
-        iri = resolved[value] = Iri(raw)
+            raise fail(i, "empty IRI; relative IRIs are not supported")
+        iri = resolved[tok] = Iri(raw)
         return iri
 
     i = 0
-    while tokens[i][0] != "end":
-        if tokens[i][0] == "prefix":
+    while tok := tokens[i]:
+        if tok == "@prefix":
             name = take(i + 1, "a prefix name")
-            if name[0] != "pname" or not name[1].endswith(":"):
-                raise _syntax_error(text, name[2], "expected a prefix name ending in ':'")
+            if not name.endswith(":"):
+                raise fail(i + 1, "expected a prefix name ending in ':'")
             ns = take(i + 2, "a namespace IRI")
-            if ns[0] != "iriref":
-                raise _syntax_error(text, ns[2], "expected a namespace IRI")
-            dot = take(i + 3, "'.'")
-            if dot[1] != ".":
-                raise _syntax_error(text, dot[2], "expected '.' after @prefix")
-            prefixes[name[1][:-1]] = ns[1][1:-1]
+            if ns[0] != "<":
+                raise fail(i + 2, "expected a namespace IRI")
+            if take(i + 3, "'.'") != ".":
+                raise fail(i + 3, "expected '.' after @prefix")
+            prefixes[name[:-1]] = ns[1:-1]
             resolved.clear()  # a redeclared prefix changes what its names mean
             i += 4
             continue
 
-        subject = resolve(tokens[i])
-        preds = statements.setdefault(subject, {})
+        preds = statements.setdefault(resolved[tok] if tok in resolved else resolve(i, "a subject"), {})
         i += 1
         while True:
-            verb = take(i, "a predicate")
-            objects = preds.setdefault(RDF_TYPE if verb[0] == "kw_a" else resolve(verb), [])
+            verb = tokens[i]
+            if verb == "a":
+                objects = preds.setdefault(RDF_TYPE, [])
+            else:
+                objects = preds.setdefault(resolved[verb] if verb in resolved else resolve(i, "a predicate"), [])
             i += 1
             while True:
-                tok = take(i, "an object")
-                i += 1
-                if tok[0] == "string":
-                    lang = None
-                    if tokens[i][0] == "lang":
-                        lang = tokens[i][1][1:]
+                tok = tokens[i]
+                if tok in resolved:
+                    objects.append(resolved[tok])
+                elif tok[:1] == '"':
+                    body = tok[1:-1]
+                    if "\\" in body:
+                        try:
+                            body = _unescape(body)
+                        except ValueError as err:
+                            raise fail(i, str(err)) from None
+                    lang = tokens[i + 1]
+                    if lang[:1] == "@" and lang != "@prefix":
+                        objects.append(Literal(body, lang[1:]))
                         i += 1
-                    objects.append(Literal(_decode_string(text, tok), lang))
+                    else:
+                        objects.append(Literal(body))
                 else:
-                    objects.append(resolve(tok))
-                sep = take(i, "',', ';' or '.'")
-                i += 1
-                if sep[0] != "punct":
-                    raise _syntax_error(text, sep[2], f"expected punctuation, got {sep[1]!r}")
-                if sep[1] != ",":
+                    objects.append(resolve(i, "an object"))
+                sep = tokens[i + 1]
+                i += 2
+                if sep != ",":
                     break
-            if sep[1] == ".":
+            if sep == ".":
                 break
+            if sep != ";":
+                raise fail(i - 1, f"expected punctuation, got {sep!r}" if sep else "unexpected end of document, expected ',', ';' or '.'")
             # after ';' either a new predicate or a dangling '.' ends the block
-            if tokens[i][1] == ".":
+            if tokens[i] == ".":
                 i += 1
                 break
     return statements
@@ -371,7 +419,7 @@ def import_turtle(text: str) -> Graph:
     for subject in sorted(statements):
         preds = statements[subject]
         types = preds.pop(RDF_TYPE, [])  # a literal here is kept as an extra triple
-        if any(t in KIND_BY_CLASS for t in types) or any(p in _MEMBER_SLOT for p in preds):
+        if not KIND_BY_CLASS.keys().isdisjoint(types) or not _MEMBER_SLOT.keys().isdisjoint(preds):
             sims.append((subject, types))
             continue
         extras.update((subject, RDF_TYPE, t) for t in types if t not in _ROLE_BY_CLASS)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -23,7 +24,20 @@ from simkg import (
     save_graph,
 )
 from simkg.model import KB
-from simkg.serialize import _TOKEN_RE, write_atomic
+from simkg.graph import RDF_TYPE
+from simkg.serialize import (
+    _PREDICATE_RANK,
+    PREFIXES,
+    RDFS_LABEL,
+    SIM_HAS_CONTEXT,
+    SIM_HAS_SIMULACRUM,
+    SIM_HAS_VARIANT,
+    _render_literal,
+    _TOKEN_RE,
+    compact_iri,
+    graph_triples,
+    write_atomic,
+)
 
 
 def test_empty_graph_exports_prefix_header_only():
@@ -107,6 +121,73 @@ def test_emitted_triple_count_equals_stats_total():
 
         emitted = len(set(graph_triples(g)))
         assert emitted == g.stats().total.n_triples, f"seed {seed}"
+
+
+def _reference_export(g: Graph) -> str:
+    """The group-and-sort exporter: every statement of ``graph_triples``
+    grouped by subject and predicate, then everything sorted."""
+    by_subject: dict = {}
+    for s, p, o in graph_triples(g):
+        by_subject.setdefault(s, {}).setdefault(p, set()).add(o)
+
+    def object_key(o):
+        return (1, o.text, o.lang or "") if isinstance(o, Literal) else (0, str(o), "")
+
+    out = [f"@prefix {prefix}: <{ns}> ." for prefix, ns in PREFIXES]
+    for subject in sorted(by_subject):
+        out.append("")
+        block = []
+        for p in sorted(by_subject[subject], key=lambda p: (_PREDICATE_RANK.get(p, 13), p)):
+            objects = sorted(by_subject[subject][p], key=object_key)
+            rendered = ", ".join(_render_literal(o) if isinstance(o, Literal) else compact_iri(o) for o in objects)
+            block.append(f"{'a' if p == RDF_TYPE else compact_iri(p)} {rendered}")
+        first, *rest = block
+        if rest:
+            out.append(f"{compact_iri(subject)} {first} ;")
+            out.extend(f"    {part} ;" for part in rest[:-1])
+            out.append(f"    {rest[-1]} .")
+        else:
+            out.append(f"{compact_iri(subject)} {first} .")
+    return "\n".join(out) + "\n"
+
+
+def _add_odd_statements(g: Graph, rng: random.Random) -> None:
+    """Statements a foreign file can bring that ``random_graph`` never makes."""
+    ex = "http://example.org/"
+    sim = g.simulations[rng.choice(sorted(g.simulations))]
+    entity = g.entities[rng.choice(sorted(g.entities))]
+    other_kind = rng.choice([k for k in SimulationKind if k is not sim.kind])
+    # simulation IRIs that are also entities: one with extra triples, one without
+    g.upsert_entity(Entity(sim.id, "also an entity", frozenset(rng.sample([Role.CONTEXT, Role.SOURCE], rng.randint(0, 2)))))
+    plain = rng.choice(sorted(g.simulations))
+    if plain != sim.id:
+        g.upsert_entity(Entity(plain, "also an entity", frozenset({Role.CONTEXT, Role.SIMULACRUM, Role.SOURCE})))
+    g.extra_triples.update(
+        {
+            (sim.id, RDF_TYPE, Literal("x")),
+            (entity.id, RDF_TYPE, Literal("y", "en")),
+            (sim.id, RDF_TYPE, other_kind.schema_iri),
+            (sim.id, SIM_HAS_SIMULACRUM, sim.simulacra[0].id),  # duplicates a stored triple
+            (entity.id, RDFS_LABEL, Literal(entity.label)),  # duplicates a stored triple
+            (entity.id, RDFS_LABEL, Literal("another label", "en")),
+            (sim.id, SIM_HAS_CONTEXT, Literal("a literal member")),
+            (sim.id, SIM_HAS_VARIANT, entity.id),
+            (sim.id, Iri(ex + "p"), Literal("z")),
+            (sim.id, Iri(ex + "a"), Iri(ex + "o")),
+            (entity.id, Iri(ex + "q"), Iri(ex + "o")),
+            (entity.id, Iri(ex + "q"), Literal("w")),
+            (Iri(ex + "bare"), Iri(ex + "p"), Literal("only extra triples")),
+        }
+    )
+
+
+def test_export_matches_the_group_and_sort_reference():
+    for seed in range(60):
+        rng = random.Random(seed)
+        g = random_graph(rng, max_sims=12)
+        assert export_turtle(g) == _reference_export(g), f"seed {seed}"
+        _add_odd_statements(g, rng)
+        assert export_turtle(g, force=True) == _reference_export(g), f"seed {seed}, odd statements"
 
 
 @settings(max_examples=30)
@@ -283,13 +364,16 @@ def test_importer_never_hangs_or_crashes_unexpectedly(doc):
         pass
 
 
-_FUZZ_TOKENS = [
-    m[m.lastgroup]
-    for m in _TOKEN_RE.finditer((FIXTURES / "golden" / "hook.ttl").read_text(encoding="utf-8"))
-    if m.lastgroup != "end"
-]
+_FUZZ_TOKENS = _TOKEN_RE.findall((FIXTURES / "golden" / "hook.ttl").read_text(encoding="utf-8"))[:-1]  # no end token
 _TOKEN_INDEX = st.integers(0, len(_FUZZ_TOKENS) - 1)
 _EDITS = st.tuples(st.sampled_from(("delete", "duplicate", "swap")), _TOKEN_INDEX, _TOKEN_INDEX)
+
+
+def test_fuzz_tokens_are_the_tokens_of_hook_ttl():
+    # hook.ttl has 207 tokens; the digest pins them, so a tokenizer change cannot shift them unnoticed
+    digest = hashlib.sha256("\n".join(_FUZZ_TOKENS).encode("utf-8")).hexdigest()
+    assert (len(_FUZZ_TOKENS), digest) == (207, "9bb75fc99e35900649f7f82a9bedbe02d4cebeb2c29f1f8038b210ca100188f9")
+    assert _FUZZ_TOKENS[:4] == ["@prefix", "rdf:", "<http://www.w3.org/1999/02/22-rdf-syntax-ns#>", "."]
 
 
 @given(st.lists(_EDITS, min_size=1, max_size=4))
@@ -337,6 +421,15 @@ _KB_PREFIX = "@prefix kb: <https://w3id.org/simulation/data/> .\n"
         (_KB_PREFIX + 'kb:a kb:p "x\\q" .\n', "line 2, col 11: unknown escape \\q"),
         (_KB_PREFIX + "kb:a kb:p kb:c kb:d .\n", "line 2, col 16: expected punctuation, got 'kb:d'"),
         (_KB_PREFIX + '"x" kb:p kb:c .\n', "line 2, col 1: expected an IRI, got '\"x\"'"),
+        # edges of reading a token's kind from its first character
+        (_KB_PREFIX + 'kb:a kb:b "x" @prefix', "line 2, col 15: expected punctuation, got '@prefix'"),
+        (_KB_PREFIX + 'kb:a kb:b "x"@prefix .\n', "line 2, col 14: expected punctuation, got '@prefix'"),
+        (_KB_PREFIX + 'kb:a kb:b "x" @prefixx .\n', "line 2, col 22: unexpected character 'x'"),
+        (_KB_PREFIX + "a kb:b kb:c .\n", "line 2, col 1: expected an IRI, got 'a'"),
+        (_KB_PREFIX + "kb:a kb:b a .\n", "line 2, col 11: expected an IRI, got 'a'"),
+        (_KB_PREFIX + 'kb:a kb:b "x"@en- .\n', "line 2, col 17: unexpected character '-'"),
+        (_KB_PREFIX + 'kb:a kb:b "x', "line 2, col 11: unexpected character '\"'"),
+        (_KB_PREFIX + "kb:a kb:b kb:c !", "line 2, col 16: unexpected character '!'"),
     ],
 )
 def test_syntax_error_messages(doc, message):
