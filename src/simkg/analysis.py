@@ -8,6 +8,7 @@ gold file with micro precision/recall/F1 per element category.
 
 from __future__ import annotations
 
+import csv
 import io
 import re
 from dataclasses import dataclass
@@ -77,7 +78,7 @@ def color_distribution(
     for meaning in sorted(symbolic_meanings(g, target_entity), key=lambda e: e.id):
         sharers: set[Iri] = set()
         for sim_id in g.simulations_with_rc(meaning.id):
-            sharers.update(e.id for e in g.simulations[sim_id].simulacra)
+            sharers.update(g.simulations[sim_id].simulacra)
         sharers.discard(target_entity.id)
         counts = {color: 0 for color in palette}
         for iri in sharers:
@@ -94,9 +95,9 @@ def color_distribution(
 
 def distribution_csv(dist: ColorDistribution) -> str:
     out = io.StringIO()
-    out.write("meaning," + ",".join(dist.colors) + "\n")
-    for row in dist.rows:
-        out.write(row.meaning.label + "," + ",".join(str(row.count(c)) for c in dist.colors) + "\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["meaning", *dist.colors])
+    writer.writerows([row.meaning.label, *(row.count(c) for c in dist.colors)] for row in dist.rows)
     return out.getvalue()
 
 
@@ -194,9 +195,9 @@ def predicted_items(g: Graph) -> GoldItems:
     for sim in g.simulations.values():
         items[EvalCategory.SIMULATION].add((sim.id,))
         items[EvalCategory.TYPE_OF_SIMULATION].add((sim.id, sim.kind.schema_iri))
-        items[EvalCategory.SIMULACRUM].update((e.id,) for e in sim.simulacra)
-        items[EvalCategory.REALITY_COUNTERPART].update((e.id,) for _, e in sim.reality_counterparts)
-        items[EvalCategory.CONTEXT].update((e.id,) for e in sim.contexts)
+        items[EvalCategory.SIMULACRUM].update((e,) for e in sim.simulacra)
+        items[EvalCategory.REALITY_COUNTERPART].update((e,) for _, e in sim.reality_counterparts)
+        items[EvalCategory.CONTEXT].update((e,) for e in sim.contexts)
     items[EvalCategory.VARIANT].update((b, v) for b, v in g.variant_edges)
     return items
 

@@ -94,11 +94,15 @@ def expand_iri(value: str) -> Iri:
 
 
 def _read(reader, path):
-    """``reader(path)``, with the file named in any syntax error."""
+    """``reader(path)``, with the file named in any syntax or encoding error."""
     try:
         return reader(path)
-    except (TurtleSyntaxError, ParseError, MalformedResponseError) as err:
+    except (TurtleSyntaxError, ParseError, MalformedResponseError, UnicodeDecodeError) as err:
         raise _InputError(f"{path}: {err}") from None
+
+
+def _read_text(path) -> str:
+    return Path(path).read_text(encoding="utf-8")
 
 
 def _build_parser() -> _Parser:
@@ -257,11 +261,18 @@ def _load_phrase_table(path: Optional[str]):
     if not path:
         return None
     table = dict(PHRASE_TABLE)
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    for phrase, (kind_name, rel_name) in raw.items():
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise _UsageError(f"phrase table: {path}: {err}") from None
+    if not isinstance(raw, dict):
+        raise _UsageError(f"phrase table: expected a JSON object, got {type(raw).__name__}")
+    for phrase, names in raw.items():
+        if not (isinstance(names, list) and len(names) == 2 and all(isinstance(n, str) for n in names)):
+            raise _UsageError(f"phrase table: expected a [kind, relation] pair for {phrase!r}, got {names!r}")
         try:
-            kind = SimulationKind[kind_name.upper()]
-            rel = RcRelation[rel_name.upper()]
+            kind = SimulationKind[names[0].upper()]
+            rel = RcRelation[names[1].upper()]
         except KeyError as err:
             raise _UsageError(f"phrase table: unknown name {err} for {phrase!r}") from None
         table[phrase.lower()] = (kind, rel)
@@ -272,9 +283,8 @@ def _cmd_ingest_dict(args) -> int:
     g = _load(args)
     table = _load_phrase_table(args.phrase_table)
     for name in args.files:
-        path = Path(name)
-        source = make_entity(args.source_label or path.stem, Role.SOURCE)
-        parsed, conv = convert_document(path.read_text(encoding="utf-8"), source, table)
+        source = make_entity(args.source_label or Path(name).stem, Role.SOURCE)
+        parsed, conv = convert_document(_read(_read_text, name), source, table)
         for warning in conv.warnings:
             print(f"{name}: {warning}", file=sys.stderr)
         _insert_all(g, conv.simulations, conv.variants)
@@ -386,7 +396,7 @@ def _cmd_casestudy(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    gold = parse_gold(Path(args.gold).read_text(encoding="utf-8"))
+    gold = parse_gold(_read(_read_text, args.gold))
     predicted = _read(load_graph, args.converted)
     report = eval_conversion(gold, predicted)
     header = ["element", "tp", "fp", "fn", "precision", "recall", "f1"]

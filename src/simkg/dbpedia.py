@@ -300,7 +300,7 @@ def _object_label(obj: Union[Iri, str]) -> str:
 
 @dataclass(slots=True)
 class DbpediaConversion:
-    simulations: list[Simulation] = field(default_factory=list)
+    simulations: list[Simulation[Entity]] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
 
 
@@ -328,7 +328,7 @@ def convert_dbpedia(
     return out
 
 
-def _convert_symbol_row(triple, source, excluded, out) -> Optional[Simulation]:
+def _convert_symbol_row(triple, source, excluded, out) -> Optional[Simulation[Entity]]:
     dropped = [t for t in triple.subject_types if t in excluded or t.local_name in excluded]
     if dropped:
         out.warnings.append(f"{triple.subject}: excluded subject type {dropped[0].local_name}")
@@ -342,7 +342,7 @@ def _convert_symbol_row(triple, source, excluded, out) -> Optional[Simulation]:
     return build_simulation(SimulationKind.GENERIC, simulacrum, [(RcRelation.HAS, rc)], contexts, [source])
 
 
-def _convert_category_row(triple, source, out) -> Optional[Simulation]:
+def _convert_category_row(triple, source, out) -> Optional[Simulation[Entity]]:
     label = _category_label(triple.object) if isinstance(triple.object, Iri) else str(triple.object)
     cleaned = _CATEGORY_PREFIXES.sub("", label).strip()
     if not cleaned:

@@ -178,7 +178,7 @@ def _parse_clause(text: str, lineno: int) -> Clause:
 
 @dataclass(slots=True)
 class DictConversion:
-    simulations: list[Simulation] = field(default_factory=list)
+    simulations: list[Simulation[Entity]] = field(default_factory=list)
     variants: list[VariantLink] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
 

@@ -9,7 +9,7 @@ multi-reader contract: all query methods are read-only.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .model import (
@@ -65,14 +65,14 @@ _RC_RANK = {rel: i for i, rel in enumerate(RcRelation)}
 class Graph:
     """Entities, simulations and variants, with derived meaning edges.
 
-    Each fact is stored once: every member of a stored simulation is the
-    graph's own entity object (``entities[member.id]``), and the meaning
-    and variant relations live only in their indexes.
+    Each fact is stored once: a stored simulation holds its members' IRIs
+    (``Simulation[Iri]``), an entity lives only in ``entities``, and the
+    meaning and variant relations live only in their indexes.
     """
 
     def __init__(self) -> None:
         self.entities: dict[Iri, Entity] = {}
-        self.simulations: dict[Iri, Simulation] = {}
+        self.simulations: dict[Iri, Simulation[Iri]] = {}
         # Triples outside the schema, preserved for re-export; this includes
         # the extra kinds of a simulation typed with more than one.
         self.extra_triples: set[Triple] = set()
@@ -110,8 +110,7 @@ class Graph:
     def upsert_entity(self, e: Entity) -> Entity:
         """Merge an entity into the store by IRI: roles and external links
         union, label resolved order-independently.  Returns the stored
-        entity; stored simulations that mention a changed entity are
-        re-pointed at the merged one."""
+        entity.  Stored simulations hold IRIs, so none of them changes."""
         current = self.entities.get(e.id)
         if current is e:
             return e
@@ -126,9 +125,6 @@ class Graph:
             roles=current.roles | e.roles,
             external_links=current.external_links | e.external_links,
         )
-        for index in (self._sims_by_simulacrum, self._sims_by_rc, self._sims_by_context, self._sims_by_source):
-            for sim_id in index.get(e.id, ()):
-                self.simulations[sim_id] = self._resolved(self.simulations[sim_id])
         return merged
 
     def entity(self, ref: Union[Entity, Iri, str]) -> Entity:
@@ -140,8 +136,9 @@ class Graph:
 
     # -- simulations ------------------------------------------------------
 
-    def insert_simulation(self, s: Simulation) -> Simulation:
-        """Insert or merge a simulation; returns the stored value.
+    def insert_simulation(self, s: Simulation[Entity]) -> Simulation[Iri]:
+        """Insert or merge a simulation; returns the stored value, which
+        holds member IRIs; each member entity is merged into ``entities``.
 
         A simulation with the same id absorbs the incoming contexts,
         reality counterparts and sources.  When the kinds differ, the kind
@@ -149,53 +146,48 @@ class Graph:
         kept as an extra ``rdf:type`` triple, so the result does not depend
         on arrival order; :attr:`kind_conflicts` reports it.
         """
-        existing = self.simulations.get(s.id)
-        if existing is not None and existing.kind is not s.kind:
-            kept, other = sorted((existing.kind, s.kind), key=lambda k: k.value)
-            self.extra_triples.add((s.id, RDF_TYPE, other.schema_iri))
-            s = replace(s, kind=kept)
-        for e in s.member_entities():
+        for e in s.members():
             self.upsert_entity(e)
-        if existing is not None:
-            s = replace(
-                s,
-                simulacra=existing.simulacra + s.simulacra,
-                reality_counterparts=existing.reality_counterparts + s.reality_counterparts,
-                contexts=existing.contexts + s.contexts,
-                sources=existing.sources + s.sources,
+        # tuple() of a list comprehension: faster than of a generator
+        return self._store(
+            Simulation(
+                s.id,
+                s.kind,
+                tuple([e.id for e in s.simulacra]),
+                tuple([(rel, e.id) for rel, e in s.reality_counterparts]),
+                tuple([e.id for e in s.contexts]),
+                tuple([e.id for e in s.sources]),
             )
-        stored = self.simulations[s.id] = self._resolved(s)
-        for e in stored.simulacra:
-            self._sims_by_simulacrum[e.id].add(stored.id)
+        )
+
+    def _store(self, s: Simulation[Iri]) -> Simulation[Iri]:
+        """Merge ``s`` into ``simulations`` and the indexes; the caller adds its
+        member entities.  Members are deduplicated and ordered independently
+        of arrival: IRIs sorted, counterparts by relation rank, then IRI."""
+        kind, old = s.kind, self.simulations.get(s.id, s)  # a new one merges with itself
+        if old.kind is not kind:
+            kind, other = sorted((old.kind, kind), key=lambda k: k.value)
+            self.extra_triples.add((s.id, RDF_TYPE, other.schema_iri))
+        stored = self.simulations[s.id] = Simulation(
+            s.id,
+            kind,
+            tuple(sorted({*old.simulacra, *s.simulacra})),
+            tuple(sorted({*old.reality_counterparts, *s.reality_counterparts}, key=lambda p: (_RC_RANK[p[0]], p[1]))),
+            tuple(sorted({*old.contexts, *s.contexts})),
+            tuple(sorted({*old.sources, *s.sources})),
+        )
+        for a in stored.simulacra:
+            self._sims_by_simulacrum[a].add(stored.id)
         for _, rc in stored.reality_counterparts:
-            self._sims_by_rc[rc.id].add(stored.id)
+            self._sims_by_rc[rc].add(stored.id)
         for c in stored.contexts:
-            self._sims_by_context[c.id].add(stored.id)
+            self._sims_by_context[c].add(stored.id)
         for src in stored.sources:
-            self._sims_by_source[src.id].add(stored.id)
+            self._sims_by_source[src].add(stored.id)
         for a in stored.simulacra:
             for _, rc in stored.reality_counterparts:
-                self._meanings_of[a.id].add(rc.id)
+                self._meanings_of[a].add(rc)
         return stored
-
-    def _resolved(self, s: Simulation) -> Simulation:
-        """``s`` with its members deduplicated by IRI, each one the stored
-        entity, in an order that does not depend on arrival: ids sorted,
-        counterparts by relation rank, then id."""
-        ents = self.entities
-
-        def members(group: tuple[Entity, ...]) -> tuple[Entity, ...]:
-            return tuple(ents[i] for i in sorted({e.id for e in group}))
-
-        rcs = sorted({(rel, e.id) for rel, e in s.reality_counterparts}, key=lambda p: (_RC_RANK[p[0]], p[1]))
-        return Simulation(
-            id=s.id,
-            kind=s.kind,
-            simulacra=members(s.simulacra),
-            reality_counterparts=tuple((rel, ents[i]) for rel, i in rcs),
-            contexts=members(s.contexts),
-            sources=members(s.sources),
-        )
 
     # -- variants ---------------------------------------------------------
 
@@ -273,17 +265,17 @@ class Graph:
         total = self._stats_row("Total", list(self.simulations.values()), whole_graph=True)
         return CorpusStats(rows=tuple(rows), total=total)
 
-    def _stats_row(self, label: str, sims: list[Simulation], whole_graph: bool = False) -> SourceStats:
+    def _stats_row(self, label: str, sims: list[Simulation[Iri]], whole_graph: bool = False) -> SourceStats:
         simulacra: set[Iri] = set()
         rcs: set[Iri] = set()
         contexts: set[Iri] = set()
         members: set[Iri] = set()
         n_triples = 0
         for s in sims:
-            simulacra.update(e.id for e in s.simulacra)
-            rcs.update(e.id for _, e in s.reality_counterparts)
-            contexts.update(e.id for e in s.contexts)
-            members.update(e.id for e in s.member_entities())
+            simulacra.update(s.simulacra)
+            rcs.update(rc for _, rc in s.reality_counterparts)
+            contexts.update(s.contexts)
+            members.update(s.members())
             n_triples += (
                 1  # rdf:type
                 + len(s.simulacra)
@@ -315,8 +307,8 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        # Members are the stored entities in a canonical order, so equal
-        # simulations hold equal members.
+        # Members are IRIs in a canonical order, so equal simulations hold
+        # equal member tuples.
         return (
             self.entities == other.entities
             and self.simulations == other.simulations

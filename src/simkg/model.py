@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Iterable, Optional, Union
+from typing import Generic, Iterable, Optional, TypeVar, Union
 
 KB = "https://w3id.org/simulation/data/"
 SIM = "https://w3id.org/simulation/ontology/"
@@ -221,12 +221,17 @@ def general_context() -> Entity:
 
 RcPair = tuple[RcRelation, Entity]
 
+M = TypeVar("M", Entity, Iri)  # a member: Entity as built, Iri as a Graph stores it
+
 
 @dataclass(frozen=True, slots=True)
-class Simulation:
+class Simulation(Generic[M]):
     """The n-ary relation node.
 
-    ``simulacra`` holds exactly one entity for any value produced by
+    Members are entities as built (``Simulation[Entity]``) and IRIs as a
+    graph stores them (``Simulation[Iri]``).  Construct it as plain
+    ``Simulation(...)``: the subscripted call fails on a slotted dataclass.
+    ``simulacra`` holds exactly one member for any value produced by
     ``build_simulation``; imported data may disagree, and the validator
     reports that as a cardinality violation rather than this type refusing
     to represent it.
@@ -234,16 +239,16 @@ class Simulation:
 
     id: Iri
     kind: SimulationKind
-    simulacra: tuple[Entity, ...]
-    reality_counterparts: tuple[RcPair, ...]
-    contexts: tuple[Entity, ...]
-    sources: tuple[Entity, ...]
+    simulacra: tuple[M, ...]
+    reality_counterparts: tuple[tuple[RcRelation, M], ...]
+    contexts: tuple[M, ...]
+    sources: tuple[M, ...]
 
     @property
-    def simulacrum(self) -> Optional[Entity]:
+    def simulacrum(self) -> Optional[M]:
         return self.simulacra[0] if self.simulacra else None
 
-    def member_entities(self) -> Iterable[Entity]:
+    def members(self) -> Iterable[M]:
         yield from self.simulacra
         for _, e in self.reality_counterparts:
             yield e
@@ -299,7 +304,7 @@ def build_simulation(
     rcs: Iterable[RcPair],
     contexts: Iterable[Entity],
     sources: Iterable[Entity],
-) -> Simulation:
+) -> Simulation[Entity]:
     """Validating constructor: the only way to obtain a well-formed simulation.
 
     Raises :class:`CardinalityError` naming the violated axiom when the

@@ -125,7 +125,7 @@ def _q1_4(g: Graph, b) -> list[ResultRow]:
         sim = g.simulations[sim_id]
         for a in sim.simulacra:
             for c in sim.contexts:
-                pairs.append((a.id, c.id))
+                pairs.append((a, c))
     return _rows(("simulacrum", "context"), pairs)
 
 
@@ -136,14 +136,14 @@ def _q1_5(g: Graph, b) -> list[ResultRow]:
 def _same_simulacrum_rows(g: Graph, simulacrum: Iri) -> list[tuple[Iri, Iri, Iri]]:
     sims = [g.simulations[i] for i in g.simulations_with_simulacrum(simulacrum)]
     sourced = [s for s in sims if s.sources]
-    union_sources = {src.id for s in sourced for src in s.sources}
+    union_sources = {src for s in sourced for src in s.sources}
     if len(sourced) < 2 or len(union_sources) < 2:
         return []
     rows = []
     for sim in sourced:
         for _, rc in sim.reality_counterparts:
             for src in sim.sources:
-                rows.append((sim.id, rc.id, src.id))
+                rows.append((sim.id, rc, src))
     return rows
 
 
@@ -161,7 +161,7 @@ def _q2_2(g: Graph, b) -> list[ResultRow]:
 
 def _q2_3(g: Graph, b) -> list[ResultRow]:
     sim = g.simulations[_require_simulation(g, b["simulation"])]
-    return _rows(("source",), ((src.id,) for src in sim.sources))
+    return _rows(("source",), ((src,) for src in sim.sources))
 
 
 def _q2_4(g: Graph, b) -> list[ResultRow]:
@@ -185,7 +185,7 @@ def _q3_3(g: Graph, b) -> list[ResultRow]:
         if sim.kind is SimulationKind.PROTECTION:
             for rel, rc in sim.reality_counterparts:
                 if rel is RcRelation.PREVENTED:
-                    rows.append((sim.id, rc.id))
+                    rows.append((sim.id, rc))
     return _rows(("simulation", "rc"), rows)
 
 
@@ -194,10 +194,10 @@ def _q3_4(g: Graph, b) -> list[ResultRow]:
     rows = []
     for sim_id in g.simulations_with_rc(rc):
         sim = g.simulations[sim_id]
-        if len({e.id for _, e in sim.reality_counterparts}) < 2:
+        if len({e for _, e in sim.reality_counterparts}) < 2:
             continue
         for rel, e in sim.reality_counterparts:
-            rows.append((sim.id, e.id, rel.schema_iri))
+            rows.append((sim.id, e, rel.schema_iri))
     return _rows(("simulation", "rc", "relation"), rows)
 
 
@@ -210,7 +210,7 @@ def _q3_5(g: Graph, b) -> list[ResultRow]:
         for a in sim.simulacra:
             for c in sim.contexts:
                 for rc in healed:
-                    rows.append((sim.id, a.id, c.id, rc.id))
+                    rows.append((sim.id, a, c, rc))
     return _rows(("simulation", "simulacrum", "context", "rc"), rows)
 
 

@@ -20,7 +20,8 @@ import logging
 import os
 import re
 from functools import cache
-from itertools import groupby, islice
+from dataclasses import replace
+from itertools import chain, groupby, islice
 from operator import itemgetter
 from typing import Union
 
@@ -62,12 +63,12 @@ SIM_HAS_CONTEXT = Iri(SIM + "hasContext")
 SIM_HAS_VARIANT = Iri(SIM + "hasVariant")
 
 _ROLE_BY_CLASS = {role.schema_iri: role for role in Role}
-# member predicate -> (position of its group in Simulation, role, relation)
+# member predicate -> (position of its group in Simulation, relation)
 _MEMBER_SLOT = {
-    SIM_HAS_SIMULACRUM: (0, Role.SIMULACRUM, None),
-    **{rel.schema_iri: (1, Role.REALITY_COUNTERPART, rel) for rel in RcRelation},
-    SIM_HAS_CONTEXT: (2, Role.CONTEXT, None),
-    PROV_WAS_DERIVED_FROM: (3, Role.SOURCE, None),
+    SIM_HAS_SIMULACRUM: (0, None),
+    **{rel.schema_iri: (1, rel) for rel in RcRelation},
+    SIM_HAS_CONTEXT: (2, None),
+    PROV_WAS_DERIVED_FROM: (3, None),
 }
 
 _PREDICATE_RANK: dict[Iri, int] = {
@@ -110,14 +111,10 @@ def graph_triples(g: Graph) -> list[Triple]:
     triples: list[Triple] = []
     for sim in g.simulations.values():
         triples.append((sim.id, RDF_TYPE, sim.kind.schema_iri))
-        for e in sim.simulacra:
-            triples.append((sim.id, SIM_HAS_SIMULACRUM, e.id))
-        for rel, e in sim.reality_counterparts:
-            triples.append((sim.id, rel.schema_iri, e.id))
-        for e in sim.contexts:
-            triples.append((sim.id, SIM_HAS_CONTEXT, e.id))
-        for e in sim.sources:
-            triples.append((sim.id, PROV_WAS_DERIVED_FROM, e.id))
+        triples.extend((sim.id, SIM_HAS_SIMULACRUM, a) for a in sim.simulacra)
+        triples.extend((sim.id, rel.schema_iri, rc) for rel, rc in sim.reality_counterparts)
+        triples.extend((sim.id, SIM_HAS_CONTEXT, c) for c in sim.contexts)
+        triples.extend((sim.id, PROV_WAS_DERIVED_FROM, src) for src in sim.sources)
     for entity in g.entities.values():
         triples.append((entity.id, RDFS_LABEL, Literal(entity.label)))
         for role in entity.roles:
@@ -164,9 +161,9 @@ def export_turtle(g: Graph, force: bool = False) -> str:
     return "\n".join(out) + "\n"
 
 
-def _stored_predicates(sim: Simulation | None, entity: Entity | None, variants: set[Iri] | None) -> list:
+def _stored_predicates(sim: Simulation[Iri] | None, entity: Entity | None, variants: set[Iri] | None) -> list:
     """A subject's (predicate, objects) pairs from the stores, both in
-    export order.  Stored members are already sorted (ids, counterparts by
+    export order.  Stored members are already sorted (IRIs, counterparts by
     relation rank), and only the type is held by two stores."""
     types = [role.schema_iri for role in entity.roles] if entity is not None else []
     if sim is not None:
@@ -176,13 +173,13 @@ def _stored_predicates(sim: Simulation | None, entity: Entity | None, variants: 
         preds.append((RDFS_LABEL, [Literal(entity.label)]))
     if sim is not None:
         if sim.simulacra:
-            preds.append((SIM_HAS_SIMULACRUM, [e.id for e in sim.simulacra]))
+            preds.append((SIM_HAS_SIMULACRUM, sim.simulacra))
         for rel, pairs in groupby(sim.reality_counterparts, key=itemgetter(0)):
-            preds.append((rel.schema_iri, [e.id for _, e in pairs]))
+            preds.append((rel.schema_iri, [rc for _, rc in pairs]))
         if sim.contexts:
-            preds.append((SIM_HAS_CONTEXT, [e.id for e in sim.contexts]))
+            preds.append((SIM_HAS_CONTEXT, sim.contexts))
         if sim.sources:
-            preds.append((PROV_WAS_DERIVED_FROM, [e.id for e in sim.sources]))
+            preds.append((PROV_WAS_DERIVED_FROM, sim.sources))
     if variants:
         preds.append((SIM_HAS_VARIANT, sorted(variants)))
     if entity is not None and entity.external_links:
@@ -394,7 +391,7 @@ def import_turtle(text: str) -> Graph:
     # Whether a subject is a simulation depends on all of its predicates.
     statements = _parse_statements(text)
     g = Graph()
-    extras = g.extra_triples
+    entities, extras = g.entities, g.extra_triples
 
     def objects(subject: Iri, preds: dict, pred: Iri, keep: type, warn: bool = False) -> list:
         """Takes ``pred``'s objects off ``preds``; those not of type ``keep``
@@ -409,59 +406,53 @@ def import_turtle(text: str) -> Graph:
             extras.add((subject, pred, o))
         return kept
 
-    def entity(iri: Iri) -> Entity:
-        return g.entities.get(iri) or Entity(iri, iri.local_name)
-
-    # Entity subjects go in first, so a member's default label (its local
-    # name) never competes with a declared label in the min-label rule.
-    sims: list[tuple[Iri, list]] = []
+    # Subjects go in as they come.  Members and variants that no subject
+    # declares are made afterwards, so a default label never competes.
     variant_edges: list[tuple[Iri, Iri]] = []
     for subject in sorted(statements):
         preds = statements[subject]
         types = preds.pop(RDF_TYPE, [])  # a literal here is kept as an extra triple
-        if not KIND_BY_CLASS.keys().isdisjoint(types) or not _MEMBER_SLOT.keys().isdisjoint(preds):
-            sims.append((subject, types))
-            continue
-        extras.update((subject, RDF_TYPE, t) for t in types if t not in _ROLE_BY_CLASS)
-        labels = [o.text for o in objects(subject, preds, RDFS_LABEL, Literal)]
-        g.upsert_entity(
-            Entity(
+        if KIND_BY_CLASS.keys().isdisjoint(types) and _MEMBER_SLOT.keys().isdisjoint(preds):
+            extras.update((subject, RDF_TYPE, t) for t in types if t not in _ROLE_BY_CLASS)
+            labels = [o.text for o in objects(subject, preds, RDFS_LABEL, Literal)]
+            entities[subject] = Entity(
                 subject,
                 min(labels) if labels else subject.local_name,
                 frozenset(_ROLE_BY_CLASS[t] for t in types if t in _ROLE_BY_CLASS),
                 frozenset(objects(subject, preds, OWL_SAME_AS, Iri)),
             )
-        )
-        variant_edges += ((subject, o) for o in objects(subject, preds, SIM_HAS_VARIANT, Iri, warn=True))
+            variant_edges += ((subject, o) for o in objects(subject, preds, SIM_HAS_VARIANT, Iri, warn=True))
+        else:
+            kinds = [KIND_BY_CLASS[t] for t in types if t in KIND_BY_CLASS]
+            unknown_types = [t for t in types if t not in KIND_BY_CLASS]
+            if not kinds:
+                kinds = [SimulationKind.GENERIC]
+                if unknown_types:
+                    first = unknown_types[0]
+                    first = _render_literal(first) if isinstance(first, Literal) else first
+                    logger.warning("unknown class %s on %s, defaulting to the generic simulation", first, subject)
+            extras.update((subject, RDF_TYPE, t) for t in unknown_types)
+            groups: tuple[list, ...] = ([], [], [], [])  # simulacra, counterparts, contexts, sources
+            for pred in [p for p in preds if p in _MEMBER_SLOT]:
+                index, rel = _MEMBER_SLOT[pred]
+                iris = objects(subject, preds, pred, Iri, warn=True)
+                groups[index].extend(iris if rel is None else [(rel, iri) for iri in iris])
+            for kind in kinds:
+                g._store(Simulation(subject, kind, *map(tuple, groups)))
         for pred, rest in preds.items():
             extras.update((subject, pred, o) for o in rest)
 
-    for subject, types in sims:
-        kinds = [KIND_BY_CLASS[t] for t in types if t in KIND_BY_CLASS]
-        unknown_types = [t for t in types if t not in KIND_BY_CLASS]
-        if not kinds:
-            kinds = [SimulationKind.GENERIC]
-            if unknown_types:
-                first = unknown_types[0]
-                first = _render_literal(first) if isinstance(first, Literal) else first
-                logger.warning("unknown class %s on %s, defaulting to the generic simulation", first, subject)
-        extras.update((subject, RDF_TYPE, t) for t in unknown_types)
-
-        preds = statements[subject]
-        groups: tuple[list, ...] = ([], [], [], [])  # simulacra, counterparts, contexts, sources
-        for pred in [p for p in preds if p in _MEMBER_SLOT]:
-            index, role, rel = _MEMBER_SLOT[pred]
-            for iri in objects(subject, preds, pred, Iri, warn=True):
-                e = entity(iri).with_roles(role)
-                groups[index].append(e if rel is None else (rel, e))
-        members = [tuple(group) for group in groups]
-        for kind in kinds:
-            g.insert_simulation(Simulation(subject, kind, *members))
-        for pred, rest in preds.items():
-            extras.update((subject, pred, o) for o in rest)
-
+    slots = ((Role.SIMULACRUM, g._sims_by_simulacrum), (Role.REALITY_COUNTERPART, g._sims_by_rc),
+             (Role.CONTEXT, g._sims_by_context), (Role.SOURCE, g._sims_by_source))
+    # One pass over the member and variant IRIs, each entity touched once.
+    for iri in dict.fromkeys(chain(*(index for _, index in slots), (v for _, v in variant_edges))):
+        roles = frozenset(role for role, index in slots if iri in index)
+        e = entities.get(iri)
+        if e is None:
+            entities[iri] = Entity(iri, iri.local_name, roles)
+        elif not roles <= e.roles:
+            entities[iri] = replace(e, roles=e.roles | roles)
     for base, variant in variant_edges:
-        g.upsert_entity(entity(variant))
         g._add_variant_edge(base, variant)
     return g
 

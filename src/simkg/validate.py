@@ -32,7 +32,7 @@ def check_axioms(g: Graph) -> list[Violation]:
     participating: set[Iri] = set()
 
     for sim in g.simulations.values():
-        participating.update(e.id for e in sim.member_entities())
+        participating.update(sim.members())
         if len(sim.simulacra) != 1:
             found.append(
                 Violation(
@@ -69,9 +69,9 @@ def check_axioms(g: Graph) -> list[Violation]:
                         f"protection simulation has {prevented} prevented reality counterparts, expected 1",
                     )
                 )
-        for e in sim.member_entities():
-            if e.id not in g.entities:
-                found.append(Violation(Axiom.DANGLING_ENTITY, e.id, f"referenced by {sim.id} but not in the graph"))
+        for e in sim.members():
+            if e not in g.entities:
+                found.append(Violation(Axiom.DANGLING_ENTITY, e, f"referenced by {sim.id} but not in the graph"))
 
     for base, variant in sorted(g.variant_edges):
         participating.add(base)

@@ -83,7 +83,7 @@ def select_synsets(records: Iterable[SynsetRecord]) -> list[SynsetRecord]:
     return [r for r in records if r.is_symbol_hyponym or _TRIGGER.search(r.gloss)]
 
 
-def convert_synset(record: SynsetRecord, source: Entity) -> list[Simulation]:
+def convert_synset(record: SynsetRecord, source: Entity) -> list[Simulation[Entity]]:
     """One simulation per extracted meaning term.
 
     The record's label becomes the simulacrum, linked back to the synset
@@ -124,7 +124,7 @@ def convert_synset(record: SynsetRecord, source: Entity) -> list[Simulation]:
 
 @dataclass(slots=True)
 class WordnetConversion:
-    simulations: list[Simulation] = field(default_factory=list)
+    simulations: list[Simulation[Entity]] = field(default_factory=list)
     skipped: list[SynsetRecord] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
 

@@ -107,5 +107,5 @@ def brute_force_meanings(g: Graph) -> set:
     for sim in g.simulations.values():
         for a in sim.simulacra:
             for _, rc in sim.reality_counterparts:
-                expected.add((a.id, rc.id))
+                expected.add((a, rc))
     return expected

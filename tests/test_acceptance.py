@@ -134,12 +134,12 @@ def test_criterion_5_conversion_fixtures():
     )
     _insert_all(g, conv.simulations, conv.variants)
     sims = list(g.simulations.values())
-    contexts = {c.id.local_name for s in sims for c in s.contexts}
+    contexts = {g.entities[c].id.local_name for s in sims for c in s.contexts}
     kinds = {s.kind for s in sims}
     assert "christian" in contexts
     assert SimulationKind.RELATEDNESS in kinds and SimulationKind.ATTRIBUTE in kinds
-    assert all(s.simulacrum.id.local_name in ("hook", "hookAndEye") for s in sims)
-    assert kb("hook") in {s.simulacrum.id for s in sims}
+    assert all(g.entities[s.simulacrum].id.local_name in ("hook", "hookAndEye") for s in sims)
+    assert kb("hook") in {g.entities[s.simulacrum].id for s in sims}
     assert export_turtle(g) == (golden / "hook.ttl").read_text(encoding="utf-8")
 
     g = Graph()
@@ -148,7 +148,7 @@ def test_criterion_5_conversion_fixtures():
     _insert_all(g, out.simulations)
     assert set(g.simulations) == {kb("penelope-devotion"), kb("penelope-fidelity")}
     assert all(
-        [c.id.local_name for c in s.contexts] == ["greekMythology"] for s in g.simulations.values()
+        [g.entities[c].id.local_name for c in s.contexts] == ["greekMythology"] for s in g.simulations.values()
     )
     assert export_turtle(g) == (golden / "penelope.ttl").read_text(encoding="utf-8")
 
@@ -158,7 +158,7 @@ def test_criterion_5_conversion_fixtures():
     _insert_all(g, dbp.simulations)
     assert set(g.simulations) == {kb("eagle-liechtenstein")}
     sim = g.simulations[kb("eagle-liechtenstein")]
-    assert [c.id.local_name for c in sim.contexts] == ["generalOrUnknown"]
+    assert [g.entities[c].id.local_name for c in sim.contexts] == ["generalOrUnknown"]
     assert export_turtle(g) == (golden / "eagle.ttl").read_text(encoding="utf-8")
 
     _passed(5, "hook/penelope/eagle conversions match facts and exact golden files")
@@ -247,8 +247,8 @@ def test_criterion_7_case_study_shape():
     target = kb("whiteRose")
     meanings_by_simulacrum = {}
     for s in g.simulations.values():
-        meanings_by_simulacrum.setdefault(s.simulacrum.id, set()).update(
-            e.id for _, e in s.reality_counterparts
+        meanings_by_simulacrum.setdefault(g.entities[s.simulacrum].id, set()).update(
+            g.entities[e].id for _, e in s.reality_counterparts
         )
     for row in dist.rows:
         expected = {}

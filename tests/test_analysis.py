@@ -1,3 +1,6 @@
+import csv
+import io
+
 import pytest
 
 from simkg import (
@@ -102,8 +105,8 @@ class TestColorDistribution:
         sims = rose_graph.simulations.values()
         meanings_by_simulacrum = {}
         for s in sims:
-            meanings_by_simulacrum.setdefault(s.simulacrum.id, set()).update(
-                e.id for _, e in s.reality_counterparts
+            meanings_by_simulacrum.setdefault(rose_graph.entities[s.simulacrum].id, set()).update(
+                rose_graph.entities[e].id for _, e in s.reality_counterparts
             )
         for row in dist.rows:
             expected = {}
@@ -123,6 +126,16 @@ class TestColorDistribution:
         svg = distribution_svg(dist)
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
         assert 'fill="gold"' in svg
+
+    def test_csv_quotes_a_label_with_a_comma_or_quote(self, rose_graph):
+        _add(rose_graph, "white rose", ['peace, "love"'])
+        _add(rose_graph, "white lily", ['peace, "love"'])
+        csv_text = distribution_csv(color_distribution(rose_graph, Iri(KB + "whiteRose")))
+        rows = list(csv.reader(io.StringIO(csv_text)))
+        assert {len(row) for row in rows} == {8}
+        assert ['peace, "love"', "1", "0", "0", "0", "0", "0", "0"] in rows
+        assert '"peace, ""love""",1,0,0,0,0,0,0' in csv_text.splitlines()
+        assert "purity,2,0,0,0,1,0,0" in csv_text.splitlines()
 
 
 GOLD_OK = """\

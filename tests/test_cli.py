@@ -108,7 +108,7 @@ class TestIngestCommands:
         out_file = tmp_path / "hook.ttl"
         main(["ingest-dict", str(FIXTURES / "hook.dict"), "--out", str(out_file), "--source-label", "olderr"])
         g = load_graph(out_file)
-        assert any(s.sources[0].id.local_name == "olderr" for s in g.simulations.values())
+        assert any(g.entities[s.sources[0]].id.local_name == "olderr" for s in g.simulations.values())
 
     def test_ingest_dbpedia_offline(self, tmp_path):
         out_file = tmp_path / "dbp.ttl"
@@ -181,6 +181,21 @@ class TestIngestCommands:
         doc = tmp_path / "doc.dict"
         doc.write_text("hook\n  barbs\n", encoding="utf-8")
         assert main(["ingest-dict", str(doc), "--phrase-table", str(table)]) == 1
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"reminiscent of": ', '[["Allusion", "Has"]]', '{"reminiscent of": "Allusion"}', '{"reminiscent of": [1, 2]}'],
+        ids=["invalid-json", "list", "not-a-pair", "not-names"],
+    )
+    def test_malformed_phrase_table_is_usage_error(self, text, tmp_path, capsys):
+        table = tmp_path / "table.json"
+        table.write_text(text, encoding="utf-8")
+        doc = tmp_path / "doc.dict"
+        doc.write_text("hook\n  barbs\n", encoding="utf-8")
+        assert main(["ingest-dict", str(doc), "--phrase-table", str(table)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: phrase table: ")
+        assert len(err.splitlines()) == 1
 
     def test_exclude_type_flag(self, tmp_path, capsys):
         out = tmp_path / "dbp.ttl"
@@ -256,6 +271,24 @@ class TestReaderErrors:
         err = capsys.readouterr().err.splitlines()
         assert err[-1] == f"error: {bad}: line 1: expected 4 tab-separated fields, got 2"
         assert not any(line.startswith("error:") for line in err[:-1])
+
+    @pytest.mark.parametrize("command", ["ingest-dict", "ingest-wordnet", "query", "eval-gold", "eval-converted"])
+    def test_input_not_utf8_names_the_file(self, command, toy_file, tmp_path, capsys):
+        bad = tmp_path / "utf16.txt"
+        bad.write_bytes("kb:a kb:b kb:c .\n".encode("utf-16"))  # starts with \xff\xfe
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("Simulation\thttps://w3id.org/simulation/data/owl-death\n", encoding="utf-8")
+        argv = {
+            "ingest-dict": ["ingest-dict", str(bad)],
+            "ingest-wordnet": ["ingest-wordnet", str(bad)],
+            "query": ["query", "--graph", str(bad), "--cq", "Q1.5"],
+            "eval-gold": ["eval", "--gold", str(bad), "--converted", str(toy_file)],
+            "eval-converted": ["eval", "--gold", str(gold), "--converted", str(bad)],
+        }[command]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position 0")
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("command", ["export", "eval"])
     def test_malformed_turtle_names_the_file(self, command, tmp_path, capsys):

@@ -40,7 +40,7 @@ class TestInsert:
         g.insert_simulation(_sim("owl", "death", ["hindu"], "olderr"))
         g.insert_simulation(_sim("owl", "death", ["japanese", "mayan"], "olderr"))
         stored = g.simulations[Iri(KB + "owl-death")]
-        assert {c.label for c in stored.contexts} == {"hindu", "japanese", "mayan"}
+        assert {g.entities[c].label for c in stored.contexts} == {"hindu", "japanese", "mayan"}
         assert len(g.simulations) == 1
 
     def test_same_simulacrum_distinct_simulations(self):
@@ -96,7 +96,7 @@ class TestInsert:
         # label choice is order independent: the lexicographically least wins
         assert g.entities[Iri(KB + "whiteRose")].label == "White Rose"
 
-    def test_members_are_the_stored_entity_after_merges(self):
+    def test_members_name_the_merged_entity(self):
         g = Graph()
         g.insert_simulation(_sim("white rose", "purity", ["general"], "olderr"))
         g.insert_simulation(_sim("White Rose", "innocence", ["general"], "olderr"))
@@ -105,9 +105,8 @@ class TestInsert:
             rose = graph.entities[Iri(KB + "whiteRose")]
             assert rose.label == "White Rose"
             assert rose.roles == {Role.SIMULACRUM, Role.REALITY_COUNTERPART}
-            members = [e for s in graph.simulations.values() for e in s.member_entities() if e.id == rose.id]
+            members = [m for s in graph.simulations.values() for m in s.members() if m == rose.id]
             assert len(members) == 3
-            assert all(e is rose for e in members)
 
 
 class TestVariants:
@@ -238,8 +237,21 @@ class TestProperties:
         for seed in range(60):
             g = random_graph(random.Random(seed), max_sims=20)
             assert g.derived_meanings == brute_force_meanings(g), f"seed {seed}"
-            members = [e for s in g.simulations.values() for e in s.member_entities()]
-            assert all(e is g.entities[e.id] for e in members), f"seed {seed}"
+
+    def test_stored_members_are_entity_iris_with_their_slot_role(self):
+        for seed in range(60):
+            g = random_graph(random.Random(seed), max_sims=20)
+            for graph in (g, import_turtle(export_turtle(g))):
+                for s in graph.simulations.values():
+                    memberships = [
+                        *((a, Role.SIMULACRUM) for a in s.simulacra),
+                        *((rc, Role.REALITY_COUNTERPART) for _, rc in s.reality_counterparts),
+                        *((c, Role.CONTEXT) for c in s.contexts),
+                        *((src, Role.SOURCE) for src in s.sources),
+                    ]
+                    for member, role in memberships:
+                        assert isinstance(member, Iri) and member in graph.entities, f"seed {seed}"
+                        assert role in graph.entities[member].roles, f"seed {seed}"
 
     def test_merge_idempotence(self):
         for seed in range(30):

@@ -167,7 +167,7 @@ def _add_odd_statements(g: Graph, rng: random.Random) -> None:
             (sim.id, RDF_TYPE, Literal("x")),
             (entity.id, RDF_TYPE, Literal("y", "en")),
             (sim.id, RDF_TYPE, other_kind.schema_iri),
-            (sim.id, SIM_HAS_SIMULACRUM, sim.simulacra[0].id),  # duplicates a stored triple
+            (sim.id, SIM_HAS_SIMULACRUM, g.entities[sim.simulacra[0]].id),  # duplicates a stored triple
             (entity.id, RDFS_LABEL, Literal(entity.label)),  # duplicates a stored triple
             (entity.id, RDFS_LABEL, Literal("another label", "en")),
             (sim.id, SIM_HAS_CONTEXT, Literal("a literal member")),
@@ -249,7 +249,7 @@ kb:agate-evilSpirits a sim:ProtectionSimulation ;
     )
     sim = g.simulations[Iri(KB + "agate-evilSpirits")]
     assert sim.kind is SimulationKind.PROTECTION
-    assert [(rel, e.id.local_name) for rel, e in sim.reality_counterparts] == [
+    assert [(rel, g.entities[e].id.local_name) for rel, e in sim.reality_counterparts] == [
         (RcRelation.PREVENTED, "evilSpirits")
     ]
 
