@@ -38,7 +38,7 @@ from .dbpedia import (
 from .dictionary import PHRASE_TABLE, ParseError, convert_document
 from .graph import Graph, UnknownEntityError
 from .model import CycleError, Iri, RcRelation, Role, SimulationKind, make_entity
-from .query import CqId, MissingBindingError, run_cq
+from .query import RESULT_VARIABLES, CqId, MissingBindingError, run_cq
 from .serialize import (
     PREFIXES,
     GraphViolationsError,
@@ -362,7 +362,7 @@ def _cmd_query(args) -> int:
     rows = run_cq(g, cq, bindings)
     table = [[compact_iri(v) for v in row.values()] for row in rows]
     if args.format == "csv":
-        _emit_table(args, list(rows[0].variables) if rows else [], table)
+        _emit_table(args, list(RESULT_VARIABLES[cq]), table)
     else:
         _write_output(args, _text_table(table))
     return EXIT_OK

@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 from .graph import RDF_TYPE
 from .model import (
+    IRI_CHAR,
     EmptyLabelError,
     Entity,
     Iri,
@@ -36,6 +37,7 @@ from .model import (
     general_context,
     make_entity,
 )
+from .serialize import _unescape
 
 if TYPE_CHECKING:
     import requests
@@ -226,7 +228,8 @@ def read_triples_file(path) -> list[SymbolTriple]:
     """Offline source: one triple per line, terminated by a period.
 
     Terms are ``<iri>``, ``prefix:Local`` with the common DBpedia prefixes,
-    or a quoted literal in object position.
+    or in object position an N-Triples literal, whose decoded lexical form
+    is kept (its language tag or datatype is dropped).
     """
     types: dict[Iri, set[Iri]] = {}
     raw_rows: list[tuple[Iri, Iri, Union[Iri, str]]] = []
@@ -237,11 +240,13 @@ def read_triples_file(path) -> list[SymbolTriple]:
                 continue
             if not line.endswith("."):
                 raise MalformedResponseError(f"line {lineno}: triple not terminated by '.'")
-            parts = _split_triple(line[:-1].strip(), lineno)
-            s = _expand_term(parts[0], lineno)
-            p = _expand_term(parts[1], lineno)
-            o = parts[2]
-            obj: Union[Iri, str] = o[1:-1] if o.startswith('"') else _expand_term(o, lineno)
+            m = _TRIPLE_RE.fullmatch(line[:-1].strip())
+            if m is None:
+                raise MalformedResponseError(f"line {lineno}: expected 'subject predicate object .'")
+            s_term, p_term, literal, o_term = m.groups()
+            s = _expand_term(s_term, lineno)
+            p = _expand_term(p_term, lineno)
+            obj: Union[Iri, str] = _expand_term(o_term, lineno) if literal is None else _literal(literal, lineno)
             if not isinstance(s, Iri) or not isinstance(p, Iri):
                 raise MalformedResponseError(f"line {lineno}: subject and predicate must be IRIs")
             if p == RDF_TYPE and isinstance(obj, Iri):
@@ -264,11 +269,22 @@ def read_triples_file(path) -> list[SymbolTriple]:
     return triples
 
 
-def _split_triple(body: str, lineno: int) -> tuple[str, str, str]:
-    m = re.fullmatch(r'(\S+)\s+(\S+)\s+(".*"|\S+)', body)
-    if m is None:
-        raise MalformedResponseError(f"line {lineno}: expected 'subject predicate object .'")
-    return m.group(1), m.group(2), m.group(3)
+# Subject, predicate, then an object that is either a W3C RDF 1.1 N-Triples
+# literal (https://www.w3.org/TR/n-triples/): STRING_LITERAL_QUOTE, then an
+# optional LANGTAG or ^^IRIREF; or a term that does not start with a quote.
+_TRIPLE_RE = re.compile(
+    r'(\S+)\s+(\S+)\s+(?:"([^"\\\n\r]*(?:\\.[^"\\\n\r]*)*)"'
+    r"(?:@[a-zA-Z]+(?:-[a-zA-Z0-9]+)*|\^\^<" + IRI_CHAR + r"+>)?"
+    r'|([^"\s]\S*))'
+)
+
+
+def _literal(body: str, lineno: int) -> str:
+    """A literal's lexical form, its ECHAR and UCHAR escapes decoded."""
+    try:
+        return _unescape(body)
+    except ValueError as err:
+        raise MalformedResponseError(f"line {lineno}: {err}") from None
 
 
 def _expand_term(term: str, lineno: int) -> Iri:

@@ -193,10 +193,9 @@ class Entity:
     external_links: frozenset[Iri] = frozenset()
 
     def with_roles(self, *roles: Role) -> "Entity":
-        merged = self.roles.union(roles)
-        if merged == self.roles:
+        if self.roles.issuperset(roles):
             return self
-        return replace(self, roles=merged)
+        return replace(self, roles=self.roles.union(roles))
 
 
 def make_entity(
@@ -205,11 +204,21 @@ def make_entity(
     namespace: str = KB,
     links: Iterable[Union[Iri, str]] = (),
 ) -> Entity:
-    """Mint an entity from its label; identity is the minted IRI."""
+    """Mint an entity from its label; identity is the minted IRI.
+
+    Entities are immutable, so equal arguments return one shared value from
+    a bounded cache: a converter that mentions a label many times builds
+    its entity once.  A blank label raises on every call.
+    """
+    return _shared_entity(label, frozenset(roles), namespace, frozenset(links))
+
+
+@lru_cache(maxsize=65536)
+def _shared_entity(label: str, roles: frozenset[Role], namespace: str, links: frozenset[str]) -> Entity:
     return Entity(
         id=mint_iri(label, namespace),
         label=label,
-        roles=frozenset(roles),
+        roles=roles,
         external_links=frozenset(Iri(l) for l in links),
     )
 

@@ -30,6 +30,10 @@ class CqId(Enum):
     Q3_4 = "Q3.4"
     Q3_5 = "Q3.5"
 
+    # Each question is looked up in three tables per run_cq; the identity
+    # hash agrees with Enum equality and skips Enum.__hash__.
+    __hash__ = object.__hash__
+
 
 REQUIRED_BINDINGS: dict[CqId, tuple[str, ...]] = {
     CqId.Q1_1: ("simulacrum",),
@@ -46,6 +50,25 @@ REQUIRED_BINDINGS: dict[CqId, tuple[str, ...]] = {
     CqId.Q3_3: (),
     CqId.Q3_4: ("rc",),
     CqId.Q3_5: (),
+}
+
+
+# The variables of each question's result rows, in column order.
+RESULT_VARIABLES: dict[CqId, tuple[str, ...]] = {
+    CqId.Q1_1: ("rc",),
+    CqId.Q1_2: ("simulation",),
+    CqId.Q1_3: ("simulation",),
+    CqId.Q1_4: ("simulacrum", "context"),
+    CqId.Q1_5: ("simulation",),
+    CqId.Q2_1: ("simulation", "rc", "source"),
+    CqId.Q2_2: ("simulation", "rc", "source"),
+    CqId.Q2_3: ("source",),
+    CqId.Q2_4: ("simulation",),
+    CqId.Q3_1: ("variant",),
+    CqId.Q3_2: ("rc",),
+    CqId.Q3_3: ("simulation", "rc"),
+    CqId.Q3_4: ("simulation", "rc", "relation"),
+    CqId.Q3_5: ("simulation", "simulacrum", "context", "rc"),
 }
 
 
@@ -76,7 +99,8 @@ class ResultRow:
         raise KeyError(variable)
 
 
-def _rows(variables: tuple[str, ...], value_tuples: Iterable[tuple[Iri, ...]]) -> list[ResultRow]:
+def _rows(cq: CqId, value_tuples: Iterable[tuple[Iri, ...]]) -> list[ResultRow]:
+    variables = RESULT_VARIABLES[cq]
     distinct = sorted(set(value_tuples))
     return [ResultRow(tuple(zip(variables, values))) for values in distinct]
 
@@ -87,7 +111,7 @@ def run_cq(g: Graph, cq: CqId, bindings: Optional[Mapping[str, Union[Iri, str]]]
     missing = [name for name in REQUIRED_BINDINGS[cq] if name not in bound]
     if missing:
         raise MissingBindingError(cq, missing)
-    return _DISPATCH[cq](g, bound)
+    return _rows(cq, _DISPATCH[cq](g, bound))
 
 
 def _require_entity(g: Graph, iri: Iri) -> Iri:
@@ -102,23 +126,23 @@ def _require_simulation(g: Graph, iri: Iri) -> Iri:
     return iri
 
 
-def _q1_1(g: Graph, b) -> list[ResultRow]:
+def _q1_1(g: Graph, b) -> Iterable[tuple[Iri, ...]]:
     s = _require_entity(g, b["simulacrum"])
-    return _rows(("rc",), ((rc,) for rc in g.meanings_of(s)))
+    return ((rc,) for rc in g.meanings_of(s))
 
 
-def _q1_2(g: Graph, b) -> list[ResultRow]:
+def _q1_2(g: Graph, b) -> Iterable[tuple[Iri, ...]]:
     c = _require_entity(g, b["context"])
-    return _rows(("simulation",), ((i,) for i in g.simulations_with_context(c)))
+    return ((i,) for i in g.simulations_with_context(c))
 
 
-def _q1_3(g: Graph, b) -> list[ResultRow]:
+def _q1_3(g: Graph, b) -> Iterable[tuple[Iri, ...]]:
     e = _require_entity(g, b["entity"])
     ids = g.simulations_with_simulacrum(e) | g.simulations_with_rc(e)
-    return _rows(("simulation",), ((i,) for i in ids))
+    return ((i,) for i in ids)
 
 
-def _q1_4(g: Graph, b) -> list[ResultRow]:
+def _q1_4(g: Graph, b) -> Iterable[tuple[Iri, ...]]:
     rc = _require_entity(g, b["rc"])
     pairs = []
     for sim_id in g.simulations_with_rc(rc):
@@ -126,11 +150,11 @@ def _q1_4(g: Graph, b) -> list[ResultRow]:
         for a in sim.simulacra:
             for c in sim.contexts:
                 pairs.append((a, c))
-    return _rows(("simulacrum", "context"), pairs)
+    return pairs
 
 
-def _q1_5(g: Graph, b) -> list[ResultRow]:
-    return _rows(("simulation",), ((s.id,) for s in g.simulations.values() if len(s.simulacra) > 1))
+def _q1_5(g: Graph, b) -> Iterable[tuple[Iri, ...]]:
+    return ((s.id,) for s in g.simulations.values() if len(s.simulacra) > 1)
 
 
 def _same_simulacrum_rows(g: Graph, simulacrum: Iri) -> list[tuple[Iri, Iri, Iri]]:
@@ -147,49 +171,49 @@ def _same_simulacrum_rows(g: Graph, simulacrum: Iri) -> list[tuple[Iri, Iri, Iri
     return rows
 
 
-def _q2_1(g: Graph, b) -> list[ResultRow]:
+def _q2_1(g: Graph, b) -> Iterable[tuple[Iri, ...]]:
     s = _require_entity(g, b["simulacrum"])
-    return _rows(("simulation", "rc", "source"), _same_simulacrum_rows(g, s))
+    return _same_simulacrum_rows(g, s)
 
 
-def _q2_2(g: Graph, b) -> list[ResultRow]:
+def _q2_2(g: Graph, b) -> Iterable[tuple[Iri, ...]]:
     rows: list[tuple[Iri, Iri, Iri]] = []
     for simulacrum in g._sims_by_simulacrum:
         rows.extend(_same_simulacrum_rows(g, simulacrum))
-    return _rows(("simulation", "rc", "source"), rows)
+    return rows
 
 
-def _q2_3(g: Graph, b) -> list[ResultRow]:
+def _q2_3(g: Graph, b) -> Iterable[tuple[Iri, ...]]:
     sim = g.simulations[_require_simulation(g, b["simulation"])]
-    return _rows(("source",), ((src,) for src in sim.sources))
+    return ((src,) for src in sim.sources)
 
 
-def _q2_4(g: Graph, b) -> list[ResultRow]:
-    return _rows(("simulation",), ((s.id,) for s in g.simulations.values() if not s.sources))
+def _q2_4(g: Graph, b) -> Iterable[tuple[Iri, ...]]:
+    return ((s.id,) for s in g.simulations.values() if not s.sources)
 
 
-def _q3_1(g: Graph, b) -> list[ResultRow]:
+def _q3_1(g: Graph, b) -> Iterable[tuple[Iri, ...]]:
     e = _require_entity(g, b["entity"])
-    return _rows(("variant",), ((v.id,) for v in g.variant_closure(e)))
+    return ((v.id,) for v in g.variant_closure(e))
 
 
-def _q3_2(g: Graph, b) -> list[ResultRow]:
+def _q3_2(g: Graph, b) -> Iterable[tuple[Iri, ...]]:
     s = _require_entity(g, b["simulacrum"])
     meanings = symbolic_meanings(g, s, include_variants=True)
-    return _rows(("rc",), ((m.id,) for m in meanings))
+    return ((m.id,) for m in meanings)
 
 
-def _q3_3(g: Graph, b) -> list[ResultRow]:
+def _q3_3(g: Graph, b) -> Iterable[tuple[Iri, ...]]:
     rows = []
     for sim in g.simulations.values():
         if sim.kind is SimulationKind.PROTECTION:
             for rel, rc in sim.reality_counterparts:
                 if rel is RcRelation.PREVENTED:
                     rows.append((sim.id, rc))
-    return _rows(("simulation", "rc"), rows)
+    return rows
 
 
-def _q3_4(g: Graph, b) -> list[ResultRow]:
+def _q3_4(g: Graph, b) -> Iterable[tuple[Iri, ...]]:
     rc = _require_entity(g, b["rc"])
     rows = []
     for sim_id in g.simulations_with_rc(rc):
@@ -198,10 +222,10 @@ def _q3_4(g: Graph, b) -> list[ResultRow]:
             continue
         for rel, e in sim.reality_counterparts:
             rows.append((sim.id, e, rel.schema_iri))
-    return _rows(("simulation", "rc", "relation"), rows)
+    return rows
 
 
-def _q3_5(g: Graph, b) -> list[ResultRow]:
+def _q3_5(g: Graph, b) -> Iterable[tuple[Iri, ...]]:
     rows = []
     for sim in g.simulations.values():
         if sim.kind is not SimulationKind.HEALING:
@@ -211,7 +235,7 @@ def _q3_5(g: Graph, b) -> list[ResultRow]:
             for c in sim.contexts:
                 for rc in healed:
                     rows.append((sim.id, a, c, rc))
-    return _rows(("simulation", "simulacrum", "context", "rc"), rows)
+    return rows
 
 
 _DISPATCH = {

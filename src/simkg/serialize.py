@@ -246,7 +246,7 @@ def _syntax_error(text: str, offset: int, message: str) -> TurtleSyntaxError:
     return TurtleSyntaxError(message, line, offset - text.rfind("\n", 0, offset))
 
 
-_ESCAPE_MAP = {'"': '"', "\\": "\\", "n": "\n", "r": "\r", "t": "\t"}
+_ESCAPE_MAP = {'"': '"', "'": "'", "\\": "\\", "n": "\n", "r": "\r", "t": "\t", "b": "\b", "f": "\f"}
 _ESCAPE_RE = re.compile(r"\\(u.{0,4}|U.{0,8}|.)")
 
 
@@ -262,9 +262,11 @@ def _unescape(body: str) -> str:
             raise ValueError(f"unknown escape \\{esc}")
         code = esc[1:]
         valid = len(code) == (4 if esc[0] == "u" else 8) and re.fullmatch(r"[0-9A-Fa-f]+", code)
-        if not valid or int(code, 16) > 0x10FFFF:
+        point = int(code, 16) if valid else -1
+        # a surrogate is no character, and could not be written out as UTF-8
+        if not 0 <= point <= 0x10FFFF or 0xD800 <= point <= 0xDFFF:
             raise ValueError(f"bad unicode escape \\{esc}")
-        return chr(int(code, 16))
+        return chr(point)
 
     return _ESCAPE_RE.sub(unescape, body)
 

@@ -6,6 +6,7 @@ import pytest
 from conftest import FIXTURES
 from simkg import export_turtle, import_turtle, load_graph
 from simkg.cli import main
+from simkg.query import RESULT_VARIABLES, CqId
 
 HEADER = """\
 @prefix sim: <https://w3id.org/simulation/ontology/> .
@@ -81,6 +82,45 @@ class TestQueryCommand:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "simulation,rc,source"
         assert len(lines) == 3
+
+    # A question with no rows, and where it has none: on the toy graph, or on
+    # one simulation with two simulacra and no source (ODD_SIMULATION).
+    EMPTY_CASES = {
+        "Q1.1": ("odd", ["simulacrum=kb:c"]),
+        "Q1.2": ("odd", ["context=kb:x"]),
+        "Q1.3": ("odd", ["entity=kb:c"]),
+        "Q1.4": ("odd", ["rc=kb:x"]),
+        "Q1.5": ("toy", []),
+        "Q2.1": ("odd", ["simulacrum=kb:x"]),
+        "Q2.2": ("odd", []),
+        "Q2.3": ("odd", ["simulation=kb:x-y"]),
+        "Q2.4": ("toy", []),
+        "Q3.1": ("odd", ["entity=kb:x"]),
+        "Q3.2": ("odd", ["simulacrum=kb:c"]),
+        "Q3.3": ("odd", []),
+        "Q3.4": ("odd", ["rc=kb:y"]),
+        "Q3.5": ("odd", []),
+    }
+    ODD_SIMULATION = (
+        HEADER + "kb:x-y a sim:Simulation ;\n    sim:hasSimulacrum kb:x, kb:z ;\n"
+        "    sim:hasRealityCounterpart kb:y ;\n    sim:hasContext kb:c .\n"
+    )
+
+    def test_every_cq_has_an_empty_case(self):
+        assert set(self.EMPTY_CASES) == {cq.value for cq in CqId}
+
+    @pytest.mark.parametrize("cq", sorted(EMPTY_CASES))
+    def test_empty_result_csv_prints_header(self, cq, toy_file, tmp_path, capsys):
+        graph, binds = self.EMPTY_CASES[cq]
+        path = toy_file
+        if graph == "odd":
+            path = tmp_path / "odd.ttl"
+            path.write_text(self.ODD_SIMULATION, encoding="utf-8")
+        args = ["query", "--graph", str(path), "--cq", cq, *(a for b in binds for a in ("--bind", b))]
+        assert main([*args, "--format", "csv"]) == 0
+        assert capsys.readouterr().out == ",".join(RESULT_VARIABLES[CqId(cq)]) + "\n"
+        assert main(args) == 0
+        assert capsys.readouterr().out == ""  # text output has no header
 
     def test_unknown_cq_is_usage_error(self, toy_file, capsys):
         assert main(["query", "--graph", str(toy_file), "--cq", "Q9.9"]) == 1

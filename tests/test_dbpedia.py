@@ -51,6 +51,49 @@ class TestTriplesFile:
         atocha = next(t for t in triples if "Atocha" in t.subject)
         assert atocha.object == "metro"
 
+    def test_tagged_typed_and_escaped_literals(self, tmp_path):
+        # W3C RDF 1.1 N-Triples literals: the label is the decoded lexical form
+        nt = tmp_path / "literals.nt"
+        nt.write_text(
+            'dbr:Leek dbp:symbol "Leek"@en .\n'
+            'dbr:Peru dbp:symbol "Condor"^^<http://www.w3.org/2001/XMLSchema#string> .\n'
+            'dbr:Bolivia dbp:symbol "Vicu\\u00f1a" .\n'
+            'dbr:Spain dbp:symbol "Bull fighting"@es .\n'
+            'dbr:Chile dbp:symbol "Say \\"hi\\"\\t\\\\ \\U0001F985"@en-GB.\n',
+            encoding="utf-8",
+        )
+        objects = {t.subject.local_name: t.object for t in read_triples_file(nt)}
+        assert objects == {
+            "Leek": "Leek",
+            "Peru": "Condor",
+            "Bolivia": "Vicuña",
+            "Spain": "Bull fighting",
+            "Chile": 'Say "hi"\t\\ \U0001F985',
+        }
+        out = convert_dbpedia(read_triples_file(nt), make_entity("DBpedia", Role.SOURCE))
+        assert sorted(s.id.local_name for s in out.simulations) == [
+            "bullFighting-spain", "condor-peru", "leek-leek", "sayHi-chile", "vicuña-bolivia",
+        ]
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ('"peace', "expected 'subject predicate object .'"),
+            ('"peace"@', "expected 'subject predicate object .'"),
+            ('"peace"^^xsd:string', "expected 'subject predicate object .'"),
+            ('"peace" "war"', "expected 'subject predicate object .'"),
+            ('"pe\\qce"', "unknown escape \\q"),
+            ('"pe\\u12G4ce"', "bad unicode escape \\u12G4"),
+            ('"pe\\uDFFFce"', "bad unicode escape \\uDFFF"),
+        ],
+    )
+    def test_malformed_literal_names_the_line(self, tmp_path, obj, message):
+        nt = tmp_path / "bad.nt"
+        nt.write_text(f"dbr:A dbp:symbol dbr:B .\ndbr:A dbp:symbol {obj} .\n", encoding="utf-8")
+        with pytest.raises(MalformedResponseError) as err:
+            read_triples_file(nt)
+        assert str(err.value) == f"line 2: {message}"
+
     def test_unterminated_line_rejected(self, tmp_path):
         bad = tmp_path / "bad.nt"
         bad.write_text("dbr:A dbp:symbol dbr:B\n", encoding="utf-8")

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -184,3 +186,38 @@ class TestConvert:
             return export_turtle(g)
 
         assert converted_bytes() == converted_bytes()
+
+
+def _generated_dictionary(seed: int, n_entries: int = 300) -> str:
+    """A seeded dictionary that repeats a small vocabulary many times."""
+    rng = random.Random(seed)
+    words = ["rose", "olive", "dove", "oak", "lily", "moon", "sun", "snake", "eagle", "lamb", "fire", "water"]
+    contexts = ["Christian", "Greek", "Egyptian", "Hindu", "Celtic"]
+    phrases = ["", "", "related to: ", "emblem of: ", "associated with: ", "unknown phrase: "]
+    lines = []
+    for _ in range(n_entries):
+        lemma = " ".join(rng.sample(words, rng.randint(1, 2)))
+        lines.append(lemma)
+        for _ in range(rng.randint(1, 4)):
+            bracket = f"[{', '.join(rng.sample(contexts, rng.randint(1, 2)))}] " if rng.random() < 0.5 else ""
+            lines.append(f"  {bracket}{rng.choice(phrases)}{'; '.join(rng.sample(words, rng.randint(1, 3)))}")
+        if rng.random() < 0.3:
+            lines.append(f"  ~ {lemma} {rng.choice(words)}:")
+            lines.append(f"    {rng.choice(words)}; {rng.choice(contexts)}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [HOOK, BIRDS, _generated_dictionary(7)],
+    ids=["hook", "birds", "generated-seed-7"],
+)
+def test_equal_members_are_one_object(text, source):
+    _, conv = convert_document(text, source)
+    first: dict = {}
+    members = [e for sim in conv.simulations for e in sim.members()]
+    members += [e for link in conv.variants for e in (link.base, link.variant)]
+    for e in members:
+        key = (e.id, e.label, e.roles, e.external_links)
+        assert first.setdefault(key, e) is e
+    assert len(first) < len(members)  # the same labels do recur

@@ -200,3 +200,46 @@ def test_variant_link_rejects_self_loop():
     e = make_entity("x")
     with pytest.raises(CycleError):
         VariantLink(base=e, variant=make_entity("x"))
+
+
+class TestSharedEntities:
+    def test_equal_arguments_return_one_value(self):
+        a = make_entity("white rose", Role.SIMULACRUM, Role.CONTEXT)
+        assert make_entity("white rose", Role.CONTEXT, Role.SIMULACRUM) is a
+        assert make_entity("white rose", Role.SIMULACRUM) is not a
+        assert make_entity("white rose", Role.SIMULACRUM, Role.CONTEXT, namespace=SIM) is not a
+
+    @pytest.mark.parametrize("label", ["", "   ", "!!!"])
+    def test_blank_label_raises_on_every_call(self, label):
+        for _ in range(3):
+            with pytest.raises(EmptyLabelError):
+                make_entity(label, Role.SIMULACRUM)
+
+    def test_links_as_list_tuple_or_generator(self):
+        links = ["http://example.org/b", Iri("http://example.org/a")]
+        from_list = make_entity("olive", Role.SIMULACRUM, links=links)
+        from_tuple = make_entity("olive", Role.SIMULACRUM, links=tuple(reversed(links)))
+        from_generator = make_entity("olive", Role.SIMULACRUM, links=(l for l in links))
+        assert from_list == from_tuple == from_generator
+        assert from_tuple is from_list and from_generator is from_list
+        assert from_list.external_links == {Iri("http://example.org/a"), Iri("http://example.org/b")}
+        assert all(type(l) is Iri for l in from_list.external_links)
+
+    def test_bad_link_raises_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                make_entity("olive", links=["not an iri"])
+
+    def test_with_held_role_returns_self(self):
+        e = make_entity("olive", Role.SIMULACRUM, Role.CONTEXT)
+        assert e.with_roles(Role.SIMULACRUM) is e
+        assert e.with_roles(Role.CONTEXT, Role.SIMULACRUM) is e
+        assert e.with_roles() is e
+
+    def test_with_new_role_returns_new_value(self):
+        e = make_entity("olive", Role.SIMULACRUM)
+        wider = e.with_roles(Role.SIMULACRUM, Role.SOURCE)
+        assert wider is not e
+        assert wider.roles == {Role.SIMULACRUM, Role.SOURCE}
+        assert e.roles == {Role.SIMULACRUM}
+        assert make_entity("olive", Role.SIMULACRUM) is e

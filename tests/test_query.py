@@ -13,11 +13,13 @@ from simkg import (
     SimulationKind,
     UnknownEntityError,
     build_simulation,
+    import_turtle,
     make_entity,
     run_cq,
     symbolic_meanings,
 )
 from simkg.model import KB
+from simkg.query import RESULT_VARIABLES
 
 
 def kb(local):
@@ -106,6 +108,38 @@ class TestBindingsAndErrors:
     def test_unknown_entity(self, toy_graph):
         with pytest.raises(UnknownEntityError):
             run_cq(toy_graph, CqId.Q1_1, {"simulacrum": kb("ghost")})
+
+    @pytest.mark.parametrize(
+        "cq, bindings",
+        [
+            (CqId.Q1_1, {"simulacrum": kb("olive")}),
+            (CqId.Q1_2, {"context": kb("hindu")}),
+            (CqId.Q1_3, {"entity": kb("death")}),
+            (CqId.Q1_4, {"rc": kb("death")}),
+            (CqId.Q2_1, {"simulacrum": kb("olive")}),
+            (CqId.Q2_2, {}),
+            (CqId.Q2_3, {"simulation": kb("olive-fertility")}),
+            (CqId.Q3_1, {"entity": kb("bird")}),
+            (CqId.Q3_2, {"simulacrum": kb("bird")}),
+            (CqId.Q3_3, {}),
+            (CqId.Q3_4, {"rc": kb("charm")}),
+            (CqId.Q3_5, {}),
+        ],
+        ids=lambda v: v.value if isinstance(v, CqId) else "",
+    )
+    def test_rows_carry_the_declared_variables(self, toy_graph, cq, bindings):
+        rows = run_cq(toy_graph, cq, bindings)
+        assert rows and all(r.variables == RESULT_VARIABLES[cq] for r in rows)
+
+    def test_unsourced_multi_simulacrum_rows_carry_the_declared_variables(self):
+        g = import_turtle(
+            "@prefix sim: <https://w3id.org/simulation/ontology/> .\n"
+            "@prefix kb: <https://w3id.org/simulation/data/> .\n"
+            "kb:x-y a sim:Simulation ; sim:hasSimulacrum kb:x, kb:z ;\n"
+            "    sim:hasRealityCounterpart kb:y ; sim:hasContext kb:c .\n"
+        )
+        for cq in (CqId.Q1_5, CqId.Q2_4):
+            assert [r.variables for r in run_cq(g, cq)] == [RESULT_VARIABLES[cq]]
 
     def test_row_api(self, toy_graph):
         row = run_cq(toy_graph, CqId.Q2_2)[0]

@@ -233,6 +233,16 @@ def test_escape_beyond_unicode_is_a_syntax_error():
     assert str(err.value) == "line 1, col 47: bad unicode escape \\UFFFFFFFF"
 
 
+def test_every_echar_escape_is_decoded():
+    # ECHAR of W3C RDF 1.1 Turtle: \t \b \n \r \f \" \' \\
+    g = import_turtle(
+        "@prefix kb: <https://w3id.org/simulation/data/> .\n"
+        "@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n"
+        'kb:a rdfs:label "t\\tb\\bn\\nr\\rf\\fq\\"a\\\'s\\\\" .\n'
+    )
+    assert g.entities[Iri(KB + "a")].label == "t\tb\bn\nr\rf\fq\"a\'s\\"
+
+
 def test_import_specialized_rc_fixture():
     g = import_turtle(
         """\
@@ -419,6 +429,7 @@ _KB_PREFIX = "@prefix kb: <https://w3id.org/simulation/data/> .\n"
         (_KB_PREFIX + "kb:a kb:p [ kb:q kb:r ] .", "line 2, col 11: unexpected character '['"),
         (_KB_PREFIX + 'kb:a kb:p "x\\u12G4" .\n', "line 2, col 11: bad unicode escape \\u12G4"),
         (_KB_PREFIX + 'kb:a kb:p "x\\q" .\n', "line 2, col 11: unknown escape \\q"),
+        (_KB_PREFIX + 'kb:a kb:p "x\\uD800" .\n', "line 2, col 11: bad unicode escape \\uD800"),
         (_KB_PREFIX + "kb:a kb:p kb:c kb:d .\n", "line 2, col 16: expected punctuation, got 'kb:d'"),
         (_KB_PREFIX + '"x" kb:p kb:c .\n', "line 2, col 1: expected an IRI, got '\"x\"'"),
         # edges of reading a token's kind from its first character

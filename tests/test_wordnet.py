@@ -131,3 +131,21 @@ class TestBatch:
         assert [r.label for r in out.skipped] == ["albatross"]
         assert any("figurative" in w for w in out.warnings)
         assert any("no trigger" in w for w in out.warnings)
+
+    def test_quote_in_gloss_keeps_later_records(self, source, tmp_path):
+        # a gloss that starts with '"' is text, not the start of a quoted field
+        tsv = tmp_path / "quote.tsv"
+        tsv.write_text(
+            'http://example.org/olive\tolive\t"olive branch, symbol of peace\t0\n'
+            "http://example.org/dove\tdove\ta symbol of peace\t0\n"
+            'http://example.org/lily\tlily\ta symbol of purity "and" innocence\t0\n',
+            encoding="utf-8",
+        )
+        records = read_synset_file(tsv)
+        assert [(r.label, r.gloss) for r in records] == [
+            ("olive", '"olive branch, symbol of peace'),
+            ("dove", "a symbol of peace"),
+            ("lily", 'a symbol of purity "and" innocence'),
+        ]
+        ids = {s.id.local_name for s in convert_synsets(records, source).simulations}
+        assert ids == {"olive-peace", "dove-peace", "lily-purityAndInnocence"}
