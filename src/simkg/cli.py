@@ -197,7 +197,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (MissingBindingError, UnknownEntityError, GoldFormatError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (GraphViolationsError, CycleError) as err:
+    except GraphViolationsError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VIOLATIONS
     except (_InputError, MalformedResponseError, NetworkError, OSError) as err:
@@ -298,6 +298,8 @@ def _cmd_ingest_dict(args) -> int:
 
 
 def _cmd_ingest_dbpedia(args) -> int:
+    if args.page_size < 1:
+        raise _UsageError(f"--page-size must be at least 1, got {args.page_size}")
     g = _load(args)
     if args.triples:
         triples = _read(read_triples_file, args.triples)

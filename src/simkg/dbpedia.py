@@ -115,6 +115,8 @@ def fetch_symbol_data(
     either the whole result arrives or the failing page is reported.  No
     partial result is ever returned silently.
     """
+    if page_size < 1:
+        raise ValueError(f"page_size must be at least 1, got {page_size}")
     import requests  # only the endpoint path needs the HTTP stack
 
     own_session = session is None
@@ -225,11 +227,13 @@ def _binding(row: dict, var: str) -> tuple[Optional[str], object]:
 
 
 def read_triples_file(path) -> list[SymbolTriple]:
-    """Offline source: one triple per line, terminated by a period.
+    """Offline source: one triple per line, terminated by a period and
+    optionally followed by a ``#`` comment.
 
     Terms are ``<iri>``, ``prefix:Local`` with the common DBpedia prefixes,
     or in object position an N-Triples literal, whose decoded lexical form
-    is kept (its language tag or datatype is dropped).
+    is kept (its language tag or datatype is dropped).  Whitespace between
+    terms is optional where N-Triples allows it.
     """
     types: dict[Iri, set[Iri]] = {}
     raw_rows: list[tuple[Iri, Iri, Union[Iri, str]]] = []
@@ -238,10 +242,10 @@ def read_triples_file(path) -> list[SymbolTriple]:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            if not line.endswith("."):
-                raise MalformedResponseError(f"line {lineno}: triple not terminated by '.'")
-            m = _TRIPLE_RE.fullmatch(line[:-1].strip())
+            m = _TRIPLE_RE.fullmatch(line)
             if m is None:
+                if not _TERMINATOR_RE.search(line):
+                    raise MalformedResponseError(f"line {lineno}: triple not terminated by '.'")
                 raise MalformedResponseError(f"line {lineno}: expected 'subject predicate object .'")
             s_term, p_term, literal, o_term = m.groups()
             s = _expand_term(s_term, lineno)
@@ -269,14 +273,22 @@ def read_triples_file(path) -> list[SymbolTriple]:
     return triples
 
 
-# Subject, predicate, then an object that is either a W3C RDF 1.1 N-Triples
-# literal (https://www.w3.org/TR/n-triples/): STRING_LITERAL_QUOTE, then an
-# optional LANGTAG or ^^IRIREF; or a term that does not start with a quote.
+# One line of W3C RDF 1.1 N-Triples (https://www.w3.org/TR/n-triples/), plus
+# the prefixed names of FILE_PREFIXES: subject, predicate, then an object that
+# is either a literal (STRING_LITERAL_QUOTE, then an optional LANGTAG or
+# ^^IRIREF) or a term, then '.' and an optional comment.  Terms need no
+# whitespace between them.  A subject or predicate name runs to the next
+# whitespace, '<' or '"', so it is never split in two; an object name gives
+# up a final '.' to the terminator.  A '#' inside an IRI or a literal belongs
+# to that term, so only a '#' after the '.' starts a comment.
+_IRIREF = r"<[^\s>]*>"
+_NAME = r'[^\s<>"]+'
 _TRIPLE_RE = re.compile(
-    r'(\S+)\s+(\S+)\s+(?:"([^"\\\n\r]*(?:\\.[^"\\\n\r]*)*)"'
-    r"(?:@[a-zA-Z]+(?:-[a-zA-Z0-9]+)*|\^\^<" + IRI_CHAR + r"+>)?"
-    r'|([^"\s]\S*))'
+    rf'({_IRIREF}|{_NAME}(?![^\s<>"]))\s*({_IRIREF}|{_NAME}(?![^\s<>"]))\s*'
+    rf'(?:"([^"\\\n\r]*(?:\\.[^"\\\n\r]*)*)"(?:@[a-zA-Z]+(?:-[a-zA-Z0-9]+)*|\^\^<{IRI_CHAR}+>)?'
+    rf"|({_IRIREF}|{_NAME}))\s*\.\s*(?:#.*)?"
 )
+_TERMINATOR_RE = re.compile(r"\.\s*(?:#.*)?$")
 
 
 def _literal(body: str, lineno: int) -> str:

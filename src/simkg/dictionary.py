@@ -24,6 +24,7 @@ from typing import Iterable, Mapping, Optional
 
 from .model import (
     CardinalityError,
+    CycleError,
     EmptyLabelError,
     Entity,
     RcRelation,
@@ -202,10 +203,11 @@ def convert_entry(
     for variant_label, variant_clauses in entry.variant_blocks:
         try:
             variant_entity = make_entity(variant_label, Role.SIMULACRUM)
-        except EmptyLabelError:
+            link = VariantLink(base=lemma_entity, variant=variant_entity)
+        except (EmptyLabelError, CycleError):
             out.warnings.append(f"line {entry.line}: unusable variant label {variant_label!r}, block skipped")
             continue
-        out.variants.append(VariantLink(base=lemma_entity, variant=variant_entity))
+        out.variants.append(link)
         _convert_clauses(variant_entity, variant_clauses, source, table, out)
     return out
 

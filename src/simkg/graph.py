@@ -205,8 +205,6 @@ class Graph:
         self._variant_children[base].add(variant)
 
     def _reaches(self, start: Iri, goal: Iri) -> bool:
-        if start == goal:
-            return True
         stack, seen = [start], {start}
         while stack:
             node = stack.pop()

@@ -62,6 +62,35 @@ class Axiom(Enum):
     KIND_CONFLICT = "KindConflict"
 
 
+def cardinality_violations(sim: "Simulation") -> list[tuple[Axiom, str]]:
+    """The structural axioms one simulation breaks, each with its detail.
+
+    The one statement of the cardinality restrictions: exactly one
+    simulacrum; at least one reality counterpart, context and source; and
+    exactly one healed (prevented) counterpart on a Healing (Protection)
+    simulation.  ``build_simulation`` raises the first pair and
+    ``check_axioms`` reports them all, so both use the same wording.
+    """
+    found: list[tuple[Axiom, str]] = []
+    if len(sim.simulacra) != 1:
+        found.append((Axiom.SIMULACRUM_CARDINALITY, f"expected exactly 1 simulacrum, found {len(sim.simulacra)}"))
+    if not sim.reality_counterparts:
+        found.append((Axiom.MISSING_REALITY_COUNTERPART, "no reality counterpart on this simulation"))
+    if not sim.contexts:
+        found.append((Axiom.MISSING_CONTEXT, "no context on this simulation"))
+    if not sim.sources:
+        found.append((Axiom.MISSING_SOURCE, "no source on this simulation"))
+    if sim.kind is SimulationKind.HEALING:
+        n = sum(1 for rel, _ in sim.reality_counterparts if rel is RcRelation.HEALED)
+        if n != 1:
+            found.append((Axiom.HEALING_CARDINALITY, f"healing simulation has {n} healed reality counterparts, expected 1"))
+    if sim.kind is SimulationKind.PROTECTION:
+        n = sum(1 for rel, _ in sim.reality_counterparts if rel is RcRelation.PREVENTED)
+        if n != 1:
+            found.append((Axiom.PROTECTION_CARDINALITY, f"protection simulation has {n} prevented reality counterparts, expected 1"))
+    return found
+
+
 # One IRIREF character of W3C RDF 1.1 Turtle (https://www.w3.org/TR/turtle/),
 # minus Unicode whitespace; \u escapes are not supported.  ``Iri`` and the
 # Turtle reader share it, so every IRI the exporter writes reads back.
@@ -316,42 +345,18 @@ def build_simulation(
 ) -> Simulation[Entity]:
     """Validating constructor: the only way to obtain a well-formed simulation.
 
-    Raises :class:`CardinalityError` naming the violated axiom when the
-    inputs break one of the structural restrictions.
+    Raises :class:`CardinalityError` for the first axiom that
+    :func:`cardinality_violations` finds broken.
     """
     if simulacrum is None:
-        raise CardinalityError(Axiom.SIMULACRUM_CARDINALITY, "a simulation needs exactly one simulacrum")
-    rc_pairs = _dedupe_rcs(rcs)
-    context_tuple = _dedupe_entities(contexts)
-    source_tuple = _dedupe_entities(sources)
-    if not rc_pairs:
-        raise CardinalityError(Axiom.MISSING_REALITY_COUNTERPART, "at least one reality counterpart required")
-    if not context_tuple:
-        raise CardinalityError(Axiom.MISSING_CONTEXT, "at least one context required")
-    if not source_tuple:
-        raise CardinalityError(Axiom.MISSING_SOURCE, "at least one source required")
-    if kind is SimulationKind.HEALING:
-        healed = sum(1 for rel, _ in rc_pairs if rel is RcRelation.HEALED)
-        if healed != 1:
-            raise CardinalityError(
-                Axiom.HEALING_CARDINALITY,
-                f"a healing simulation needs exactly one healed reality counterpart, got {healed}",
-            )
-    if kind is SimulationKind.PROTECTION:
-        prevented = sum(1 for rel, _ in rc_pairs if rel is RcRelation.PREVENTED)
-        if prevented != 1:
-            raise CardinalityError(
-                Axiom.PROTECTION_CARDINALITY,
-                f"a protection simulation needs exactly one prevented reality counterpart, got {prevented}",
-            )
-
+        raise CardinalityError(Axiom.SIMULACRUM_CARDINALITY, "expected exactly 1 simulacrum, found 0")
     sim_entity = simulacrum.with_roles(Role.SIMULACRUM)
-    rc_pairs = tuple((rel, e.with_roles(Role.REALITY_COUNTERPART)) for rel, e in rc_pairs)
-    context_tuple = tuple(e.with_roles(Role.CONTEXT) for e in context_tuple)
-    source_tuple = tuple(e.with_roles(Role.SOURCE) for e in source_tuple)
+    rc_pairs = tuple((rel, e.with_roles(Role.REALITY_COUNTERPART)) for rel, e in _dedupe_rcs(rcs))
+    context_tuple = tuple(e.with_roles(Role.CONTEXT) for e in _dedupe_entities(contexts))
+    source_tuple = tuple(e.with_roles(Role.SOURCE) for e in _dedupe_entities(sources))
 
     local = simulation_local_name(sim_entity, rc_pairs)
-    return Simulation(
+    sim = Simulation(
         id=Iri(KB + local),
         kind=kind,
         simulacra=(sim_entity,),
@@ -359,6 +364,10 @@ def build_simulation(
         contexts=context_tuple,
         sources=source_tuple,
     )
+    broken = cardinality_violations(sim)
+    if broken:
+        raise CardinalityError(*broken[0])
+    return sim
 
 
 @dataclass(frozen=True, slots=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import Graph
-from .model import Axiom, Iri, RcRelation, Role, SimulationKind
+from .model import Axiom, Iri, Role, cardinality_violations
 
 
 @dataclass(frozen=True, slots=True)
@@ -33,42 +33,8 @@ def check_axioms(g: Graph) -> list[Violation]:
 
     for sim in g.simulations.values():
         participating.update(sim.members())
-        if len(sim.simulacra) != 1:
-            found.append(
-                Violation(
-                    Axiom.SIMULACRUM_CARDINALITY,
-                    sim.id,
-                    f"expected exactly 1 simulacrum, found {len(sim.simulacra)}",
-                )
-            )
-        if not sim.reality_counterparts:
-            found.append(
-                Violation(Axiom.MISSING_REALITY_COUNTERPART, sim.id, "no reality counterpart on this simulation")
-            )
-        if not sim.contexts:
-            found.append(Violation(Axiom.MISSING_CONTEXT, sim.id, "no context on this simulation"))
-        if not sim.sources:
-            found.append(Violation(Axiom.MISSING_SOURCE, sim.id, "no source on this simulation"))
-        if sim.kind is SimulationKind.HEALING:
-            healed = sum(1 for rel, _ in sim.reality_counterparts if rel is RcRelation.HEALED)
-            if healed != 1:
-                found.append(
-                    Violation(
-                        Axiom.HEALING_CARDINALITY,
-                        sim.id,
-                        f"healing simulation has {healed} healed reality counterparts, expected 1",
-                    )
-                )
-        if sim.kind is SimulationKind.PROTECTION:
-            prevented = sum(1 for rel, _ in sim.reality_counterparts if rel is RcRelation.PREVENTED)
-            if prevented != 1:
-                found.append(
-                    Violation(
-                        Axiom.PROTECTION_CARDINALITY,
-                        sim.id,
-                        f"protection simulation has {prevented} prevented reality counterparts, expected 1",
-                    )
-                )
+        for axiom, detail in cardinality_violations(sim):
+            found.append(Violation(axiom, sim.id, detail))
         for e in sim.members():
             if e not in g.entities:
                 found.append(Violation(Axiom.DANGLING_ENTITY, e, f"referenced by {sim.id} but not in the graph"))

@@ -215,6 +215,19 @@ class TestIngestCommands:
         sim = next(iter(g.simulations.values()))
         assert sim.kind.value == "Allusion"
 
+    def test_cardinality_warning_uses_the_validator_wording(self, tmp_path, capsys):
+        # a Healing kind with a plain relation breaks HealingCardinality
+        table = tmp_path / "table.json"
+        table.write_text('{"soothes": ["Healing", "Has"]}', encoding="utf-8")
+        doc = tmp_path / "doc.dict"
+        doc.write_text("hook\n  soothes: headache\n", encoding="utf-8")
+        assert main(["ingest-dict", str(doc), "--phrase-table", str(table)]) == 0
+        warning = (
+            f"{doc}: line 2: skipped meaning term 'headache' "
+            "(HealingCardinality: healing simulation has 0 healed reality counterparts, expected 1)"
+        )
+        assert warning in capsys.readouterr().err.splitlines()
+
     def test_bad_phrase_table_is_usage_error(self, tmp_path):
         table = tmp_path / "table.json"
         table.write_text('{"reminiscent of": ["Banana", "Has"]}', encoding="utf-8")
@@ -247,6 +260,16 @@ class TestIngestCommands:
         g = load_graph(out)
         assert not any("thunderbolt" in i for i in g.simulations)
 
+
+    def test_reflexive_variant_block_does_not_sink_the_ingest(self, tmp_path, capsys):
+        doc = tmp_path / "doc.dict"
+        doc.write_text("hook\n  attraction\n  ~ Hook:\n    lure\nrose\n  love\n", encoding="utf-8")
+        out = tmp_path / "out.ttl"
+        assert main(["ingest-dict", str(doc), "--out", str(out)]) == 0
+        assert "https://w3id.org/simulation/data/rose-love" in load_graph(out).simulations
+        err = capsys.readouterr().err
+        assert err.count("unusable variant label") == 1
+        assert f"{doc}: line 1: unusable variant label 'Hook', block skipped" in err.splitlines()
 
     def test_kind_conflict_is_saved_and_reported(self, tmp_path, capsys):
         probe = tmp_path / "probe.dict"

@@ -94,6 +94,48 @@ class TestTriplesFile:
             read_triples_file(nt)
         assert str(err.value) == f"line 2: {message}"
 
+    @pytest.mark.parametrize(
+        "line, subject, obj",
+        [
+            ('dbr:A dbp:symbol "peace" . # from the 2016 dump', "A", "peace"),
+            ("dbr:A dbp:symbol dbr:Dove .# no space before the comment", "A", Iri("http://dbpedia.org/resource/Dove")),
+            ("dbr:A dbp:symbol dbr:Dove.", "A", Iri("http://dbpedia.org/resource/Dove")),
+            ('<http://dbpedia.org/resource/A><http://dbpedia.org/property/symbol>"peace".', "A", "peace"),
+            ('<http://dbpedia.org/resource/A><http://dbpedia.org/property/symbol>"peace"@en.#c', "A", "peace"),
+            ("<http://dbpedia.org/resource/A><http://dbpedia.org/property/symbol><http://dbpedia.org/resource/B>.",
+             "A", Iri("http://dbpedia.org/resource/B")),
+            ("<http://example.org/x#A> dbp:symbol <http://example.org/x#Dove> .", "A", Iri("http://example.org/x#Dove")),
+            ('dbr:A dbp:symbol "no. #1" . # a "#" in a literal is text', "A", "no. #1"),
+        ],
+        ids=["comment", "comment-after-dot", "dot-after-name", "no-whitespace", "no-whitespace-tagged",
+             "no-whitespace-iris", "hash-in-iri", "hash-in-literal"],
+    )
+    def test_n_triples_comments_and_spacing(self, tmp_path, line, subject, obj):
+        # W3C RDF 1.1 N-Triples: a comment may follow the '.', and terms
+        # need no whitespace between them
+        nt = tmp_path / "forms.nt"
+        nt.write_text(line + "\n", encoding="utf-8")
+        [triple] = read_triples_file(nt)
+        assert (triple.subject.local_name, triple.predicate, triple.object) == (subject, SymbolPredicate.DBP_SYMBOL, obj)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("dbr:A dbp:symbol dbr:B # no final dot", "triple not terminated by '.'"),
+            ("dbr:A dbp:symbol <http://example.org/a.b> # no final dot", "triple not terminated by '.'"),
+            ('dbr:A dbp:symbol "peace" "war" . # two objects', "expected 'subject predicate object .'"),
+            ('dbr:A dbp:symbol "peace" # "." is inside the comment .', "expected 'subject predicate object .'"),
+            ("<http://dbpedia.org/resource/A#> . dbp:symbol dbr:B .", "expected 'subject predicate object .'"),
+            ("dbr:Adbp:symbol dbr:B .", "expected 'subject predicate object .'"),
+        ],
+    )
+    def test_comment_is_not_a_terminator(self, tmp_path, line, message):
+        nt = tmp_path / "bad.nt"
+        nt.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(MalformedResponseError) as err:
+            read_triples_file(nt)
+        assert str(err.value) == f"line 1: {message}"
+
     def test_unterminated_line_rejected(self, tmp_path):
         bad = tmp_path / "bad.nt"
         bad.write_text("dbr:A dbp:symbol dbr:B\n", encoding="utf-8")
@@ -214,6 +256,23 @@ class _StubSession:
         return response
 
 
+class _CountingSession:
+    """Answers every request with an empty page and counts the requests;
+    fails the test instead of letting a fetch loop run on."""
+
+    def __init__(self, limit=10):
+        self.calls = 0
+        self.limit = limit
+
+    def get(self, url, params=None, headers=None, timeout=None):
+        self.calls += 1
+        assert self.calls <= self.limit, f"still fetching after {self.limit} requests"
+        return _StubResponse(payload=_page([]))
+
+    def close(self):
+        pass
+
+
 def _page(bindings):
     return {"head": {"vars": ["s", "o", "type"]}, "results": {"bindings": bindings}}
 
@@ -277,6 +336,28 @@ class TestFetch:
         session = _StubSession([requests.ConnectionError("refused"), _StubResponse(payload=ok), _StubResponse(payload=ok)])
         assert fetch_symbol_data("http://example.org/sparql", session=session, retry_wait=0.001) == []
         assert len(session.requests) == 3
+
+    @pytest.mark.parametrize("page_size", [0, -1])
+    def test_page_size_below_one_is_rejected(self, page_size):
+        session = _CountingSession()
+        with pytest.raises(ValueError, match="page_size"):
+            fetch_symbol_data("http://example.org/sparql", page_size=page_size, session=session)
+        assert session.calls == 0
+
+    @pytest.mark.parametrize("page_size", ["0", "-3"])
+    def test_page_size_below_one_is_a_usage_error(self, page_size, monkeypatch, capsys):
+        session = _CountingSession()
+        monkeypatch.setattr(requests, "Session", lambda: session)
+        code = main(["ingest-dbpedia", "--endpoint", "http://example.org/sparql", "--page-size", page_size])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("usage error: ") and len(err.splitlines()) == 1
+        assert session.calls == 0
+
+    def test_page_size_one_pages_until_a_short_page(self):
+        session = _CountingSession()
+        assert fetch_symbol_data("http://example.org/sparql", page_size=1, session=session) == []
+        assert session.calls == 2  # one empty page per query
 
     @pytest.mark.parametrize("var", ["s", "o", "type"])
     def test_bad_endpoint_iri_is_a_malformed_response(self, var):

@@ -155,6 +155,14 @@ class TestConvert:
         assert out.warnings == []
         assert out.simulations[0].kind is SimulationKind.ALLUSION
 
+    def test_reflexive_variant_block_is_skipped(self, source):
+        # "Hook" mints the lemma's own IRI, so the link would be a self-loop.
+        parsed = parse_dictionary("hook\n  attraction\n  ~ Hook:\n    lure\n")
+        out = convert_entry(parsed.entries[0], source)
+        assert out.warnings == ["line 1: unusable variant label 'Hook', block skipped"]
+        assert out.variants == []
+        assert [s.id.local_name for s in out.simulations] == ["hook-attraction"]
+
     def test_every_simulation_passes_axioms(self, source):
         g = Graph()
         _, conv = convert_document(BIRDS, source)

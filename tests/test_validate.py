@@ -1,9 +1,12 @@
 import random
 import time
 
+import pytest
+
 from graphgen import random_graph
 from simkg import (
     Axiom,
+    CardinalityError,
     CqId,
     Graph,
     Iri,
@@ -75,6 +78,44 @@ kb:strange a sim:Simulation ;
     )
     assert [v.axiom for v in check_axioms(g)] == [Axiom.SIMULACRUM_CARDINALITY]
     assert [row["simulation"] for row in run_cq(g, CqId.Q1_5)] == [Iri(KB + "strange")]
+
+
+# (kind, has a simulacrum, reality counterparts, contexts, sources): one
+# shape per cardinality axiom, each breaking that axiom alone.
+_CARDINALITY_SHAPES = {
+    Axiom.SIMULACRUM_CARDINALITY: (SimulationKind.GENERIC, False, [(RcRelation.HAS, "r")], ["c"], ["s"]),
+    Axiom.MISSING_REALITY_COUNTERPART: (SimulationKind.GENERIC, True, [], ["c"], ["s"]),
+    Axiom.MISSING_CONTEXT: (SimulationKind.GENERIC, True, [(RcRelation.HAS, "r")], [], ["s"]),
+    Axiom.MISSING_SOURCE: (SimulationKind.GENERIC, True, [(RcRelation.HAS, "r")], ["c"], []),
+    Axiom.HEALING_CARDINALITY: (
+        SimulationKind.HEALING, True, [(RcRelation.HEALED, "r"), (RcRelation.HEALED, "q")], ["c"], ["s"]
+    ),
+    Axiom.PROTECTION_CARDINALITY: (SimulationKind.PROTECTION, True, [(RcRelation.HAS, "r")], ["c"], ["s"]),
+}
+
+
+@pytest.mark.parametrize("axiom", list(_CARDINALITY_SHAPES), ids=lambda a: a.value)
+def test_constructor_and_validator_apply_one_rule_set(axiom):
+    kind, has_simulacrum, rcs, contexts, sources = _CARDINALITY_SHAPES[axiom]
+    with pytest.raises(CardinalityError) as err:
+        build_simulation(
+            kind,
+            make_entity("x") if has_simulacrum else None,
+            [(rel, make_entity(label)) for rel, label in rcs],
+            [make_entity(label) for label in contexts],
+            [make_entity(label) for label in sources],
+        )
+
+    members = [("sim:hasSimulacrum", "x")] if has_simulacrum else []
+    members += [(f"sim:{rel.value}", label) for rel, label in rcs]
+    members += [("sim:hasContext", label) for label in contexts]
+    members += [("prov:wasDerivedFrom", label) for label in sources]
+    body = "".join(f" ;\n    {pred} kb:{label}" for pred, label in members)
+    g = import_turtle(HEADER + f"kb:shape a <{kind.schema_iri}>{body} .\n")
+    reported = [(v.axiom, v.detail) for v in check_axioms(g)]
+
+    assert err.value.axiom is axiom
+    assert reported == [(axiom, err.value.detail)]
 
 
 def test_imported_variant_cycle_reported():
