@@ -77,7 +77,7 @@ class Clause:
 class DictEntry:
     lemma: str
     clauses: tuple[Clause, ...]
-    variant_blocks: tuple[tuple[str, tuple[Clause, ...]], ...]
+    variant_blocks: tuple[tuple[str, tuple[Clause, ...], int], ...]  # label, clauses, line of ``~ label:``
     line: int
 
 
@@ -93,16 +93,16 @@ def parse_dictionary(text: str) -> ParsedDictionary:
     lemma: Optional[str] = None
     lemma_line = 0
     clauses: list[Clause] = []
-    variants: list[tuple[str, tuple[Clause, ...]]] = []
+    variants: list[tuple[str, tuple[Clause, ...], int]] = []
     variant_label: Optional[str] = None
-    variant_indent = 0
+    variant_line = variant_indent = 0
     variant_clauses: list[Clause] = []
     skipping = False  # recovering from a bad block: ignore until the next lemma
 
     def close_variant() -> None:
         nonlocal variant_label, variant_clauses
         if variant_label is not None:
-            variants.append((variant_label, tuple(variant_clauses)))
+            variants.append((variant_label, tuple(variant_clauses), variant_line))
             variant_label = None
             variant_clauses = []
 
@@ -140,7 +140,7 @@ def parse_dictionary(text: str) -> ParsedDictionary:
                 if not header.endswith(":") or not header[:-1].strip():
                     raise ParseError("variant block must look like '~ <label>:'", lineno)
                 variant_label = header[:-1].strip()
-                variant_indent = indent
+                variant_line, variant_indent = lineno, indent
                 continue
             clause = _parse_clause(stripped, lineno)
             if variant_label is not None and indent > variant_indent:
@@ -200,12 +200,12 @@ def convert_entry(
     out = DictConversion()
     lemma_entity = make_entity(entry.lemma, Role.SIMULACRUM)
     _convert_clauses(lemma_entity, entry.clauses, source, table, out)
-    for variant_label, variant_clauses in entry.variant_blocks:
+    for variant_label, variant_clauses, line in entry.variant_blocks:
         try:
             variant_entity = make_entity(variant_label, Role.SIMULACRUM)
             link = VariantLink(base=lemma_entity, variant=variant_entity)
         except (EmptyLabelError, CycleError):
-            out.warnings.append(f"line {entry.line}: unusable variant label {variant_label!r}, block skipped")
+            out.warnings.append(f"line {line}: unusable variant label {variant_label!r}, block skipped")
             continue
         out.variants.append(link)
         _convert_clauses(variant_entity, variant_clauses, source, table, out)

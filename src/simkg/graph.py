@@ -10,10 +10,14 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterator, Sequence, Union
 
 from .model import (
+    OWL,
+    PROV,
     RDF,
+    RDFS,
+    SIM,
     CycleError,
     Entity,
     Iri,
@@ -25,9 +29,33 @@ from .model import (
 )
 
 Triple = tuple[Iri, Iri, Union[Iri, Literal]]
+Block = list[tuple[Iri, Sequence[Union[Iri, Literal]]]]  # (predicate, objects), both in export order
+Extra = dict[Iri, set[Union[Iri, Literal]]]  # a subject's extra triples: predicate -> objects
 
 RDF_TYPE = Iri(RDF + "type")
+RDFS_LABEL = Iri(RDFS + "label")
+OWL_SAME_AS = Iri(OWL + "sameAs")
+PROV_WAS_DERIVED_FROM = Iri(PROV + "wasDerivedFrom")
+SIM_HAS_SIMULACRUM = Iri(SIM + "hasSimulacrum")
+SIM_HAS_CONTEXT = Iri(SIM + "hasContext")
+SIM_HAS_VARIANT = Iri(SIM + "hasVariant")
 KIND_BY_CLASS = {kind.schema_iri: kind for kind in SimulationKind}
+
+_PREDICATE_RANK: dict[Iri, int] = {
+    RDF_TYPE: 0,
+    RDFS_LABEL: 1,
+    SIM_HAS_SIMULACRUM: 2,
+    RcRelation.HAS.schema_iri: 3,
+    RcRelation.PREVENTED.schema_iri: 4,
+    RcRelation.HEALED.schema_iri: 5,
+    RcRelation.RESTORED.schema_iri: 6,
+    RcRelation.EASED.schema_iri: 7,
+    RcRelation.ELICITED.schema_iri: 8,
+    SIM_HAS_CONTEXT: 9,
+    PROV_WAS_DERIVED_FROM: 10,
+    SIM_HAS_VARIANT: 11,
+    OWL_SAME_AS: 12,
+}
 
 
 class UnknownEntityError(KeyError):
@@ -60,6 +88,55 @@ def _min_label(a: str, b: str) -> str:
 
 
 _RC_RANK = {rel: i for i, rel in enumerate(RcRelation)}
+
+
+def statement_block(
+    sim: Simulation[Iri] | None, entity: Entity | None, variants: set[Iri] | None, extra: Extra | None = None
+) -> Block:
+    """The one definition of a subject's statements, which export renders,
+    ``graph_triples`` flattens and ``stats`` sizes.  Stored members are
+    already sorted, and only the type is held by two stores; ``extra`` is
+    merged in, so an extra triple that repeats a stored one is held once."""
+    preds: Block
+    if entity is None:
+        preds = [(RDF_TYPE, [sim.kind.schema_iri])] if sim is not None else []
+    else:
+        types = [role.schema_iri for role in entity.roles]
+        if sim is not None:
+            types.append(sim.kind.schema_iri)
+        preds = [(RDF_TYPE, sorted(types))] if types else []
+        preds.append((RDFS_LABEL, [Literal(entity.label)]))
+    if sim is not None:
+        if sim.simulacra:
+            preds.append((SIM_HAS_SIMULACRUM, sim.simulacra))
+        by_relation: dict[Iri, list[Iri]] = {}  # keeps the stored relation order
+        for rel, rc in sim.reality_counterparts:
+            by_relation.setdefault(rel.schema_iri, []).append(rc)
+        preds.extend(by_relation.items())
+        if sim.contexts:
+            preds.append((SIM_HAS_CONTEXT, sim.contexts))
+        if sim.sources:
+            preds.append((PROV_WAS_DERIVED_FROM, sim.sources))
+    if variants:
+        preds.append((SIM_HAS_VARIANT, sorted(variants)))
+    if entity is not None and entity.external_links:
+        preds.append((OWL_SAME_AS, sorted(entity.external_links)))
+    if extra:
+        merged = dict(preds)
+        for p, objects in extra.items():
+            merged[p] = sorted(objects.union(merged.get(p, ())), key=_object_sort_key)
+        preds = sorted(merged.items(), key=lambda po: (_PREDICATE_RANK.get(po[0], 13), po[0]))
+    return preds
+
+
+def _object_sort_key(o: Union[Iri, Literal]):
+    if isinstance(o, Literal):
+        return (1, o.text, o.lang or "")
+    return (0, str(o), "")
+
+
+def _size(block: Block) -> int:
+    return sum([len(objects) for _, objects in block])
 
 
 class Graph:
@@ -243,62 +320,54 @@ class Graph:
     def meanings_of(self, iri: Iri) -> set[Iri]:
         return self._meanings_of.get(iri, set())
 
-    # -- statistics ---------------------------------------------------------
+    # -- statements and statistics -----------------------------------------
+
+    def blocks(self) -> Iterator[tuple[Iri, Block]]:
+        """Every subject with its :func:`statement_block`, in IRI order."""
+        extras = self._extras_by_subject()
+        subjects = self.simulations.keys() | self.entities.keys() | self._variant_children.keys() | extras.keys()
+        for subject in sorted(subjects):
+            yield subject, self._block(subject, extras.get(subject))
+
+    def _block(self, subject: Iri, extra: Extra | None = None) -> Block:
+        sims, entities, variants = self.simulations, self.entities, self._variant_children
+        return statement_block(sims.get(subject), entities.get(subject), variants.get(subject), extra)
+
+    def _extras_by_subject(self) -> dict[Iri, Extra]:
+        extras: dict[Iri, Extra] = {}
+        for s, p, o in self.extra_triples:
+            extras.setdefault(s, {}).setdefault(p, set()).add(o)
+        return extras
 
     def stats(self) -> CorpusStats:
         """Distinct element counts per source plus a deduplicated totals row.
 
-        ``n_triples`` is defined operationally: the number of statements the
-        Turtle exporter emits for that source's subgraph (for the totals row,
-        for the whole graph).
-        """
+        ``n_triples`` adds up :func:`statement_block` sizes; a stored block's
+        simulation, entity and variant parts share no statement, so each is
+        sized once.  A source's row counts its simulations, their members and
+        the variant links among those; the totals row, what export writes."""
+        sim_size = {i: _size(statement_block(s, None, None)) for i, s in self.simulations.items()}
+        entity_size = {i: _size(statement_block(None, e, None)) for i, e in self.entities.items()}
         rows = []
-        source_ids = sorted(
-            self._sims_by_source,
-            key=lambda i: (self.entities[i].label, i),
-        )
-        for src in source_ids:
-            sim_ids = sorted(self._sims_by_source[src])
-            rows.append(self._stats_row(self.entities[src].label, [self.simulations[i] for i in sim_ids]))
-        total = self._stats_row("Total", list(self.simulations.values()), whole_graph=True)
-        return CorpusStats(rows=tuple(rows), total=total)
-
-    def _stats_row(self, label: str, sims: list[Simulation[Iri]], whole_graph: bool = False) -> SourceStats:
-        simulacra: set[Iri] = set()
-        rcs: set[Iri] = set()
-        contexts: set[Iri] = set()
-        members: set[Iri] = set()
-        n_triples = 0
-        for s in sims:
-            simulacra.update(s.simulacra)
-            rcs.update(rc for _, rc in s.reality_counterparts)
-            contexts.update(s.contexts)
-            members.update(s.members())
-            n_triples += (
-                1  # rdf:type
-                + len(s.simulacra)
-                + len(s.reality_counterparts)
-                + len(s.contexts)
-                + len(s.sources)
-            )
-        if whole_graph:
-            entity_ids: Iterable[Iri] = self.entities
-            n_triples += sum(map(len, self._variant_children.values()))
-            n_triples += len(self.extra_triples)
-        else:
-            entity_ids = sorted(members)
-            n_triples += sum(len(vs & members) for b, vs in self._variant_children.items() if b in members)
-        for eid in entity_ids:
-            e = self.entities[eid]
-            n_triples += 1 + len(e.roles) + len(e.external_links)
-        return SourceStats(
-            label=label,
-            n_simulacra=len(simulacra),
-            n_rcs=len(rcs),
-            n_contexts=len(contexts),
-            n_simulations=len(sims),
-            n_triples=n_triples,
-        )
+        for src in sorted(self._sims_by_source, key=lambda i: (self.entities[i].label, i)):
+            sims = [self.simulations[i] for i in self._sims_by_source[src]]
+            simulacra, rcs, contexts, sources = set(), set(), set(), set()
+            for s in sims:
+                simulacra.update(s.simulacra)
+                rcs.update([rc for _, rc in s.reality_counterparts])
+                contexts.update(s.contexts)
+                sources.update(s.sources)
+            members = simulacra | rcs | contexts | sources
+            links = sum([len(vs & members) for b, vs in self._variant_children.items() if b in members])
+            n_triples = sum([sim_size[s.id] for s in sims]) + sum([entity_size[m] for m in members]) + links
+            label = self.entities[src].label
+            rows.append(SourceStats(label, len(simulacra), len(rcs), len(contexts), len(sims), n_triples))
+        variant_links = sum(map(len, self._variant_children.values()))
+        # an extra triple adds a statement only where its subject's stored block lacks it
+        extra = sum([_size(self._block(s, e)) - _size(self._block(s)) for s, e in self._extras_by_subject().items()])
+        n_triples = sum(sim_size.values()) + sum(entity_size.values()) + variant_links + extra
+        counts = len(self._sims_by_simulacrum), len(self._sims_by_rc), len(self._sims_by_context), len(self.simulations)
+        return CorpusStats(rows=tuple(rows), total=SourceStats("Total", *counts, n_triples))
 
     # -- equality -----------------------------------------------------------
 

@@ -6,12 +6,11 @@ object lists with ``,`` and string literals with optional language tags.
 No collections, blank nodes or relative IRIs.  Output is byte-deterministic:
 subjects sorted by IRI, predicates in a fixed schema order, objects sorted.
 
-Export renders each subject's block straight from the graph's stores, whose
-members are already in that order; only role types, ``owl:sameAs`` links and
-variants are sorted, and a subject that two stores share, or that has extra
-triples, is merged and sorted on its own.  Import splits the document into
-plain string tokens with one regex pass and types each token by its text;
-a token's position in the document is worked out only for an error message.
+Export only renders the statement blocks of ``Graph.blocks``, which
+``graph.statement_block`` defines and puts in that order.  Import splits
+the document into plain string tokens with one regex pass and types each
+token by its text; a token's position in the document is worked out only
+for an error message.
 """
 
 from __future__ import annotations
@@ -21,11 +20,21 @@ import os
 import re
 from functools import cache
 from dataclasses import replace
-from itertools import chain, groupby, islice
-from operator import itemgetter
+from itertools import chain, islice
 from typing import Union
 
-from .graph import KIND_BY_CLASS, RDF_TYPE, Graph, Triple
+from .graph import (
+    KIND_BY_CLASS,
+    OWL_SAME_AS,
+    PROV_WAS_DERIVED_FROM,
+    RDF_TYPE,
+    RDFS_LABEL,
+    SIM_HAS_CONTEXT,
+    SIM_HAS_SIMULACRUM,
+    SIM_HAS_VARIANT,
+    Graph,
+    Triple,
+)
 from .model import (
     IRI_CHAR,
     KB,
@@ -55,13 +64,6 @@ PREFIXES: tuple[tuple[str, str], ...] = (
     ("kb", KB),
 )
 
-RDFS_LABEL = Iri(RDFS + "label")
-OWL_SAME_AS = Iri(OWL + "sameAs")
-PROV_WAS_DERIVED_FROM = Iri(PROV + "wasDerivedFrom")
-SIM_HAS_SIMULACRUM = Iri(SIM + "hasSimulacrum")
-SIM_HAS_CONTEXT = Iri(SIM + "hasContext")
-SIM_HAS_VARIANT = Iri(SIM + "hasVariant")
-
 _ROLE_BY_CLASS = {role.schema_iri: role for role in Role}
 # member predicate -> (position of its group in Simulation, relation)
 _MEMBER_SLOT = {
@@ -69,22 +71,6 @@ _MEMBER_SLOT = {
     **{rel.schema_iri: (1, rel) for rel in RcRelation},
     SIM_HAS_CONTEXT: (2, None),
     PROV_WAS_DERIVED_FROM: (3, None),
-}
-
-_PREDICATE_RANK: dict[Iri, int] = {
-    RDF_TYPE: 0,
-    RDFS_LABEL: 1,
-    SIM_HAS_SIMULACRUM: 2,
-    RcRelation.HAS.schema_iri: 3,
-    RcRelation.PREVENTED.schema_iri: 4,
-    RcRelation.HEALED.schema_iri: 5,
-    RcRelation.RESTORED.schema_iri: 6,
-    RcRelation.EASED.schema_iri: 7,
-    RcRelation.ELICITED.schema_iri: 8,
-    SIM_HAS_CONTEXT: 9,
-    PROV_WAS_DERIVED_FROM: 10,
-    SIM_HAS_VARIANT: 11,
-    OWL_SAME_AS: 12,
 }
 
 
@@ -107,24 +93,8 @@ class TurtleSyntaxError(ValueError):
 
 
 def graph_triples(g: Graph) -> list[Triple]:
-    """Every statement the exporter will emit, in no particular order."""
-    triples: list[Triple] = []
-    for sim in g.simulations.values():
-        triples.append((sim.id, RDF_TYPE, sim.kind.schema_iri))
-        triples.extend((sim.id, SIM_HAS_SIMULACRUM, a) for a in sim.simulacra)
-        triples.extend((sim.id, rel.schema_iri, rc) for rel, rc in sim.reality_counterparts)
-        triples.extend((sim.id, SIM_HAS_CONTEXT, c) for c in sim.contexts)
-        triples.extend((sim.id, PROV_WAS_DERIVED_FROM, src) for src in sim.sources)
-    for entity in g.entities.values():
-        triples.append((entity.id, RDFS_LABEL, Literal(entity.label)))
-        for role in entity.roles:
-            triples.append((entity.id, RDF_TYPE, role.schema_iri))
-        for link in entity.external_links:
-            triples.append((entity.id, OWL_SAME_AS, link))
-    for base, variant in g.variant_edges:
-        triples.append((base, SIM_HAS_VARIANT, variant))
-    triples.extend(g.extra_triples)
-    return triples
+    """Every statement the exporter will emit, each once, in no particular order."""
+    return [(s, p, o) for s, block in g.blocks() for p, objects in block for o in objects]
 
 
 def export_turtle(g: Graph, force: bool = False) -> str:
@@ -138,53 +108,14 @@ def export_turtle(g: Graph, force: bool = False) -> str:
         if violations:
             raise GraphViolationsError(violations)
 
-    extras: dict[Iri, dict[Iri, set[Union[Iri, Literal]]]] = {}
-    for s, p, o in g.extra_triples:
-        extras.setdefault(s, {}).setdefault(p, set()).add(o)
-    sims, entities, variants = g.simulations, g.entities, g._variant_children
-    subjects = sims.keys() | entities.keys() | variants.keys() | extras.keys()
-
     term = cache(_render_term)  # terms repeat heavily; memoised for this call only
     out = [f"@prefix {prefix}: <{ns}> ." for prefix, ns in PREFIXES]
-    for subject in sorted(subjects):
-        preds = _stored_predicates(sims.get(subject), entities.get(subject), variants.get(subject))
-        extra = extras.get(subject)
-        if extra:
-            merged = dict(preds)
-            for p, objects in extra.items():
-                merged[p] = sorted(objects.union(merged.get(p, ())), key=_object_sort_key)
-            preds = sorted(merged.items(), key=lambda po: (_PREDICATE_RANK.get(po[0], 13), po[0]))
+    for subject, preds in g.blocks():
         block = " ;\n    ".join(
             [f"{'a' if p == RDF_TYPE else term(p)} {', '.join(map(term, objects))}" for p, objects in preds]
         )
         out.append(f"\n{term(subject)} {block} .")
     return "\n".join(out) + "\n"
-
-
-def _stored_predicates(sim: Simulation[Iri] | None, entity: Entity | None, variants: set[Iri] | None) -> list:
-    """A subject's (predicate, objects) pairs from the stores, both in
-    export order.  Stored members are already sorted (IRIs, counterparts by
-    relation rank), and only the type is held by two stores."""
-    types = [role.schema_iri for role in entity.roles] if entity is not None else []
-    if sim is not None:
-        types.append(sim.kind.schema_iri)
-    preds: list = [(RDF_TYPE, sorted(types))] if types else []
-    if entity is not None:
-        preds.append((RDFS_LABEL, [Literal(entity.label)]))
-    if sim is not None:
-        if sim.simulacra:
-            preds.append((SIM_HAS_SIMULACRUM, sim.simulacra))
-        for rel, pairs in groupby(sim.reality_counterparts, key=itemgetter(0)):
-            preds.append((rel.schema_iri, [rc for _, rc in pairs]))
-        if sim.contexts:
-            preds.append((SIM_HAS_CONTEXT, sim.contexts))
-        if sim.sources:
-            preds.append((PROV_WAS_DERIVED_FROM, sim.sources))
-    if variants:
-        preds.append((SIM_HAS_VARIANT, sorted(variants)))
-    if entity is not None and entity.external_links:
-        preds.append((OWL_SAME_AS, sorted(entity.external_links)))
-    return preds
 
 
 _SAFE_LOCAL = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_\-]*\Z")
@@ -210,12 +141,6 @@ def _render_term(o: Union[Iri, Literal]) -> str:
 def _render_literal(o: Literal) -> str:
     text = o.text.translate(_LITERAL_ESCAPES)
     return f'"{text}"@{o.lang}' if o.lang else f'"{text}"'
-
-
-def _object_sort_key(o: Union[Iri, Literal]):
-    if isinstance(o, Literal):
-        return (1, o.text, o.lang or "")
-    return (0, str(o), "")
 
 
 # -- import ----------------------------------------------------------------
@@ -416,10 +341,13 @@ def import_turtle(text: str) -> Graph:
         types = preds.pop(RDF_TYPE, [])  # a literal here is kept as an extra triple
         if KIND_BY_CLASS.keys().isdisjoint(types) and _MEMBER_SLOT.keys().isdisjoint(preds):
             extras.update((subject, RDF_TYPE, t) for t in types if t not in _ROLE_BY_CLASS)
-            labels = [o.text for o in objects(subject, preds, RDFS_LABEL, Literal)]
+            labels = objects(subject, preds, RDFS_LABEL, Literal)
+            label = min([o.text for o in labels]) if labels else subject.local_name
+            # the entity holds one untagged label; the others are extra triples
+            extras.update((subject, RDFS_LABEL, o) for o in labels if o.lang or o.text != label)
             entities[subject] = Entity(
                 subject,
-                min(labels) if labels else subject.local_name,
+                label,
                 frozenset(_ROLE_BY_CLASS[t] for t in types if t in _ROLE_BY_CLASS),
                 frozenset(objects(subject, preds, OWL_SAME_AS, Iri)),
             )

@@ -14,6 +14,7 @@ import zlib
 from simkg import (
     Entity,
     Graph,
+    Literal,
     RcRelation,
     Role,
     SimulationKind,
@@ -22,6 +23,7 @@ from simkg import (
     camel_case,
     make_entity,
 )
+from simkg.graph import OWL_SAME_AS, RDF_TYPE, RDFS_LABEL
 
 # Deliberately awkward labels: collisions after minting, quotes, escapes,
 # unicode, apostrophes, embedded newlines and tabs.
@@ -99,6 +101,21 @@ def build_graph(sims, variants=()) -> Graph:
 def random_graph(rng: random.Random, max_sims: int = 30) -> Graph:
     sims, variants = random_parts(rng, max_sims)
     return build_graph(sims, variants)
+
+
+def add_repeated_statements(g: Graph, rng: random.Random) -> None:
+    """Extra triples that repeat stored statements, as a foreign file can
+    state them: a simulation's kind, an entity's role type and label, and an
+    ``owl:sameAs`` link.  ``random_graph`` never makes these."""
+    sim = g.simulations[rng.choice(sorted(g.simulations))]
+    entity = g.entities[rng.choice(sorted(e.id for e in g.entities.values() if e.roles))]
+    g.extra_triples.add((sim.id, RDF_TYPE, sim.kind.schema_iri))
+    g.extra_triples.add((entity.id, RDF_TYPE, rng.choice(sorted(role.schema_iri for role in entity.roles))))
+    g.extra_triples.add((entity.id, RDFS_LABEL, Literal(entity.label)))
+    linked = sorted(e.id for e in g.entities.values() if e.external_links)
+    if linked:
+        e = g.entities[rng.choice(linked)]
+        g.extra_triples.add((e.id, OWL_SAME_AS, rng.choice(sorted(e.external_links))))
 
 
 def brute_force_meanings(g: Graph) -> set:

@@ -269,7 +269,7 @@ class TestIngestCommands:
         assert "https://w3id.org/simulation/data/rose-love" in load_graph(out).simulations
         err = capsys.readouterr().err
         assert err.count("unusable variant label") == 1
-        assert f"{doc}: line 1: unusable variant label 'Hook', block skipped" in err.splitlines()
+        assert f"{doc}: line 3: unusable variant label 'Hook', block skipped" in err.splitlines()
 
     def test_kind_conflict_is_saved_and_reported(self, tmp_path, capsys):
         probe = tmp_path / "probe.dict"

@@ -50,8 +50,8 @@ class TestParse:
     def test_variant_block(self):
         parsed = parse_dictionary("bird\n  freedom\n  ~ night bird:\n    death\n")
         entry = parsed.entries[0]
-        assert entry.variant_blocks == (("night bird", entry.variant_blocks[0][1]),)
-        label, clauses = entry.variant_blocks[0]
+        assert entry.variant_blocks == (("night bird", entry.variant_blocks[0][1], 3),)
+        label, clauses, _ = entry.variant_blocks[0]
         assert label == "night bird"
         assert clauses[0].meaning_terms == ("death",)
 
@@ -159,9 +159,15 @@ class TestConvert:
         # "Hook" mints the lemma's own IRI, so the link would be a self-loop.
         parsed = parse_dictionary("hook\n  attraction\n  ~ Hook:\n    lure\n")
         out = convert_entry(parsed.entries[0], source)
-        assert out.warnings == ["line 1: unusable variant label 'Hook', block skipped"]
+        assert out.warnings == ["line 3: unusable variant label 'Hook', block skipped"]
         assert out.variants == []
         assert [s.id.local_name for s in out.simulations] == ["hook-attraction"]
+
+    def test_unusable_variant_warning_names_the_block_line(self, source):
+        _, conv = convert_document("\nhook\n  attraction\n  ~ night bird:\n    death\n  ~ Hook:\n    lure\n", source)
+        assert conv.warnings == ["line 6: unusable variant label 'Hook', block skipped"]
+        _, conv = convert_document("hook\n  attraction\n  ~ Hook:\n    lure\n", source)
+        assert conv.warnings == ["line 3: unusable variant label 'Hook', block skipped"]
 
     def test_every_simulation_passes_axioms(self, source):
         g = Graph()
@@ -179,7 +185,7 @@ class TestConvert:
         expected = sum(
             len(clause.meaning_terms)
             for entry in parsed.entries
-            for clause in entry.clauses + tuple(c for _, cs in entry.variant_blocks for c in cs)
+            for clause in entry.clauses + tuple(c for _, cs, _ in entry.variant_blocks for c in cs)
         )
         assert len(conv.simulations) == expected
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphgen import brute_force_meanings, build_graph, random_graph, random_parts
+from graphgen import add_repeated_statements, brute_force_meanings, build_graph, random_graph, random_parts
 from simkg import (
     Axiom,
     CycleError,
@@ -22,6 +22,19 @@ from simkg import (
     make_entity,
 )
 from simkg.model import KB
+from simkg.serialize import _parse_statements, graph_triples
+
+# A simulation that is also its own simulacrum and is typed sim:Simulacrum,
+# labelled "s": its type and label extra triples repeat stored statements.
+SELF_SIMULACRUM_DOC = """\
+@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .
+@prefix prov: <http://www.w3.org/ns/prov#> .
+@prefix sim: <https://w3id.org/simulation/ontology/> .
+@prefix kb: <https://w3id.org/simulation/data/> .
+
+kb:s a sim:Simulation, sim:Simulacrum ; rdfs:label "s" ; sim:hasSimulacrum kb:s ;
+     sim:hasRealityCounterpart kb:m ; sim:hasContext kb:c ; prov:wasDerivedFrom kb:src .
+"""
 
 
 def _sim(simulacrum, rc, contexts, source, kind=SimulationKind.GENERIC, rel=RcRelation.HAS):
@@ -177,13 +190,20 @@ class TestStats:
         assert stats.total.n_simulacra <= sum(r.n_simulacra for r in stats.rows)
 
     def test_total_triples_equal_export_statement_count(self, toy_graph):
-        stats = toy_graph.stats()
-        text = export_turtle(toy_graph)
-        # independent count: re-parse the document and count its statements
-        reparsed = import_turtle(text)
-        from simkg.serialize import graph_triples
+        assert toy_graph.stats().total.n_triples == _count_triples_in_turtle(export_turtle(toy_graph))
 
-        assert stats.total.n_triples == len(set(graph_triples(reparsed)))
+    def test_extra_triple_repeating_a_stored_statement_counted_once(self):
+        g = import_turtle(SELF_SIMULACRUM_DOC)
+        text = export_turtle(g, force=True)
+        assert (g.stats().total.n_triples, len(graph_triples(g)), _count_triples_in_turtle(text)) == (13, 13, 13)
+
+    def test_total_triples_with_repeated_extras(self):
+        for seed in range(20):
+            rng = random.Random(seed)
+            g = random_graph(rng, max_sims=12)
+            add_repeated_statements(g, rng)
+            expected = _count_triples_in_turtle(export_turtle(g, force=True))
+            assert g.stats().total.n_triples == expected, f"seed {seed}"
 
     def test_per_source_triples_equal_subgraph_export(self):
         g = Graph()
@@ -197,10 +217,8 @@ class TestStats:
 
 
 def _count_triples_in_turtle(text: str) -> int:
-    """Brute-force triple count: parse the document back and count."""
-    from simkg.serialize import graph_triples
-
-    return len(set(graph_triples(import_turtle(text))))
+    """Brute-force triple count: the distinct statements the document states."""
+    return sum(len(set(objects)) for preds in _parse_statements(text).values() for objects in preds.values())
 
 
 def test_sample_corpus_matches_golden_stats():

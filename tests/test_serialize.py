@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES
-from graphgen import random_graph
+from graphgen import add_repeated_statements, random_graph
 from simkg import (
     Entity,
     Graph,
@@ -24,14 +24,18 @@ from simkg import (
     save_graph,
 )
 from simkg.model import KB
-from simkg.graph import RDF_TYPE
-from simkg.serialize import (
+from simkg.graph import (
     _PREDICATE_RANK,
-    PREFIXES,
+    OWL_SAME_AS,
+    PROV_WAS_DERIVED_FROM,
+    RDF_TYPE,
     RDFS_LABEL,
     SIM_HAS_CONTEXT,
     SIM_HAS_SIMULACRUM,
     SIM_HAS_VARIANT,
+)
+from simkg.serialize import (
+    PREFIXES,
     _render_literal,
     _TOKEN_RE,
     compact_iri,
@@ -114,20 +118,49 @@ def test_round_trip_of_random_graphs():
         assert export_turtle(back) == text, f"seed {seed}"
 
 
+def _reference_triples(g: Graph) -> list:
+    """Brute-force enumeration of a graph's statements, straight from the
+    stores and the extra triples; a statement two of them hold is listed
+    twice."""
+    triples = []
+    for sim in g.simulations.values():
+        triples.append((sim.id, RDF_TYPE, sim.kind.schema_iri))
+        triples.extend((sim.id, SIM_HAS_SIMULACRUM, a) for a in sim.simulacra)
+        triples.extend((sim.id, rel.schema_iri, rc) for rel, rc in sim.reality_counterparts)
+        triples.extend((sim.id, SIM_HAS_CONTEXT, c) for c in sim.contexts)
+        triples.extend((sim.id, PROV_WAS_DERIVED_FROM, src) for src in sim.sources)
+    for entity in g.entities.values():
+        triples.append((entity.id, RDFS_LABEL, Literal(entity.label)))
+        for role in entity.roles:
+            triples.append((entity.id, RDF_TYPE, role.schema_iri))
+        for link in entity.external_links:
+            triples.append((entity.id, OWL_SAME_AS, link))
+    for base, variant in g.variant_edges:
+        triples.append((base, SIM_HAS_VARIANT, variant))
+    triples.extend(g.extra_triples)
+    return triples
+
+
 def test_emitted_triple_count_equals_stats_total():
     for seed in (3, 17, 29):
-        g = random_graph(random.Random(seed), max_sims=15)
-        from simkg.serialize import graph_triples
-
-        emitted = len(set(graph_triples(g)))
-        assert emitted == g.stats().total.n_triples, f"seed {seed}"
+        rng = random.Random(seed)
+        g = random_graph(rng, max_sims=15)
+        for case in ("plain", "repeated statements", "odd statements"):
+            if case == "repeated statements":
+                add_repeated_statements(g, rng)
+            elif case == "odd statements":
+                _add_odd_statements(g, rng)
+            expected = set(_reference_triples(g))
+            assert g.stats().total.n_triples == len(expected), f"seed {seed}, {case}"
+            triples = graph_triples(g)
+            assert (len(triples), set(triples)) == (len(expected), expected), f"seed {seed}, {case}"
 
 
 def _reference_export(g: Graph) -> str:
-    """The group-and-sort exporter: every statement of ``graph_triples``
+    """The group-and-sort exporter: every statement of ``_reference_triples``
     grouped by subject and predicate, then everything sorted."""
     by_subject: dict = {}
-    for s, p, o in graph_triples(g):
+    for s, p, o in _reference_triples(g):
         by_subject.setdefault(s, {}).setdefault(p, set()).add(o)
 
     def object_key(o):
@@ -186,6 +219,8 @@ def test_export_matches_the_group_and_sort_reference():
         rng = random.Random(seed)
         g = random_graph(rng, max_sims=12)
         assert export_turtle(g) == _reference_export(g), f"seed {seed}"
+        add_repeated_statements(g, rng)
+        assert export_turtle(g, force=True) == _reference_export(g), f"seed {seed}, repeated statements"
         _add_odd_statements(g, rng)
         assert export_turtle(g, force=True) == _reference_export(g), f"seed {seed}, odd statements"
 
@@ -309,6 +344,24 @@ kb:owl rdfs:label "owl"@en .
 """
     )
     assert g.entities[Iri(KB + "owl")].label == "owl"
+    assert g.extra_triples == {(Iri(KB + "owl"), RDFS_LABEL, Literal("owl", "en"))}
+
+
+def test_labels_an_entity_cannot_hold_are_kept():
+    doc = (
+        "@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n"
+        "@prefix sim: <https://w3id.org/simulation/ontology/> .\n"
+        "@prefix kb: <https://w3id.org/simulation/data/> .\n"
+        'kb:x a sim:Context ; rdfs:label "b", "a", "Rose"@en .\n'
+    )
+    g = import_turtle(doc)
+    x = Iri(KB + "x")
+    assert g.entities[x].label == "Rose"  # the smallest text
+    assert g.extra_triples == {(x, RDFS_LABEL, Literal(t, lang)) for t, lang in (("b", None), ("a", None), ("Rose", "en"))}
+    text = export_turtle(g, force=True)
+    assert 'kb:x a sim:Context ;\n    rdfs:label "Rose", "Rose"@en, "a", "b" .' in text
+    assert import_turtle(text) == g
+    assert g.stats().total.n_triples == len(graph_triples(g)) == 5
 
 
 def test_unknown_predicates_preserved_and_reemitted():
