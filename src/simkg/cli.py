@@ -250,6 +250,9 @@ def _insert_all(g: Graph, simulations, variants=()) -> None:
             g.add_variant(link.base, link.variant)
         except CycleError as err:
             print(f"warning: {err}", file=sys.stderr)
+            continue
+        for end in (link.base, link.variant):  # simulacra, even with no simulation of their own
+            g.state_role(end.id, Role.SIMULACRUM)
 
 
 def _save_graph_output(g: Graph, args) -> None:
@@ -283,7 +286,7 @@ def _cmd_ingest_dict(args) -> int:
     g = _load(args)
     table = _load_phrase_table(args.phrase_table)
     for name in args.files:
-        source = make_entity(args.source_label or Path(name).stem, Role.SOURCE)
+        source = make_entity(args.source_label or Path(name).stem)
         parsed, conv = convert_document(_read(_read_text, name), source, table)
         for warning in conv.warnings:
             print(f"{name}: {warning}", file=sys.stderr)
@@ -306,7 +309,7 @@ def _cmd_ingest_dbpedia(args) -> int:
     else:
         triples = fetch_symbol_data(args.endpoint, page_size=args.page_size)
     excluded = set(DEFAULT_EXCLUDED_TYPES) | set(args.exclude_type)
-    source = make_entity(args.source_label, Role.SOURCE)
+    source = make_entity(args.source_label)
     conv = convert_dbpedia(triples, source, excluded_types=excluded)
     for warning in conv.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -318,7 +321,7 @@ def _cmd_ingest_dbpedia(args) -> int:
 
 def _cmd_ingest_wordnet(args) -> int:
     g = _load(args)
-    source = make_entity(args.source_label, Role.SOURCE)
+    source = make_entity(args.source_label)
     for name in args.files:
         records = _read(read_synset_file, name)
         conv = convert_synsets(records, source)

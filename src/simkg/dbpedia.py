@@ -30,7 +30,6 @@ from .model import (
     Entity,
     Iri,
     RcRelation,
-    Role,
     Simulation,
     SimulationKind,
     build_simulation,
@@ -361,10 +360,10 @@ def _convert_symbol_row(triple, source, excluded, out) -> Optional[Simulation[En
     if dropped:
         out.warnings.append(f"{triple.subject}: excluded subject type {dropped[0].local_name}")
         return None
-    rc = make_entity(_resource_label(triple.subject), Role.REALITY_COUNTERPART)
-    simulacrum = make_entity(_object_label(triple.object), Role.SIMULACRUM)
+    rc = make_entity(_resource_label(triple.subject))
+    simulacrum = make_entity(_object_label(triple.object))
     if triple.subject_types:
-        contexts = [make_entity(_resource_label(t), Role.CONTEXT) for t in triple.subject_types]
+        contexts = [make_entity(_resource_label(t)) for t in triple.subject_types]
     else:
         contexts = [general_context()]
     return build_simulation(SimulationKind.GENERIC, simulacrum, [(RcRelation.HAS, rc)], contexts, [source])
@@ -376,8 +375,8 @@ def _convert_category_row(triple, source, out) -> Optional[Simulation[Entity]]:
     if not cleaned:
         out.warnings.append(f"{triple.subject}: category {triple.object} empty after cleaning")
         return None
-    simulacrum = make_entity(_resource_label(triple.subject), Role.SIMULACRUM)
-    rc = make_entity(cleaned, Role.REALITY_COUNTERPART)
+    simulacrum = make_entity(_resource_label(triple.subject))
+    rc = make_entity(cleaned)
     return build_simulation(
         SimulationKind.GENERIC, simulacrum, [(RcRelation.HAS, rc)], [general_context()], [source]
     )

@@ -28,7 +28,6 @@ from .model import (
     EmptyLabelError,
     Entity,
     RcRelation,
-    Role,
     Simulation,
     SimulationKind,
     VariantLink,
@@ -194,15 +193,20 @@ def convert_entry(
     One simulation per meaning term per clause; a clause without contexts
     falls back to the general-or-unknown context; an unrecognized relation
     phrase demotes the clause to a generic simulation and is reported in
-    the warnings.
+    the warnings.  A lemma, variant label, context or meaning term that
+    cannot be minted skips its entry, block, clause or term with a warning.
     """
     table = PHRASE_TABLE if phrase_table is None else phrase_table
     out = DictConversion()
-    lemma_entity = make_entity(entry.lemma, Role.SIMULACRUM)
+    try:
+        lemma_entity = make_entity(entry.lemma)
+    except EmptyLabelError:
+        out.warnings.append(f"line {entry.line}: unusable lemma {entry.lemma!r}, entry skipped")
+        return out
     _convert_clauses(lemma_entity, entry.clauses, source, table, out)
     for variant_label, variant_clauses, line in entry.variant_blocks:
         try:
-            variant_entity = make_entity(variant_label, Role.SIMULACRUM)
+            variant_entity = make_entity(variant_label)
             link = VariantLink(base=lemma_entity, variant=variant_entity)
         except (EmptyLabelError, CycleError):
             out.warnings.append(f"line {line}: unusable variant label {variant_label!r}, block skipped")
@@ -220,6 +224,11 @@ def _convert_clauses(
     out: DictConversion,
 ) -> None:
     for clause in clauses:
+        try:
+            contexts = [make_entity(label) for label in clause.context_labels] or [general_context()]
+        except EmptyLabelError as err:
+            out.warnings.append(f"line {clause.line}: unusable context, clause skipped ({err})")
+            continue
         kind, relation = SimulationKind.GENERIC, RcRelation.HAS
         if clause.relation_phrase is not None:
             entry = table.get(clause.relation_phrase.lower())
@@ -229,13 +238,9 @@ def _convert_clauses(
                 )
             else:
                 kind, relation = entry
-        if clause.context_labels:
-            contexts = [make_entity(label, Role.CONTEXT) for label in clause.context_labels]
-        else:
-            contexts = [general_context()]
         for term in clause.meaning_terms:
             try:
-                rc = make_entity(term, Role.REALITY_COUNTERPART)
+                rc = make_entity(term)
                 out.simulations.append(build_simulation(kind, simulacrum, [(relation, rc)], contexts, [source]))
             except (EmptyLabelError, CardinalityError) as err:
                 out.warnings.append(f"line {clause.line}: skipped meaning term {term!r} ({err})")

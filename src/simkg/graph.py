@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .model import (
     OWL,
@@ -23,6 +23,7 @@ from .model import (
     Iri,
     Literal,
     RcRelation,
+    Role,
     Simulation,
     SimulationKind,
     VariantLink,
@@ -91,17 +92,19 @@ _RC_RANK = {rel: i for i, rel in enumerate(RcRelation)}
 
 
 def statement_block(
-    sim: Simulation[Iri] | None, entity: Entity | None, variants: set[Iri] | None, extra: Extra | None = None
+    sim: Simulation[Iri] | None, entity: Entity | None, roles: Iterable[Role], variants: set[Iri] | None,
+    extra: Extra | None = None,
 ) -> Block:
     """The one definition of a subject's statements, which export renders,
-    ``graph_triples`` flattens and ``stats`` sizes.  Stored members are
-    already sorted, and only the type is held by two stores; ``extra`` is
-    merged in, so an extra triple that repeats a stored one is held once."""
+    ``graph_triples`` flattens and ``stats`` sizes.  ``roles`` are the
+    entity's, from :meth:`Graph.roles_of`.  Stored members are already
+    sorted, and only the type is held by two stores; ``extra`` is merged
+    in, so an extra triple that repeats a stored one is held once."""
     preds: Block
     if entity is None:
         preds = [(RDF_TYPE, [sim.kind.schema_iri])] if sim is not None else []
     else:
-        types = [role.schema_iri for role in entity.roles]
+        types = [role.schema_iri for role in roles]
         if sim is not None:
             types.append(sim.kind.schema_iri)
         preds = [(RDF_TYPE, sorted(types))] if types else []
@@ -144,7 +147,8 @@ class Graph:
 
     Each fact is stored once: a stored simulation holds its members' IRIs
     (``Simulation[Iri]``), an entity lives only in ``entities``, and the
-    meaning and variant relations live only in their indexes.
+    meaning and variant relations live only in their indexes, which also
+    imply members' roles; :meth:`state_role` stores only roles they do not.
     """
 
     def __init__(self) -> None:
@@ -160,6 +164,9 @@ class Graph:
         self._sims_by_context: dict[Iri, set[Iri]] = defaultdict(set)
         self._sims_by_source: dict[Iri, set[Iri]] = defaultdict(set)
         self._meanings_of: dict[Iri, set[Iri]] = defaultdict(set)
+        indexes = self._sims_by_simulacrum, self._sims_by_rc, self._sims_by_context, self._sims_by_source
+        self._index_of_role = dict(zip(Role, indexes))  # Role lists the four positions in this order
+        self._stated_roles: dict[Iri, set[Role]] = {}  # only roles no membership implies
 
     @property
     def variant_edges(self) -> set[tuple[Iri, Iri]]:
@@ -178,31 +185,38 @@ class Graph:
         others: dict[Iri, SimulationKind] = {}
         for s, p, o in self.extra_triples:
             kind = KIND_BY_CLASS.get(o) if p == RDF_TYPE and s in self.simulations else None
-            if kind is not None and (s not in others or kind.value < others[s].value):
+            if kind is None or kind is self.simulations[s].kind:
+                continue
+            if s not in others or kind.value < others[s].value:
                 others[s] = kind
         return {s: (self.simulations[s].kind, others[s]) for s in sorted(others)}
 
     # -- entities ---------------------------------------------------------
 
     def upsert_entity(self, e: Entity) -> Entity:
-        """Merge an entity into the store by IRI: roles and external links
-        union, label resolved order-independently.  Returns the stored
-        entity.  Stored simulations hold IRIs, so none of them changes."""
-        current = self.entities.get(e.id)
-        if current is e:
-            return e
-        if current is None:
-            self.entities[e.id] = e
-            return e
-        if e.roles <= current.roles and e.external_links <= current.external_links and current.label <= e.label:
+        """Merge an entity into the store by IRI: external links union,
+        label resolved order-independently.  Returns the stored entity.
+        Stored simulations hold IRIs, so none of them changes."""
+        current = self.entities.setdefault(e.id, e)
+        if current is e or (e.external_links <= current.external_links and current.label <= e.label):
             return current
-        merged = self.entities[e.id] = Entity(
-            id=current.id,
-            label=_min_label(current.label, e.label),
-            roles=current.roles | e.roles,
-            external_links=current.external_links | e.external_links,
-        )
+        label = _min_label(current.label, e.label)
+        merged = self.entities[e.id] = Entity(e.id, label, current.external_links | e.external_links)
         return merged
+
+    def roles_of(self, iri: Iri) -> set[Role]:
+        """The roles its memberships imply, plus any stated without one."""
+        roles = {role for role, index in self._index_of_role.items() if iri in index}
+        return roles | self._stated_roles[iri] if iri in self._stated_roles else roles
+
+    def state_role(self, iri: Iri, role: Role) -> None:
+        """Give an entity a role with no membership behind it, such as a
+        dictionary variant with no simulation of its own.  An implied role
+        is not stored, and a later membership drops the role it implies."""
+        if iri not in self.entities:
+            raise UnknownEntityError(iri)
+        if iri not in self._index_of_role[role]:
+            self._stated_roles.setdefault(iri, set()).add(role)
 
     def entity(self, ref: Union[Entity, Iri, str]) -> Entity:
         iri = ref.id if isinstance(ref, Entity) else Iri(ref)
@@ -264,6 +278,9 @@ class Graph:
         for a in stored.simulacra:
             for _, rc in stored.reality_counterparts:
                 self._meanings_of[a].add(rc)
+        for m in stored.members() if self._stated_roles else ():  # drop what a membership now implies
+            if left := {role for role in self._stated_roles.pop(m, ()) if m not in self._index_of_role[role]}:
+                self._stated_roles[m] = left
         return stored
 
     # -- variants ---------------------------------------------------------
@@ -330,8 +347,9 @@ class Graph:
             yield subject, self._block(subject, extras.get(subject))
 
     def _block(self, subject: Iri, extra: Extra | None = None) -> Block:
-        sims, entities, variants = self.simulations, self.entities, self._variant_children
-        return statement_block(sims.get(subject), entities.get(subject), variants.get(subject), extra)
+        entity = self.entities.get(subject)
+        roles = self.roles_of(subject) if entity is not None else ()
+        return statement_block(self.simulations.get(subject), entity, roles, self._variant_children.get(subject), extra)
 
     def _extras_by_subject(self) -> dict[Iri, Extra]:
         extras: dict[Iri, Extra] = {}
@@ -346,8 +364,8 @@ class Graph:
         simulation, entity and variant parts share no statement, so each is
         sized once.  A source's row counts its simulations, their members and
         the variant links among those; the totals row, what export writes."""
-        sim_size = {i: _size(statement_block(s, None, None)) for i, s in self.simulations.items()}
-        entity_size = {i: _size(statement_block(None, e, None)) for i, e in self.entities.items()}
+        sim_size = {i: _size(statement_block(s, None, (), None)) for i, s in self.simulations.items()}
+        entity_size = {i: _size(statement_block(None, e, self.roles_of(i), None)) for i, e in self.entities.items()}
         rows = []
         for src in sorted(self._sims_by_source, key=lambda i: (self.entities[i].label, i)):
             sims = [self.simulations[i] for i in self._sims_by_source[src]]
@@ -381,6 +399,7 @@ class Graph:
             and self.simulations == other.simulations
             and self._variant_children == other._variant_children
             and self.extra_triples == other.extra_triples
+            and self._stated_roles == other._stated_roles
         )
 
     def __repr__(self) -> str:

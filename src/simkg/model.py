@@ -16,7 +16,7 @@ threads.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from typing import Generic, Iterable, Optional, TypeVar, Union
@@ -214,17 +214,11 @@ def mint_iri(label: str, namespace: str = KB) -> Iri:
 
 @dataclass(frozen=True, slots=True)
 class Entity:
-    """A named node: simulacrum, reality counterpart, context or source."""
+    """A named node: simulacrum, reality counterpart, context or source (its roles: ``Graph.roles_of``)."""
 
     id: Iri
     label: str
-    roles: frozenset[Role] = frozenset()
     external_links: frozenset[Iri] = frozenset()
-
-    def with_roles(self, *roles: Role) -> "Entity":
-        if self.roles.issuperset(roles):
-            return self
-        return replace(self, roles=self.roles.union(roles))
 
 
 def make_entity(
@@ -237,24 +231,20 @@ def make_entity(
 
     Entities are immutable, so equal arguments return one shared value from
     a bounded cache: a converter that mentions a label many times builds
-    its entity once.  A blank label raises on every call.
+    its entity once.  A blank label raises on every call.  ``roles`` are
+    accepted and ignored; a graph derives roles from memberships.
     """
-    return _shared_entity(label, frozenset(roles), namespace, frozenset(links))
+    return _shared_entity(label, namespace, frozenset(links))
 
 
 @lru_cache(maxsize=65536)
-def _shared_entity(label: str, roles: frozenset[Role], namespace: str, links: frozenset[str]) -> Entity:
-    return Entity(
-        id=mint_iri(label, namespace),
-        label=label,
-        roles=roles,
-        external_links=frozenset(Iri(l) for l in links),
-    )
+def _shared_entity(label: str, namespace: str, links: frozenset[str]) -> Entity:
+    return Entity(id=mint_iri(label, namespace), label=label, external_links=frozenset(Iri(l) for l in links))
 
 
 def general_context() -> Entity:
     """The catch-all context used when a source states none."""
-    return make_entity(GENERAL_OR_UNKNOWN_LABEL, Role.CONTEXT)
+    return make_entity(GENERAL_OR_UNKNOWN_LABEL)
 
 
 RcPair = tuple[RcRelation, Entity]
@@ -350,19 +340,14 @@ def build_simulation(
     """
     if simulacrum is None:
         raise CardinalityError(Axiom.SIMULACRUM_CARDINALITY, "expected exactly 1 simulacrum, found 0")
-    sim_entity = simulacrum.with_roles(Role.SIMULACRUM)
-    rc_pairs = tuple((rel, e.with_roles(Role.REALITY_COUNTERPART)) for rel, e in _dedupe_rcs(rcs))
-    context_tuple = tuple(e.with_roles(Role.CONTEXT) for e in _dedupe_entities(contexts))
-    source_tuple = tuple(e.with_roles(Role.SOURCE) for e in _dedupe_entities(sources))
-
-    local = simulation_local_name(sim_entity, rc_pairs)
+    rc_pairs = _dedupe_rcs(rcs)
     sim = Simulation(
-        id=Iri(KB + local),
+        id=Iri(KB + simulation_local_name(simulacrum, rc_pairs)),
         kind=kind,
-        simulacra=(sim_entity,),
+        simulacra=(simulacrum,),
         reality_counterparts=rc_pairs,
-        contexts=context_tuple,
-        sources=source_tuple,
+        contexts=_dedupe_entities(contexts),
+        sources=_dedupe_entities(sources),
     )
     broken = cardinality_violations(sim)
     if broken:

@@ -19,7 +19,6 @@ import logging
 import os
 import re
 from functools import cache
-from dataclasses import replace
 from itertools import chain, islice
 from typing import Union
 
@@ -334,8 +333,10 @@ def import_turtle(text: str) -> Graph:
         return kept
 
     # Subjects go in as they come.  Members and variants that no subject
-    # declares are made afterwards, so a default label never competes.
+    # declares are made afterwards, so a default label never competes, and
+    # roles are stated once every membership is stored.
     variant_edges: list[tuple[Iri, Iri]] = []
+    stated: list[tuple[Iri, Role]] = []
     for subject in sorted(statements):
         preds = statements[subject]
         types = preds.pop(RDF_TYPE, [])  # a literal here is kept as an extra triple
@@ -345,12 +346,8 @@ def import_turtle(text: str) -> Graph:
             label = min([o.text for o in labels]) if labels else subject.local_name
             # the entity holds one untagged label; the others are extra triples
             extras.update((subject, RDFS_LABEL, o) for o in labels if o.lang or o.text != label)
-            entities[subject] = Entity(
-                subject,
-                label,
-                frozenset(_ROLE_BY_CLASS[t] for t in types if t in _ROLE_BY_CLASS),
-                frozenset(objects(subject, preds, OWL_SAME_AS, Iri)),
-            )
+            entities[subject] = Entity(subject, label, frozenset(objects(subject, preds, OWL_SAME_AS, Iri)))
+            stated += ((subject, _ROLE_BY_CLASS[t]) for t in types if t in _ROLE_BY_CLASS)
             variant_edges += ((subject, o) for o in objects(subject, preds, SIM_HAS_VARIANT, Iri, warn=True))
         else:
             kinds = [KIND_BY_CLASS[t] for t in types if t in KIND_BY_CLASS]
@@ -372,18 +369,13 @@ def import_turtle(text: str) -> Graph:
         for pred, rest in preds.items():
             extras.update((subject, pred, o) for o in rest)
 
-    slots = ((Role.SIMULACRUM, g._sims_by_simulacrum), (Role.REALITY_COUNTERPART, g._sims_by_rc),
-             (Role.CONTEXT, g._sims_by_context), (Role.SOURCE, g._sims_by_source))
-    # One pass over the member and variant IRIs, each entity touched once.
-    for iri in dict.fromkeys(chain(*(index for _, index in slots), (v for _, v in variant_edges))):
-        roles = frozenset(role for role, index in slots if iri in index)
-        e = entities.get(iri)
-        if e is None:
-            entities[iri] = Entity(iri, iri.local_name, roles)
-        elif not roles <= e.roles:
-            entities[iri] = replace(e, roles=e.roles | roles)
+    for iri in chain(*g._index_of_role.values(), (v for _, v in variant_edges)):
+        if iri not in entities:
+            entities[iri] = Entity(iri, iri.local_name)
     for base, variant in variant_edges:
         g._add_variant_edge(base, variant)
+    for subject, role in stated:
+        g.state_role(subject, role)
     return g
 
 

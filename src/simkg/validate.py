@@ -51,9 +51,10 @@ def check_axioms(g: Graph) -> list[Violation]:
     for node in _nodes_on_variant_cycles(g):
         found.append(Violation(Axiom.VARIANT_CYCLE, node, "entity lies on a cycle of the variant relation"))
 
+    # only a stated role can sit on an entity with no membership
     symbol_roles = {Role.SIMULACRUM, Role.REALITY_COUNTERPART}
-    for iri, entity in g.entities.items():
-        if entity.roles & symbol_roles and iri not in participating:
+    for iri, roles in g._stated_roles.items():
+        if roles & symbol_roles and iri not in participating:
             found.append(
                 Violation(Axiom.DANGLING_ENTITY, iri, "simulacrum/reality-counterpart not linked to any simulation or variant")
             )

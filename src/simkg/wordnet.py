@@ -21,7 +21,6 @@ from .model import (
     Entity,
     Iri,
     RcRelation,
-    Role,
     Simulation,
     SimulationKind,
     build_simulation,
@@ -88,13 +87,15 @@ def convert_synset(record: SynsetRecord, source: Entity) -> list[Simulation[Enti
 
     The record's label becomes the simulacrum, linked back to the synset
     IRI; a leading parenthesized phrase in the gloss becomes the context.
-    Raises :class:`NoTriggerError` when the gloss has no trigger phrase.
+    Raises :class:`NoTriggerError` when the gloss has no trigger phrase,
+    and :class:`EmptyLabelError` when the label or the context cannot be
+    minted.
     """
     gloss = record.gloss
     context = general_context()
     m = _LEADING_CONTEXT.match(gloss)
     if m and m.group(1).strip():
-        context = make_entity(m.group(1).strip(), Role.CONTEXT)
+        context = make_entity(m.group(1).strip())
         gloss = gloss[m.end():]
 
     m = _TRIGGER.search(gloss)
@@ -105,14 +106,14 @@ def convert_synset(record: SynsetRecord, source: Entity) -> list[Simulation[Enti
     if boundary:
         tail = tail[: boundary.start()]
 
-    simulacrum = make_entity(record.label, Role.SIMULACRUM, links=[record.synset_iri])
+    simulacrum = make_entity(record.label, links=[record.synset_iri])
     simulations = []
     for piece in _SPLITTER.split(tail):
         term = _ARTICLE.sub("", piece.strip()).strip()
         if not term:
             continue
         try:
-            rc = make_entity(term, Role.REALITY_COUNTERPART)
+            rc = make_entity(term)
         except EmptyLabelError:
             logger.debug("skipping unmintable meaning term %r from %s", term, record.synset_iri)
             continue
@@ -140,4 +141,7 @@ def convert_synsets(records: Iterable[SynsetRecord], source: Entity) -> WordnetC
         except NoTriggerError:
             out.skipped.append(record)
             out.warnings.append(f"{record.synset_iri}: no trigger phrase in gloss, skipped")
+        except EmptyLabelError as err:
+            out.skipped.append(record)
+            out.warnings.append(f"{record.synset_iri}: unusable label, record skipped ({err})")
     return out

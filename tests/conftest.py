@@ -26,8 +26,8 @@ def toy_graph() -> Graph:
     """The small development dataset: olive with two sources, bee, owl,
     a variant chain, one protection, one healing and one two-rc simulation."""
     g = Graph()
-    src1 = make_entity("dictionary of symbols 1", Role.SOURCE)
-    src2 = make_entity("dictionary of symbols 2", Role.SOURCE)
+    src1 = make_entity("dictionary of symbols 1")
+    src2 = make_entity("dictionary of symbols 2")
     olive = make_entity("olive")
     general = make_entity("General or Unknown")
 
@@ -59,7 +59,9 @@ def toy_graph() -> Graph:
     g.insert_simulation(
         build_simulation(SimulationKind.GENERIC, night_bird, [(RcRelation.HAS, make_entity("death"))], [general], [src1])
     )
-    g.add_variant(make_entity("bird", Role.SIMULACRUM), night_bird)
+    bird = make_entity("bird")
+    g.add_variant(bird, night_bird)
+    g.state_role(bird.id, Role.SIMULACRUM)
     g.insert_simulation(
         build_simulation(
             SimulationKind.PROTECTION,

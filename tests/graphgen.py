@@ -69,7 +69,7 @@ def random_simulation(rng: random.Random) -> Simulation:
 
 def _source(rng: random.Random, word: str) -> Entity:
     links = [f"http://example.org/source/{camel_case(word)}"] if rng.random() < 0.3 else []
-    return make_entity(word, Role.SOURCE, links=links)
+    return make_entity(word, links=links)
 
 
 def random_parts(rng: random.Random, max_sims: int = 30) -> tuple[list[Simulation], list[tuple[Entity, Entity]]]:
@@ -108,14 +108,23 @@ def add_repeated_statements(g: Graph, rng: random.Random) -> None:
     state them: a simulation's kind, an entity's role type and label, and an
     ``owl:sameAs`` link.  ``random_graph`` never makes these."""
     sim = g.simulations[rng.choice(sorted(g.simulations))]
-    entity = g.entities[rng.choice(sorted(e.id for e in g.entities.values() if e.roles))]
+    entity = g.entities[rng.choice(sorted(e for e in g.entities if g.roles_of(e)))]
     g.extra_triples.add((sim.id, RDF_TYPE, sim.kind.schema_iri))
-    g.extra_triples.add((entity.id, RDF_TYPE, rng.choice(sorted(role.schema_iri for role in entity.roles))))
+    g.extra_triples.add((entity.id, RDF_TYPE, rng.choice(sorted(role.schema_iri for role in g.roles_of(entity.id)))))
     g.extra_triples.add((entity.id, RDFS_LABEL, Literal(entity.label)))
     linked = sorted(e.id for e in g.entities.values() if e.external_links)
     if linked:
         e = g.entities[rng.choice(linked)]
         g.extra_triples.add((e.id, OWL_SAME_AS, rng.choice(sorted(e.external_links))))
+
+
+def add_stated_roles(g: Graph, rng: random.Random) -> None:
+    """Roles stated on entities, as import and the dictionary's variant
+    links state them: on members (an implied role is not stored) and on an
+    entity with no membership.  ``random_graph`` never makes these."""
+    g.upsert_entity(make_entity(rng.choice(["lone star", "stray cat", "odd sock"])))
+    for iri in rng.sample(sorted(g.entities), min(4, len(g.entities))):
+        g.state_role(iri, rng.choice(list(Role)))
 
 
 def brute_force_meanings(g: Graph) -> set:

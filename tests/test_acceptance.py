@@ -17,7 +17,6 @@ from simkg import (
     Graph,
     Iri,
     RcRelation,
-    Role,
     SimulationKind,
     build_simulation,
     check_axioms,
@@ -130,7 +129,7 @@ def test_criterion_5_conversion_fixtures():
 
     g = Graph()
     _, conv = convert_document(
-        (FIXTURES / "hook.dict").read_text(encoding="utf-8"), make_entity("olderr", Role.SOURCE)
+        (FIXTURES / "hook.dict").read_text(encoding="utf-8"), make_entity("olderr")
     )
     _insert_all(g, conv.simulations, conv.variants)
     sims = list(g.simulations.values())
@@ -144,7 +143,7 @@ def test_criterion_5_conversion_fixtures():
 
     g = Graph()
     records = [r for r in read_synset_file(FIXTURES / "penelope.tsv") if r.label == "Penelope"]
-    out = convert_synsets(records, make_entity("Wordnet", Role.SOURCE))
+    out = convert_synsets(records, make_entity("Wordnet"))
     _insert_all(g, out.simulations)
     assert set(g.simulations) == {kb("penelope-devotion"), kb("penelope-fidelity")}
     assert all(
@@ -154,7 +153,7 @@ def test_criterion_5_conversion_fixtures():
 
     g = Graph()
     triples = [t for t in read_triples_file(FIXTURES / "eagle.nt") if t.subject.local_name == "Eagle"]
-    dbp = convert_dbpedia(triples, make_entity("DBpedia", Role.SOURCE))
+    dbp = convert_dbpedia(triples, make_entity("DBpedia"))
     _insert_all(g, dbp.simulations)
     assert set(g.simulations) == {kb("eagle-liechtenstein")}
     sim = g.simulations[kb("eagle-liechtenstein")]
@@ -166,7 +165,7 @@ def test_criterion_5_conversion_fixtures():
 
 def test_criterion_6_eval_harness():
     toy = Graph()
-    src = make_entity("s", Role.SOURCE)
+    src = make_entity("s")
     for simulacrum, meaning in (("a", "x"), ("b", "y")):
         toy.insert_simulation(
             build_simulation(
@@ -181,7 +180,7 @@ def test_criterion_6_eval_harness():
     for row in (*identical.rows, identical.average):
         assert row.precision == row.recall == row.f1 == 1.0
 
-    toy.add_variant(make_entity("a", Role.SIMULACRUM), make_entity("v", Role.SIMULACRUM))
+    toy.add_variant(make_entity("a"), make_entity("v"))
     predicted = predicted_items(toy)
     assert sum(len(v) for v in predicted.values()) == 10
     gold = {cat: set(items) for cat, items in predicted.items()}
@@ -202,7 +201,7 @@ def test_criterion_6_eval_harness():
 
 def test_criterion_7_case_study_shape():
     g = Graph()
-    src = make_entity("olderr", Role.SOURCE)
+    src = make_entity("olderr")
     ctx = make_entity("general")
 
     def add(simulacrum, meaning):
@@ -271,10 +270,10 @@ def test_criterion_7_case_study_shape():
 def test_criterion_8_scale():
     rng = random.Random(987654321)
     n_sims = 50_000
-    contexts = [make_entity(f"context {i}", Role.CONTEXT) for i in range(300)]
-    sources = [make_entity(f"source collection {i}", Role.SOURCE) for i in range(3)]
-    meanings = [make_entity(f"meaning {i}", Role.REALITY_COUNTERPART) for i in range(6000)]
-    simulacra = [make_entity(f"symbol {i}", Role.SIMULACRUM) for i in range(10000)]
+    contexts = [make_entity(f"context {i}") for i in range(300)]
+    sources = [make_entity(f"source collection {i}") for i in range(3)]
+    meanings = [make_entity(f"meaning {i}") for i in range(6000)]
+    simulacra = [make_entity(f"symbol {i}") for i in range(10000)]
 
     start = time.perf_counter()
     g = Graph()

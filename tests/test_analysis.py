@@ -9,7 +9,6 @@ from simkg import (
     Graph,
     Iri,
     RcRelation,
-    Role,
     SimulationKind,
     UnknownEntityError,
     build_simulation,
@@ -30,7 +29,7 @@ def _add(g, simulacrum, meanings, source="olderr"):
                 make_entity(simulacrum),
                 [(RcRelation.HAS, make_entity(m))],
                 [make_entity("general")],
-                [make_entity(source, Role.SOURCE)],
+                [make_entity(source)],
             )
         )
 
@@ -82,7 +81,7 @@ class TestColorDistribution:
 
     def test_target_with_no_meanings(self):
         g = Graph()
-        g.upsert_entity(make_entity("pebble", Role.CONTEXT))
+        g.upsert_entity(make_entity("pebble"))
         dist = color_distribution(g, Iri(KB + "pebble"))
         assert dist.rows == ()
 
@@ -180,7 +179,7 @@ class TestEval:
         g = Graph()
         _add(g, "a", ["x"], source="s")
         _add(g, "b", ["y"], source="s")
-        g.add_variant(make_entity("a", Role.SIMULACRUM), make_entity("v", Role.SIMULACRUM))
+        g.add_variant(make_entity("a"), make_entity("v"))
         predicted = predicted_items(g)
         assert sum(len(v) for v in predicted.values()) == 10
         gold = {cat: set(items) for cat, items in predicted.items()}

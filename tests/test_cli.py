@@ -4,8 +4,9 @@ import sys
 import pytest
 
 from conftest import FIXTURES
-from simkg import export_turtle, import_turtle, load_graph
+from simkg import Iri, Role, export_turtle, import_turtle, load_graph
 from simkg.cli import main
+from simkg.model import KB
 from simkg.query import RESULT_VARIABLES, CqId
 
 HEADER = """\
@@ -175,12 +176,11 @@ class TestIngestCommands:
         from simkg import CqId, Graph, run_cq
         from simkg.cli import _insert_all
         from simkg.dictionary import convert_document
-        from simkg.model import Role
         from simkg import make_entity
 
         g = Graph()
         _, conv = convert_document(
-            (FIXTURES / "birds.dict").read_text(encoding="utf-8"), make_entity("olderr", Role.SOURCE)
+            (FIXTURES / "birds.dict").read_text(encoding="utf-8"), make_entity("olderr")
         )
         _insert_all(g, conv.simulations, conv.variants)
         rows = run_cq(g, CqId.Q3_3)
@@ -270,6 +270,63 @@ class TestIngestCommands:
         err = capsys.readouterr().err
         assert err.count("unusable variant label") == 1
         assert f"{doc}: line 3: unusable variant label 'Hook', block skipped" in err.splitlines()
+
+    @pytest.mark.parametrize(
+        "doc, warning, entries",
+        [
+            ("...\n  peace\nrose\n  love\n", "line 1: unusable lemma '...', entry skipped", 2),
+            (
+                "rose\n  [<] peace\n  love\n",
+                "line 2: unusable context, clause skipped (label '<' has no alphanumeric characters)",
+                1,
+            ),
+        ],
+        ids=["lemma", "context"],
+    )
+    def test_unmintable_dictionary_label_does_not_sink_the_ingest(self, doc, warning, entries, tmp_path, capsys):
+        path = tmp_path / "doc.dict"
+        path.write_text(doc, encoding="utf-8")
+        out = tmp_path / "out.ttl"
+        assert main(["ingest-dict", str(path), "--out", str(out)]) == 0
+        assert list(load_graph(out).simulations) == ["https://w3id.org/simulation/data/rose-love"]
+        assert capsys.readouterr().err.splitlines() == [
+            f"{path}: {warning}",
+            f"{path}: {entries} entries -> 1 simulations, 0 variant links",
+        ]
+
+    @pytest.mark.parametrize(
+        "row, bad",
+        [("http://example.org/synset/x\t...\ta symbol of peace\t0\n", "..."),
+         ("http://example.org/synset/x\tdove\t(<) a symbol of peace\t0\n", "<")],
+        ids=["label", "leading-context"],
+    )
+    def test_unmintable_wordnet_label_does_not_sink_the_ingest(self, row, bad, tmp_path, capsys):
+        tsv = tmp_path / "syn.tsv"
+        tsv.write_text(row + "http://example.org/synset/r\trose\ta symbol of love\t0\n", encoding="utf-8")
+        out = tmp_path / "out.ttl"
+        assert main(["ingest-wordnet", str(tsv), "--out", str(out)]) == 0
+        assert list(load_graph(out).simulations) == ["https://w3id.org/simulation/data/rose-love"]
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            f"{tsv}: http://example.org/synset/x: unusable label, record skipped "
+            f"(label {bad!r} has no alphanumeric characters)",
+            f"{tsv}: 2 records -> 1 simulations (1 skipped)",
+        ]
+
+    def test_variant_only_simulacra_keep_their_type(self, tmp_path):
+        # hook has only a variant, and night owl's only term is skipped: no
+        # simulation of their own says they are simulacra
+        doc = tmp_path / "probe.dict"
+        doc.write_text("hook\n  ~ fish hook:\n    catch\nowl\n  wisdom\n  ~ night owl:\n    ...\n", encoding="utf-8")
+        out = tmp_path / "probe.ttl"
+        assert main(["ingest-dict", str(doc), "--out", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        assert 'kb:hook a sim:Simulacrum ;\n    rdfs:label "hook" ;\n    sim:hasVariant kb:fishHook .' in text
+        assert 'kb:nightOwl a sim:Simulacrum ;\n    rdfs:label "night owl" .' in text
+        g = import_turtle(text)
+        assert g._stated_roles == {Iri(KB + "hook"): {Role.SIMULACRUM}, Iri(KB + "nightOwl"): {Role.SIMULACRUM}}
+        assert export_turtle(g) == text
+        assert main(["validate", "--graph", str(out)]) == 0
 
     def test_kind_conflict_is_saved_and_reported(self, tmp_path, capsys):
         probe = tmp_path / "probe.dict"

@@ -17,7 +17,6 @@ from simkg import (
     Iri,
     MalformedResponseError,
     NetworkError,
-    Role,
     SymbolPredicate,
     SymbolTriple,
     convert_dbpedia,
@@ -31,7 +30,7 @@ from simkg.model import KB
 
 @pytest.fixture
 def source():
-    return make_entity("DBpedia", Role.SOURCE)
+    return make_entity("DBpedia")
 
 
 class TestTriplesFile:
@@ -70,7 +69,7 @@ class TestTriplesFile:
             "Spain": "Bull fighting",
             "Chile": 'Say "hi"\t\\ \U0001F985',
         }
-        out = convert_dbpedia(read_triples_file(nt), make_entity("DBpedia", Role.SOURCE))
+        out = convert_dbpedia(read_triples_file(nt), make_entity("DBpedia"))
         assert sorted(s.id.local_name for s in out.simulations) == [
             "bullFighting-spain", "condor-peru", "leek-leek", "sayHi-chile", "vicuña-bolivia",
         ]

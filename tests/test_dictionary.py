@@ -9,7 +9,6 @@ from simkg import (
     Graph,
     Iri,
     RcRelation,
-    Role,
     SimulationKind,
     check_axioms,
     convert_document,
@@ -27,7 +26,7 @@ BIRDS = (FIXTURES / "birds.dict").read_text(encoding="utf-8")
 
 @pytest.fixture
 def source():
-    return make_entity("olderr", Role.SOURCE)
+    return make_entity("olderr")
 
 
 class TestParse:
@@ -132,7 +131,7 @@ class TestConvert:
         assert kinds["agate-healthyBlood"] == (SimulationKind.GENERIC, RcRelation.ELICITED)
 
     def test_olive_example(self, source):
-        src = make_entity("dictionary of symbols 1", Role.SOURCE)
+        src = make_entity("dictionary of symbols 1")
         parsed = parse_dictionary("olive\n  fertility\n")
         out = convert_entry(parsed.entries[0], src)
         sim = out.simulations[0]
@@ -162,6 +161,26 @@ class TestConvert:
         assert out.warnings == ["line 3: unusable variant label 'Hook', block skipped"]
         assert out.variants == []
         assert [s.id.local_name for s in out.simulations] == ["hook-attraction"]
+
+    def test_unmintable_lemma_skips_the_entry(self, source):
+        _, conv = convert_document("...\n  peace\n  ~ dove:\n    love\nrose\n  love\n", source)
+        assert conv.warnings == ["line 1: unusable lemma '...', entry skipped"]
+        assert [s.id.local_name for s in conv.simulations] == ["rose-love"]
+        assert conv.variants == []
+
+    def test_unmintable_context_skips_the_clause(self, source):
+        _, conv = convert_document("rose\n  [<] peace\n  [Greek, <] beauty\n  love\n", source)
+        reason = "(label '<' has no alphanumeric characters)"
+        assert conv.warnings == [
+            f"line 2: unusable context, clause skipped {reason}",
+            f"line 3: unusable context, clause skipped {reason}",
+        ]
+        assert [s.id.local_name for s in conv.simulations] == ["rose-love"]
+
+    def test_skipped_clause_gets_one_warning(self, source):
+        # the clause is skipped before its unknown relation phrase is looked at
+        _, conv = convert_document("rose\n  [<] reminiscent of: peace\n", source)
+        assert conv.warnings == ["line 2: unusable context, clause skipped (label '<' has no alphanumeric characters)"]
 
     def test_unusable_variant_warning_names_the_block_line(self, source):
         _, conv = convert_document("\nhook\n  attraction\n  ~ night bird:\n    death\n  ~ Hook:\n    lure\n", source)
@@ -232,6 +251,6 @@ def test_equal_members_are_one_object(text, source):
     members = [e for sim in conv.simulations for e in sim.members()]
     members += [e for link in conv.variants for e in (link.base, link.variant)]
     for e in members:
-        key = (e.id, e.label, e.roles, e.external_links)
+        key = (e.id, e.label, e.external_links)
         assert first.setdefault(key, e) is e
     assert len(first) < len(members)  # the same labels do recur

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphgen import add_repeated_statements, brute_force_meanings, build_graph, random_graph, random_parts
+from graphgen import (
+    add_repeated_statements,
+    add_stated_roles,
+    brute_force_meanings,
+    build_graph,
+    random_graph,
+    random_parts,
+)
 from simkg import (
     Axiom,
     CycleError,
@@ -21,6 +28,7 @@ from simkg import (
     import_turtle,
     make_entity,
 )
+from simkg.graph import KIND_BY_CLASS, RDF_TYPE
 from simkg.model import KB
 from simkg.serialize import _parse_statements, graph_triples
 
@@ -43,7 +51,7 @@ def _sim(simulacrum, rc, contexts, source, kind=SimulationKind.GENERIC, rel=RcRe
         make_entity(simulacrum),
         [(rel, make_entity(rc))],
         [make_entity(c) for c in contexts],
-        [make_entity(source, Role.SOURCE)],
+        [make_entity(source)],
     )
 
 
@@ -93,12 +101,21 @@ class TestInsert:
             f"KindConflict\t{KB}owl-death\ttyped both Association and Correspondence"
         ]
 
+    def test_repeated_kind_is_no_conflict(self):
+        g = random_graph(random.Random(3), max_sims=12)
+        sim = g.simulations[min(g.simulations)]
+        g.extra_triples.add((sim.id, RDF_TYPE, sim.kind.schema_iri))
+        assert g.kind_conflicts == {}
+        assert check_axioms(g) == []
+        other = next(k for k in SimulationKind if k is not sim.kind)
+        g.extra_triples.add((sim.id, RDF_TYPE, other.schema_iri))
+        assert g.kind_conflicts == {sim.id: (sim.kind, other)}
+
     def test_entity_roles_union_across_inserts(self):
         g = Graph()
         g.insert_simulation(_sim("rose", "purity", ["general"], "olderr"))
         g.insert_simulation(_sim("love", "rose", ["general"], "olderr"))
-        rose = g.entities[Iri(KB + "rose")]
-        assert rose.roles == {Role.SIMULACRUM, Role.REALITY_COUNTERPART}
+        assert g.roles_of(Iri(KB + "rose")) == {Role.SIMULACRUM, Role.REALITY_COUNTERPART}
 
     def test_label_collision_merges_entities(self):
         g = Graph()
@@ -117,32 +134,119 @@ class TestInsert:
         for graph in (g, import_turtle(export_turtle(g))):
             rose = graph.entities[Iri(KB + "whiteRose")]
             assert rose.label == "White Rose"
-            assert rose.roles == {Role.SIMULACRUM, Role.REALITY_COUNTERPART}
+            assert graph.roles_of(rose.id) == {Role.SIMULACRUM, Role.REALITY_COUNTERPART}
             members = [m for s in graph.simulations.values() for m in s.members() if m == rose.id]
             assert len(members) == 3
+
+
+class TestRoles:
+    def test_membership_implies_the_role(self):
+        g = Graph()
+        g.insert_simulation(_sim("owl", "death", ["hindu"], "olderr"))
+        roles = {n: g.roles_of(Iri(KB + n)) for n in ("owl", "death", "hindu", "olderr")}
+        assert roles == {
+            "owl": {Role.SIMULACRUM},
+            "death": {Role.REALITY_COUNTERPART},
+            "hindu": {Role.CONTEXT},
+            "olderr": {Role.SOURCE},
+        }
+        assert g.roles_of(Iri(KB + "owl-death")) == set()
+        g.state_role(Iri(KB + "owl"), Role.SIMULACRUM)  # implied: nothing is stored
+        assert g._stated_roles == {}
+
+    def test_stated_role_is_kept_until_a_membership_implies_it(self):
+        g = Graph()
+        g.upsert_entity(make_entity("owl"))
+        g.state_role(Iri(KB + "owl"), Role.SIMULACRUM)
+        g.state_role(Iri(KB + "owl"), Role.CONTEXT)
+        assert g.roles_of(Iri(KB + "owl")) == {Role.SIMULACRUM, Role.CONTEXT}
+        g.insert_simulation(_sim("owl", "death", ["hindu"], "olderr"))
+        assert g._stated_roles == {Iri(KB + "owl"): {Role.CONTEXT}}
+        g.insert_simulation(_sim("rose", "love", ["owl"], "olderr"))
+        assert g._stated_roles == {}
+        assert g.roles_of(Iri(KB + "owl")) == {Role.SIMULACRUM, Role.CONTEXT}
+
+    def test_stated_roles_count_in_equality(self):
+        g, h = Graph(), Graph()
+        for graph in (g, h):
+            graph.upsert_entity(make_entity("owl"))
+        g.state_role(Iri(KB + "owl"), Role.SIMULACRUM)
+        assert g != h
+        h.state_role(Iri(KB + "owl"), Role.SIMULACRUM)
+        assert g == h
+
+    def test_state_role_needs_the_entity(self):
+        with pytest.raises(UnknownEntityError):
+            Graph().state_role(Iri(KB + "ghost"), Role.SIMULACRUM)
+
+    def test_exported_types_are_the_roles(self):
+        for seed in range(40):
+            rng = random.Random(seed)
+            g = random_graph(rng, max_sims=12)
+            for case in ("plain", "stated roles"):
+                if case == "stated roles":
+                    add_stated_roles(g, rng)
+                text = export_turtle(g, force=True)
+                assert g.stats().total.n_triples == _count_triples_in_turtle(text), f"seed {seed}, {case}"
+                statements = _parse_statements(text)
+                for iri in g.entities:
+                    types = set(statements[iri].get(RDF_TYPE, ())) - KIND_BY_CLASS.keys()
+                    assert types == {role.schema_iri for role in g.roles_of(iri)}, f"seed {seed}, {case}, {iri}"
+
+    def test_round_trip_with_stated_roles(self):
+        for seed in range(40):
+            rng = random.Random(seed)
+            g = random_graph(rng, max_sims=12)
+            add_stated_roles(g, rng)
+            back = import_turtle(export_turtle(g, force=True))
+            assert back == g, f"seed {seed}"
+            assert back._stated_roles == g._stated_roles, f"seed {seed}"
+
+    def test_role_stated_before_its_membership(self):
+        # stating a role and then inserting a simulation that implies it gives
+        # the graph that inserting first would, and it round-trips
+        for seed in range(40):
+            rng = random.Random(seed)
+            sims, variants = random_parts(rng, max_sims=12)
+            early = Graph()
+            for e in {e.id: e for s in sims for e in s.members()}.values():
+                early.upsert_entity(e)
+            entities = sorted(early.entities)
+            stated = [(iri, rng.choice(list(Role))) for iri in rng.sample(entities, min(6, len(entities)))]
+            for iri, role in stated:
+                early.state_role(iri, role)
+            late = build_graph(sims, variants)
+            for s in sims:
+                early.insert_simulation(s)
+            for base, variant in variants:
+                early.add_variant(base, variant)
+            for iri, role in stated:
+                late.state_role(iri, role)
+            assert early == late, f"seed {seed}"
+            assert import_turtle(export_turtle(early, force=True)) == early, f"seed {seed}"
 
 
 class TestVariants:
     def test_closure_over_chain(self):
         g = Graph()
-        bird = make_entity("bird", Role.SIMULACRUM)
-        night = make_entity("night bird", Role.SIMULACRUM)
-        nocturnal = make_entity("nocturnal night bird", Role.SIMULACRUM)
+        bird = make_entity("bird")
+        night = make_entity("night bird")
+        nocturnal = make_entity("nocturnal night bird")
         g.add_variant(bird, night)
         g.add_variant(night, nocturnal)
         assert {e.label for e in g.variant_closure(bird)} == {"night bird", "nocturnal night bird"}
 
     def test_closure_excludes_self_and_handles_leaf(self):
         g = Graph()
-        bird = make_entity("bird", Role.SIMULACRUM)
-        night = make_entity("night bird", Role.SIMULACRUM)
+        bird = make_entity("bird")
+        night = make_entity("night bird")
         g.add_variant(bird, night)
         assert g.variant_closure(night) == set()
 
     def test_single_variant(self):
         g = Graph()
-        stone = make_entity("bloodstone", Role.SIMULACRUM)
-        situated = make_entity("bloodstone placed in a glass of water during a drought", Role.SIMULACRUM)
+        stone = make_entity("bloodstone")
+        situated = make_entity("bloodstone placed in a glass of water during a drought")
         g.add_variant(stone, situated)
         assert {e.id.local_name for e in g.variant_closure(stone)} == {
             "bloodstonePlacedInAGlassOfWaterDuringADrought"
@@ -150,13 +254,13 @@ class TestVariants:
 
     def test_self_loop_rejected(self):
         g = Graph()
-        x = make_entity("x", Role.SIMULACRUM)
+        x = make_entity("x")
         with pytest.raises(CycleError):
-            g.add_variant(x, make_entity("x", Role.SIMULACRUM))
+            g.add_variant(x, make_entity("x"))
 
     def test_cycle_rejected(self):
         g = Graph()
-        a, b, c = (make_entity(w, Role.SIMULACRUM) for w in ("a", "b", "c"))
+        a, b, c = (make_entity(w) for w in ("a", "b", "c"))
         g.add_variant(a, b)
         g.add_variant(b, c)
         with pytest.raises(CycleError):
@@ -232,14 +336,14 @@ def test_sample_corpus_matches_golden_stats():
 
     g = Graph()
     _, conv = convert_document(
-        (FIXTURES / "birds.dict").read_text(encoding="utf-8"), make_entity("olderr", Role.SOURCE)
+        (FIXTURES / "birds.dict").read_text(encoding="utf-8"), make_entity("olderr")
     )
     _insert_all(g, conv.simulations, conv.variants)
     _insert_all(
-        g, convert_synsets(read_synset_file(FIXTURES / "penelope.tsv"), make_entity("Wordnet", Role.SOURCE)).simulations
+        g, convert_synsets(read_synset_file(FIXTURES / "penelope.tsv"), make_entity("Wordnet")).simulations
     )
     _insert_all(
-        g, convert_dbpedia(read_triples_file(FIXTURES / "eagle.nt"), make_entity("DBpedia", Role.SOURCE)).simulations
+        g, convert_dbpedia(read_triples_file(FIXTURES / "eagle.nt"), make_entity("DBpedia")).simulations
     )
     stats = g.stats()
     golden_lines = (FIXTURES / "golden" / "sample_corpus_stats.csv").read_text(encoding="utf-8").splitlines()
@@ -269,7 +373,7 @@ class TestProperties:
                     ]
                     for member, role in memberships:
                         assert isinstance(member, Iri) and member in graph.entities, f"seed {seed}"
-                        assert role in graph.entities[member].roles, f"seed {seed}"
+                        assert role in graph.roles_of(member), f"seed {seed}"
 
     def test_merge_idempotence(self):
         for seed in range(30):

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from simkg import (
     CardinalityError,
     CycleError,
     EmptyLabelError,
+    Entity,
     Iri,
     RcRelation,
     Role,
@@ -94,7 +97,7 @@ def test_schema_iris_are_exhaustive():
 
 class TestBuildSimulation:
     def setup_method(self):
-        self.source = make_entity("olderr", Role.SOURCE)
+        self.source = make_entity("olderr")
         self.ctx = make_entity("egyptian")
 
     def test_bee_resurrection(self):
@@ -106,7 +109,7 @@ class TestBuildSimulation:
             [self.source],
         )
         assert sim.id == Iri(KB + "bee-resurrection")
-        assert sim.simulacrum.roles == {Role.SIMULACRUM}
+        assert sim.simulacrum is make_entity("bee")
         assert sim.kind is SimulationKind.GENERIC
 
     def test_two_rc_id_join_order(self):
@@ -183,17 +186,15 @@ class TestBuildSimulation:
         assert len(sim.contexts) == 1
         assert len(sim.sources) == 1
 
-    def test_roles_are_stamped_on_all_members(self):
+    def test_members_are_the_given_entities(self):
+        # roles come from the slots a graph stores them in, so nothing is stamped on a member
+        resurrection = make_entity("resurrection")
         sim = build_simulation(
-            SimulationKind.GENERIC,
-            make_entity("bee"),
-            [(RcRelation.HAS, make_entity("resurrection"))],
-            [self.ctx],
-            [self.source],
+            SimulationKind.GENERIC, make_entity("bee"), [(RcRelation.HAS, resurrection)], [self.ctx], [self.source]
         )
-        assert Role.REALITY_COUNTERPART in sim.reality_counterparts[0][1].roles
-        assert Role.CONTEXT in sim.contexts[0].roles
-        assert Role.SOURCE in sim.sources[0].roles
+        assert sim.reality_counterparts[0][1] is resurrection
+        assert sim.contexts[0] is self.ctx
+        assert sim.sources[0] is self.source
 
 
 def test_variant_link_rejects_self_loop():
@@ -204,22 +205,28 @@ def test_variant_link_rejects_self_loop():
 
 class TestSharedEntities:
     def test_equal_arguments_return_one_value(self):
-        a = make_entity("white rose", Role.SIMULACRUM, Role.CONTEXT)
-        assert make_entity("white rose", Role.CONTEXT, Role.SIMULACRUM) is a
-        assert make_entity("white rose", Role.SIMULACRUM) is not a
-        assert make_entity("white rose", Role.SIMULACRUM, Role.CONTEXT, namespace=SIM) is not a
+        a = make_entity("white rose")
+        assert make_entity("white rose") is a
+        assert make_entity("white rose", namespace=SIM) is not a
+        assert make_entity("white rose", links=["http://example.org/a"]) is not a
+
+    def test_roles_are_accepted_and_ignored(self):
+        a = make_entity("white rose")
+        assert make_entity("white rose", Role.SOURCE) is a
+        assert make_entity("white rose", Role.SIMULACRUM, Role.CONTEXT) is a
+        assert [f.name for f in fields(Entity)] == ["id", "label", "external_links"]
 
     @pytest.mark.parametrize("label", ["", "   ", "!!!"])
     def test_blank_label_raises_on_every_call(self, label):
         for _ in range(3):
             with pytest.raises(EmptyLabelError):
-                make_entity(label, Role.SIMULACRUM)
+                make_entity(label)
 
     def test_links_as_list_tuple_or_generator(self):
         links = ["http://example.org/b", Iri("http://example.org/a")]
-        from_list = make_entity("olive", Role.SIMULACRUM, links=links)
-        from_tuple = make_entity("olive", Role.SIMULACRUM, links=tuple(reversed(links)))
-        from_generator = make_entity("olive", Role.SIMULACRUM, links=(l for l in links))
+        from_list = make_entity("olive", links=links)
+        from_tuple = make_entity("olive", links=tuple(reversed(links)))
+        from_generator = make_entity("olive", links=(l for l in links))
         assert from_list == from_tuple == from_generator
         assert from_tuple is from_list and from_generator is from_list
         assert from_list.external_links == {Iri("http://example.org/a"), Iri("http://example.org/b")}
@@ -229,17 +236,3 @@ class TestSharedEntities:
         for _ in range(2):
             with pytest.raises(ValueError):
                 make_entity("olive", links=["not an iri"])
-
-    def test_with_held_role_returns_self(self):
-        e = make_entity("olive", Role.SIMULACRUM, Role.CONTEXT)
-        assert e.with_roles(Role.SIMULACRUM) is e
-        assert e.with_roles(Role.CONTEXT, Role.SIMULACRUM) is e
-        assert e.with_roles() is e
-
-    def test_with_new_role_returns_new_value(self):
-        e = make_entity("olive", Role.SIMULACRUM)
-        wider = e.with_roles(Role.SIMULACRUM, Role.SOURCE)
-        assert wider is not e
-        assert wider.roles == {Role.SIMULACRUM, Role.SOURCE}
-        assert e.roles == {Role.SIMULACRUM}
-        assert make_entity("olive", Role.SIMULACRUM) is e

@@ -9,7 +9,6 @@ from simkg import (
     Iri,
     MissingBindingError,
     RcRelation,
-    Role,
     SimulationKind,
     UnknownEntityError,
     build_simulation,
@@ -158,7 +157,7 @@ class TestSymbolicMeanings:
                 make_entity("white rose"),
                 [(RcRelation.HAS, make_entity("purity"))],
                 [make_entity("general")],
-                [make_entity("olderr", Role.SOURCE)],
+                [make_entity("olderr")],
             )
         )
         meanings = symbolic_meanings(g, kb("whiteRose"))
@@ -169,7 +168,7 @@ class TestSymbolicMeanings:
 
     def test_repeat_flag_two_hop_chain(self):
         g = Graph()
-        src = make_entity("olderr", Role.SOURCE)
+        src = make_entity("olderr")
         ctx = make_entity("general")
         g.insert_simulation(
             build_simulation(SimulationKind.GENERIC, make_entity("a"), [(RcRelation.HAS, make_entity("b"))], [ctx], [src])

@@ -73,7 +73,7 @@ def test_variant_and_labels_emitted(toy_graph):
 
 def test_export_requires_clean_graph():
     g = Graph()
-    g.upsert_entity(make_entity("lonely", Role.SIMULACRUM))
+    g.state_role(g.upsert_entity(make_entity("lonely")).id, Role.SIMULACRUM)
     with pytest.raises(GraphViolationsError):
         export_turtle(g)
     assert export_turtle(g, force=True)  # force serializes as-is
@@ -83,7 +83,7 @@ def test_refused_save_keeps_the_old_file(tmp_path):
     path = tmp_path / "g.ttl"
     path.write_text("old contents\n", encoding="utf-8")
     g = Graph()
-    g.upsert_entity(make_entity("lonely", Role.SIMULACRUM))
+    g.state_role(g.upsert_entity(make_entity("lonely")).id, Role.SIMULACRUM)
     with pytest.raises(GraphViolationsError):
         save_graph(g, path)
     assert path.read_bytes() == b"old contents\n"
@@ -131,7 +131,7 @@ def _reference_triples(g: Graph) -> list:
         triples.extend((sim.id, PROV_WAS_DERIVED_FROM, src) for src in sim.sources)
     for entity in g.entities.values():
         triples.append((entity.id, RDFS_LABEL, Literal(entity.label)))
-        for role in entity.roles:
+        for role in g.roles_of(entity.id):
             triples.append((entity.id, RDF_TYPE, role.schema_iri))
         for link in entity.external_links:
             triples.append((entity.id, OWL_SAME_AS, link))
@@ -191,10 +191,14 @@ def _add_odd_statements(g: Graph, rng: random.Random) -> None:
     entity = g.entities[rng.choice(sorted(g.entities))]
     other_kind = rng.choice([k for k in SimulationKind if k is not sim.kind])
     # simulation IRIs that are also entities: one with extra triples, one without
-    g.upsert_entity(Entity(sim.id, "also an entity", frozenset(rng.sample([Role.CONTEXT, Role.SOURCE], rng.randint(0, 2)))))
+    g.upsert_entity(Entity(sim.id, "also an entity"))
+    for role in rng.sample([Role.CONTEXT, Role.SOURCE], rng.randint(0, 2)):
+        g.state_role(sim.id, role)
     plain = rng.choice(sorted(g.simulations))
     if plain != sim.id:
-        g.upsert_entity(Entity(plain, "also an entity", frozenset({Role.CONTEXT, Role.SIMULACRUM, Role.SOURCE})))
+        g.upsert_entity(Entity(plain, "also an entity"))
+        for role in (Role.CONTEXT, Role.SIMULACRUM, Role.SOURCE):
+            g.state_role(plain, role)
     g.extra_triples.update(
         {
             (sim.id, RDF_TYPE, Literal("x")),
@@ -250,7 +254,7 @@ def test_round_trip_of_any_accepted_iri(text):
             Entity(iri, "odd", external_links=frozenset({iri})),
             [(RcRelation.HAS, make_entity("peace"))],
             [make_entity("hindu")],
-            [make_entity("olderr", Role.SOURCE)],
+            [make_entity("olderr")],
         )
     )
     assert import_turtle(export_turtle(g)) == g
@@ -325,7 +329,7 @@ def test_label_escaping_round_trips():
             make_entity(gnarly + " owl"),
             [(RcRelation.HAS, make_entity("death"))],
             [make_entity("hindu")],
-            [make_entity("olderr", Role.SOURCE)],
+            [make_entity("olderr")],
         )
     )
     back = import_turtle(export_turtle(g))
@@ -399,6 +403,14 @@ kb:owl-death a ex:Mystery ;
     assert any("unknown class" in m for m in caplog.messages)
 
 
+@pytest.mark.parametrize("name", ["eagle", "hook", "penelope"])
+def test_golden_files_state_no_role(name):
+    # every role type in a golden file is implied by a membership
+    g = import_turtle((FIXTURES / "golden" / f"{name}.ttl").read_text(encoding="utf-8"))
+    assert g._stated_roles == {}
+    assert all(g.roles_of(iri) for iri in g.entities)
+
+
 def test_context_recognized_from_position_alone():
     # a dump that never types its contexts still imports them as contexts
     g = import_turtle(
@@ -414,7 +426,7 @@ kb:owl-death a sim:Simulation ;
     prov:wasDerivedFrom kb:olderr .
 """
     )
-    assert Role.CONTEXT in g.entities[Iri(KB + "hindu")].roles
+    assert g.roles_of(Iri(KB + "hindu")) == {Role.CONTEXT}
     assert g.entities[Iri(KB + "hindu")].label == "hindu"
 
 

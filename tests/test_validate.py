@@ -16,6 +16,7 @@ from simkg import (
     SimulationKind,
     build_simulation,
     check_axioms,
+    export_turtle,
     import_turtle,
     make_entity,
     run_cq,
@@ -159,14 +160,21 @@ kb:x-y a sim:HealingSimulation , sim:ProtectionSimulation ;
 
 def test_orphan_simulacrum_is_dangling():
     g = Graph()
-    g.upsert_entity(make_entity("lonely", Role.SIMULACRUM))
+    g.state_role(g.upsert_entity(make_entity("lonely")).id, Role.SIMULACRUM)
     violations = check_axioms(g)
     assert [v.axiom for v in violations] == [Axiom.DANGLING_ENTITY]
 
 
+def test_imported_unlinked_simulacrum_is_kept_and_dangling():
+    g = import_turtle(HEADER + 'kb:x a sim:Simulacrum ; rdfs:label "x" .\n')
+    assert g.roles_of(Iri(KB + "x")) == {Role.SIMULACRUM}
+    assert [(v.axiom, v.subject) for v in check_axioms(g)] == [(Axiom.DANGLING_ENTITY, Iri(KB + "x"))]
+    assert "kb:x a sim:Simulacrum ;" in export_turtle(g, force=True)
+
+
 def test_orphan_context_is_not_dangling():
     g = Graph()
-    g.upsert_entity(make_entity("egyptian", Role.CONTEXT))
+    g.state_role(g.upsert_entity(make_entity("egyptian")).id, Role.CONTEXT)
     assert check_axioms(g) == []
 
 
@@ -177,7 +185,7 @@ def test_broken_reference_is_dangling():
         make_entity("owl"),
         [(RcRelation.HAS, make_entity("death"))],
         [make_entity("hindu")],
-        [make_entity("olderr", Role.SOURCE)],
+        [make_entity("olderr")],
     )
     g.insert_simulation(sim)
     del g.entities[Iri(KB + "death")]
@@ -238,8 +246,8 @@ kb:owl-death a sim:Simulation ;
     bad = Simulation(
         id=Iri(KB + "bee-resurrection"),
         kind=SimulationKind.GENERIC,
-        simulacra=(make_entity("bee", Role.SIMULACRUM),),
-        reality_counterparts=((RcRelation.HAS, make_entity("resurrection", Role.REALITY_COUNTERPART)),),
+        simulacra=(make_entity("bee"),),
+        reality_counterparts=((RcRelation.HAS, make_entity("resurrection")),),
         contexts=(),
         sources=(),
     )

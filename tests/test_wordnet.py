@@ -2,9 +2,9 @@ import pytest
 
 from conftest import FIXTURES
 from simkg import (
+    EmptyLabelError,
     Iri,
     NoTriggerError,
-    Role,
     SimulationKind,
     SynsetRecord,
     convert_synset,
@@ -17,7 +17,7 @@ from simkg.wordnet import read_synset_file
 
 @pytest.fixture
 def source():
-    return make_entity("Wordnet", Role.SOURCE)
+    return make_entity("Wordnet")
 
 
 PENELOPE = SynsetRecord(
@@ -131,6 +131,21 @@ class TestBatch:
         assert [r.label for r in out.skipped] == ["albatross"]
         assert any("figurative" in w for w in out.warnings)
         assert any("no trigger" in w for w in out.warnings)
+
+    @pytest.mark.parametrize(
+        "label, gloss, bad",
+        [("...", "a symbol of peace", "..."), ("dove", "(<) a symbol of peace", "<"), ("", "a symbol of peace", None)],
+        ids=["label", "leading-context", "empty-label"],
+    )
+    def test_unmintable_label_skips_the_record(self, source, label, gloss, bad):
+        record = SynsetRecord(Iri("http://example.org/synset/x"), label, gloss)
+        out = convert_synsets([record, PENELOPE], source)
+        reason = f"label {bad!r} has no alphanumeric characters" if bad else "label is empty or whitespace-only"
+        assert out.warnings == [f"http://example.org/synset/x: unusable label, record skipped ({reason})"]
+        assert out.skipped == [record]
+        assert {s.id.local_name for s in out.simulations} == {"penelope-devotion", "penelope-fidelity"}
+        with pytest.raises(EmptyLabelError):
+            convert_synset(record, source)
 
     def test_quote_in_gloss_keeps_later_records(self, source, tmp_path):
         # a gloss that starts with '"' is text, not the start of a quoted field
