@@ -126,8 +126,9 @@ class TestQueryCommand:
     def test_unknown_cq_is_usage_error(self, toy_file, capsys):
         assert main(["query", "--graph", str(toy_file), "--cq", "Q9.9"]) == 1
 
-    def test_missing_binding_is_usage_error(self, toy_file):
+    def test_missing_binding_is_usage_error(self, toy_file, capsys):
         assert main(["query", "--graph", str(toy_file), "--cq", "Q1.1"]) == 1
+        assert capsys.readouterr().err == "usage error: Q1.1 requires bindings: simulacrum\n"
 
     def test_malformed_bind_is_usage_error(self, toy_file):
         assert main(["query", "--graph", str(toy_file), "--cq", "Q1.1", "--bind", "oops"]) == 1
@@ -367,9 +368,10 @@ class TestReaderErrors:
         nt = tmp_path / "bad.nt"
         nt.write_text('<> <http://dbpedia.org/property/symbol> "peace" .\n', encoding="utf-8")
         assert main(["ingest-dbpedia", "--triples", str(nt)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {nt}: line 1: ")
-        assert len(err.splitlines()) == 1
+        assert capsys.readouterr().err == (
+            f"error: {nt}: line 1: not an IRI: '' "
+            "(empty, or has whitespace, a control character or one of <>\"{}|^`\\)\n"
+        )
 
     def test_wordnet_iri_with_turtle_delimiter(self, tmp_path, capsys):
         # exported as <http://example.org/a>b>, the row would make a file no reader accepts
@@ -475,10 +477,11 @@ class TestAnalysisCommands:
         assert lines[0].split() == ["element", "tp", "fp", "fn", "precision", "recall", "f1"]
         assert any(line.startswith("Average") for line in lines)
 
-    def test_bad_gold_is_usage_error(self, tmp_path, toy_file):
+    def test_bad_gold_is_usage_error(self, tmp_path, toy_file, capsys):
         gold = tmp_path / "gold.tsv"
         gold.write_text("Banana\thttps://example.org/x\n", encoding="utf-8")
         assert main(["eval", "--gold", str(gold), "--converted", str(toy_file)]) == 1
+        assert capsys.readouterr().err == "usage error: line 1: unknown category 'Banana'\n"
 
 
 class TestUsage:

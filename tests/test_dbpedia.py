@@ -378,8 +378,18 @@ class TestFetch:
         code = main(["ingest-dbpedia", "--endpoint", "http://example.org/sparql", "--out", str(tmp_path / "out.ttl")])
         err = capsys.readouterr().err
         assert code == 3
-        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert err == (
+            "error: endpoint returned a bad IRI: not an IRI: 'http://dbpedia.org/resource/a b' "
+            "(empty, or has whitespace, a control character or one of <>\"{}|^`\\)\n"
+        )
         assert not (tmp_path / "out.ttl").exists()
+
+    def test_endpoint_refusal_exits_3_with_one_line(self, monkeypatch, capsys):
+        session = _StubSession([_StubResponse(status_code=404)])
+        session.close = lambda: None
+        monkeypatch.setattr(requests, "Session", lambda: session)
+        assert main(["ingest-dbpedia", "--endpoint", "http://example.org/sparql"]) == 3
+        assert capsys.readouterr().err == "error: page at offset 0: HTTP 404 from http://example.org/sparql\n"
 
 
 def test_cli_import_leaves_out_the_http_stack():

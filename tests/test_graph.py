@@ -111,6 +111,23 @@ class TestInsert:
         g.extra_triples.add((sim.id, RDF_TYPE, other.schema_iri))
         assert g.kind_conflicts == {sim.id: (sim.kind, other)}
 
+    def test_extra_triple_repeating_a_stored_statement_is_no_difference(self):
+        g = random_graph(random.Random(3), max_sims=12)
+        sim = g.simulations[min(g.simulations)]
+        g.extra_triples.add((sim.id, RDF_TYPE, sim.kind.schema_iri))
+        back = import_turtle(export_turtle(g))
+        assert export_turtle(back) == export_turtle(g)
+        assert back == g and g == back
+        for seed in range(20):
+            rng = random.Random(seed)
+            g = random_graph(rng, max_sims=12)
+            add_repeated_statements(g, rng)
+            assert import_turtle(export_turtle(g, force=True)) == g, f"seed {seed}"
+            # an extra triple the stored block does not state is a difference
+            h = random_graph(random.Random(seed), max_sims=12)
+            h.extra_triples.add((min(h.simulations), RDF_TYPE, Iri(KB + "Odd")))
+            assert h != random_graph(random.Random(seed), max_sims=12), f"seed {seed}"
+
     def test_entity_roles_union_across_inserts(self):
         g = Graph()
         g.insert_simulation(_sim("rose", "purity", ["general"], "olderr"))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES
-from graphgen import add_repeated_statements, random_graph
+from graphgen import add_repeated_statements, add_stated_roles, random_graph
 from simkg import (
     Entity,
     Graph,
@@ -36,7 +36,9 @@ from simkg.graph import (
 )
 from simkg.serialize import (
     PREFIXES,
+    _parse_statements,
     _render_literal,
+    _render_term,
     _TOKEN_RE,
     compact_iri,
     graph_triples,
@@ -234,6 +236,45 @@ def test_export_matches_the_group_and_sort_reference():
 def test_round_trip_property(seed):
     g = random_graph(random.Random(seed), max_sims=8)
     assert import_turtle(export_turtle(g)) == g
+
+
+def _scrambled_document(g: Graph, rng: random.Random) -> str:
+    """``g``'s export, restated in a foreign order: each object list shuffled
+    with some objects repeated, predicates reordered, and every subject split
+    over two blocks (one predicate's objects may go to both), the blocks
+    shuffled."""
+    term = _render_term
+    blocks = []
+    for subject, preds in _parse_statements(export_turtle(g, force=True)).items():
+        halves: tuple[dict, dict] = ({}, {})
+        for p, objects in preds.items():
+            objects = objects + rng.sample(objects, rng.randint(0, len(objects)))
+            rng.shuffle(objects)
+            cut = rng.randint(0, len(objects)) if rng.random() < 0.3 else rng.choice((0, len(objects)))
+            for half, part in zip(halves, (objects[:cut], objects[cut:])):
+                if part:
+                    half[p] = part
+        for half in halves:
+            items = list(half.items())
+            rng.shuffle(items)
+            if items:
+                blocks.append(f"{term(subject)} " + " ;\n    ".join(f"{term(p)} {', '.join(map(term, objects))}" for p, objects in items) + " .")
+    rng.shuffle(blocks)
+    return "".join(f"@prefix {name}: <{ns}> .\n" for name, ns in PREFIXES) + "\n".join(blocks) + "\n"
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 2**32 - 1))
+def test_import_is_independent_of_statement_order(seed):
+    rng = random.Random(seed)
+    g = random_graph(rng, max_sims=8)
+    add_stated_roles(g, rng)
+    text = export_turtle(g, force=True)
+    for _ in range(3):
+        back = import_turtle(_scrambled_document(g, rng))
+        assert back == g
+        assert back.simulations == g.simulations  # the same member tuples, in the same order
+        assert export_turtle(back, force=True) == text
 
 
 _IRI_CHARS = st.one_of(st.sampled_from('<>"{}|^`\\ \t:/#.%'), st.characters())
