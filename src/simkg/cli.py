@@ -12,33 +12,14 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import logging
 import sys
+from functools import cache
 from pathlib import Path
 from typing import Optional
 
-from .analysis import (
-    DEFAULT_COLOR_LEXICON,
-    GoldFormatError,
-    color_distribution,
-    distribution_csv,
-    distribution_svg,
-    eval_conversion,
-    parse_gold,
-)
-from .dbpedia import (
-    DEFAULT_EXCLUDED_TYPES,
-    MalformedResponseError,
-    NetworkError,
-    convert_dbpedia,
-    fetch_symbol_data,
-    read_triples_file,
-)
-from .dictionary import PHRASE_TABLE, ParseError, convert_document
 from .graph import Graph, UnknownEntityError
 from .model import CycleError, Iri, RcRelation, Role, SimulationKind, make_entity
-from .query import RESULT_VARIABLES, CqId, MissingBindingError, run_cq
 from .serialize import (
     PREFIXES,
     GraphViolationsError,
@@ -50,7 +31,10 @@ from .serialize import (
     write_atomic,
 )
 from .validate import check_axioms, kind_conflict_violations, report_text
-from .wordnet import convert_synsets, read_synset_file
+
+# json and the analysis, dbpedia, dictionary, query and wordnet modules are
+# imported by the commands that use them, so that validate and export never
+# load them.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -78,7 +62,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _InputError(Exception):
-    """A malformed input file; the message names the file."""
+    """An input that cannot be read: a malformed file, which the message
+    names, or a failing endpoint."""
 
 
 def expand_iri(value: str) -> Iri:
@@ -93,11 +78,12 @@ def expand_iri(value: str) -> Iri:
         raise _UsageError(str(err)) from None
 
 
-def _read(reader, path):
-    """``reader(path)``, with the file named in any syntax or encoding error."""
+def _read(reader, path, syntax_error: type[Exception] = TurtleSyntaxError):
+    """``reader(path)``, with the file named in a syntax or encoding error;
+    ``syntax_error`` is the one ``reader`` raises."""
     try:
         return reader(path)
-    except (TurtleSyntaxError, ParseError, MalformedResponseError, UnicodeDecodeError) as err:
+    except (syntax_error, UnicodeDecodeError) as err:
         raise _InputError(f"{path}: {err}") from None
 
 
@@ -166,7 +152,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("casestudy", parents=common, help="colour distribution across shared meanings")
     p.add_argument("--target", required=True, metavar="IRI")
-    p.add_argument("--colors", nargs="+", default=list(DEFAULT_COLOR_LEXICON))
+    p.add_argument("--colors", nargs="+")  # default: the lexicon, read when the command runs
     p.add_argument("--svg", metavar="FILE", help="also write a stacked-bar SVG")
     p.set_defaults(func=_cmd_casestudy)
 
@@ -194,13 +180,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (MissingBindingError, UnknownEntityError, GoldFormatError) as err:
+    except UnknownEntityError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except GraphViolationsError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VIOLATIONS
-    except (_InputError, MalformedResponseError, NetworkError, OSError) as err:
+    except (_InputError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO
 
@@ -263,6 +249,10 @@ def _save_graph_output(g: Graph, args) -> None:
 def _load_phrase_table(path: Optional[str]):
     if not path:
         return None
+    import json
+
+    from .dictionary import PHRASE_TABLE
+
     table = dict(PHRASE_TABLE)
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -283,6 +273,8 @@ def _load_phrase_table(path: Optional[str]):
 
 
 def _cmd_ingest_dict(args) -> int:
+    from .dictionary import convert_document
+
     g = _load(args)
     table = _load_phrase_table(args.phrase_table)
     for name in args.files:
@@ -303,11 +295,23 @@ def _cmd_ingest_dict(args) -> int:
 def _cmd_ingest_dbpedia(args) -> int:
     if args.page_size < 1:
         raise _UsageError(f"--page-size must be at least 1, got {args.page_size}")
+    from .dbpedia import (
+        DEFAULT_EXCLUDED_TYPES,
+        MalformedResponseError,
+        NetworkError,
+        convert_dbpedia,
+        fetch_symbol_data,
+        read_triples_file,
+    )
+
     g = _load(args)
     if args.triples:
-        triples = _read(read_triples_file, args.triples)
+        triples = _read(read_triples_file, args.triples, MalformedResponseError)
     else:
-        triples = fetch_symbol_data(args.endpoint, page_size=args.page_size)
+        try:
+            triples = fetch_symbol_data(args.endpoint, page_size=args.page_size)
+        except (MalformedResponseError, NetworkError) as err:
+            raise _InputError(str(err)) from None
     excluded = set(DEFAULT_EXCLUDED_TYPES) | set(args.exclude_type)
     source = make_entity(args.source_label)
     conv = convert_dbpedia(triples, source, excluded_types=excluded)
@@ -320,10 +324,13 @@ def _cmd_ingest_dbpedia(args) -> int:
 
 
 def _cmd_ingest_wordnet(args) -> int:
+    from .dictionary import ParseError
+    from .wordnet import convert_synsets, read_synset_file
+
     g = _load(args)
     source = make_entity(args.source_label)
     for name in args.files:
-        records = _read(read_synset_file, name)
+        records = _read(read_synset_file, name, ParseError)
         conv = convert_synsets(records, source)
         for warning in conv.warnings:
             print(f"{name}: {warning}", file=sys.stderr)
@@ -352,6 +359,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_query(args) -> int:
+    from .query import RESULT_VARIABLES, CqId, MissingBindingError, run_cq
+
     g = _load(args)
     try:
         cq = CqId(args.cq)
@@ -364,8 +373,12 @@ def _cmd_query(args) -> int:
         if not sep or not name or not value:
             raise _UsageError(f"--bind expects NAME=IRI, got {item!r}")
         bindings[name] = expand_iri(value)
-    rows = run_cq(g, cq, bindings)
-    table = [[compact_iri(v) for v in row.values()] for row in rows]
+    try:
+        rows = run_cq(g, cq, bindings)
+    except MissingBindingError as err:
+        raise _UsageError(str(err)) from None
+    compact = cache(compact_iri)  # result IRIs repeat across rows
+    table = [[compact(v) for v in row.values()] for row in rows]
     if args.format == "csv":
         _emit_table(args, list(RESULT_VARIABLES[cq]), table)
     else:
@@ -392,8 +405,10 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_casestudy(args) -> int:
+    from .analysis import DEFAULT_COLOR_LEXICON, color_distribution, distribution_csv, distribution_svg
+
     g = _load(args)
-    dist = color_distribution(g, expand_iri(args.target), colors=args.colors)
+    dist = color_distribution(g, expand_iri(args.target), colors=args.colors or DEFAULT_COLOR_LEXICON)
     _write_output(args, distribution_csv(dist))
     if args.svg:
         write_atomic(args.svg, distribution_svg(dist))
@@ -401,7 +416,12 @@ def _cmd_casestudy(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    gold = parse_gold(_read(_read_text, args.gold))
+    from .analysis import GoldFormatError, eval_conversion, parse_gold
+
+    try:
+        gold = parse_gold(_read(_read_text, args.gold))
+    except GoldFormatError as err:
+        raise _UsageError(str(err)) from None
     predicted = _read(load_graph, args.converted)
     report = eval_conversion(gold, predicted)
     header = ["element", "tp", "fp", "fn", "precision", "recall", "f1"]

@@ -91,6 +91,22 @@ def _min_label(a: str, b: str) -> str:
 _RC_RANK = {rel: i for i, rel in enumerate(RcRelation)}
 
 
+def _increasing(group: Sequence) -> bool:
+    return len(group) < 2 or all([a < b for a, b in zip(group, group[1:])])
+
+
+def _in_store_order(s: Simulation[Iri]) -> bool:
+    """Whether every member group of ``s`` is strictly increasing in store
+    order, which also means that no group holds a duplicate."""
+    rcs = s.reality_counterparts
+    return (
+        _increasing(s.simulacra)
+        and (len(rcs) < 2 or _increasing([(_RC_RANK[rel], rc) for rel, rc in rcs]))
+        and _increasing(s.contexts)
+        and _increasing(s.sources)
+    )
+
+
 def statement_block(
     sim: Simulation[Iri] | None, entity: Entity | None, roles: Iterable[Role], variants: set[Iri] | None,
     extra: Extra | None = None,
@@ -254,19 +270,28 @@ class Graph:
     def _store(self, s: Simulation[Iri]) -> Simulation[Iri]:
         """Merge ``s`` into ``simulations`` and the indexes; the caller adds its
         member entities.  Members are deduplicated and ordered independently
-        of arrival: IRIs sorted, counterparts by relation rank, then IRI."""
-        kind, old = s.kind, self.simulations.get(s.id, s)  # a new one merges with itself
-        if old.kind is not kind:
-            kind, other = sorted((old.kind, kind), key=lambda k: k.value)
-            self.extra_triples.add((s.id, RDF_TYPE, other.schema_iri))
-        stored = self.simulations[s.id] = Simulation(
-            s.id,
-            kind,
-            tuple(sorted({*old.simulacra, *s.simulacra})),
-            tuple(sorted({*old.reality_counterparts, *s.reality_counterparts}, key=lambda p: (_RC_RANK[p[0]], p[1]))),
-            tuple(sorted({*old.contexts, *s.contexts})),
-            tuple(sorted({*old.sources, *s.sources})),
-        )
+        of arrival: IRIs sorted, counterparts by relation rank, then IRI.
+
+        A new simulation whose member groups are already strictly increasing
+        in that order, as the exporter writes them, is stored as given: one
+        pass of comparisons shows it is sorted and holds no duplicate.  A
+        merge, or members in any other order, are set-and-sorted."""
+        old = self.simulations.get(s.id)
+        if old is None and _in_store_order(s):
+            stored = self.simulations[s.id] = s
+        else:
+            kind, old = s.kind, old or s  # a new one merges with itself
+            if old.kind is not kind:
+                kind, other = sorted((old.kind, kind), key=lambda k: k.value)
+                self.extra_triples.add((s.id, RDF_TYPE, other.schema_iri))
+            stored = self.simulations[s.id] = Simulation(
+                s.id,
+                kind,
+                tuple(sorted({*old.simulacra, *s.simulacra})),
+                tuple(sorted({*old.reality_counterparts, *s.reality_counterparts}, key=lambda p: (_RC_RANK[p[0]], p[1]))),
+                tuple(sorted({*old.contexts, *s.contexts})),
+                tuple(sorted({*old.sources, *s.sources})),
+            )
         for a in stored.simulacra:
             self._sims_by_simulacrum[a].add(stored.id)
         for _, rc in stored.reality_counterparts:

@@ -322,8 +322,11 @@ def import_turtle(text: str) -> Graph:
     def objects(subject: Iri, preds: dict, pred: Iri, keep: type, warn: bool = False) -> list:
         """Takes ``pred``'s objects off ``preds``; those not of type ``keep``
         are kept as extra triples."""
+        found = preds.pop(pred, [])
+        if all([isinstance(o, keep) for o in found]):  # the usual case
+            return found
         kept = []
-        for o in preds.pop(pred, ()):
+        for o in found:
             if isinstance(o, keep):
                 kept.append(o)
                 continue

@@ -398,6 +398,35 @@ def test_cli_import_leaves_out_the_http_stack():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["-c", "import simkg.cli"], ["-m", "simkg", "validate", "--graph", str(FIXTURES / "golden" / "hook.ttl")]],
+    ids=["import", "validate"],
+)
+def test_cli_start_up_leaves_out_the_modules_it_does_not_run(argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(simkg.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-X", "importtime", *argv], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    loaded = {line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines() if line.startswith("import time:")}
+    assert "simkg.cli" in loaded
+    assert loaded.isdisjoint({"simkg.analysis", "simkg.dbpedia", "simkg.dictionary", "simkg.wordnet", "simkg.query"})
+
+
+def test_public_names_load_on_first_use():
+    env = {**os.environ, "PYTHONPATH": str(Path(simkg.__file__).parents[1])}
+    code = (
+        "import sys, simkg\n"
+        "assert not [m for m in sys.modules if m.startswith('simkg.')]\n"
+        "assert all(getattr(simkg, name) is not None for name in simkg.__all__)\n"
+        "assert set(simkg.__all__) <= set(dir(simkg))\n"
+        "from simkg import cli, query\n"
+        "assert cli.main and query.run_cq is simkg.run_cq\n"
+        "try:\n    simkg.no_such_name\nexcept AttributeError:\n    pass\nelse:\n    sys.exit(1)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
 class _SparqlHandler(BaseHTTPRequestHandler):
     """Miniature SPARQL endpoint: serves fixture rows with LIMIT/OFFSET
     pagination and fails the first request with a 500 to exercise retry."""

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from simkg import (
     Iri,
     RcRelation,
     Role,
+    Simulation,
     SimulationKind,
     UnknownEntityError,
     build_simulation,
@@ -154,6 +156,23 @@ class TestInsert:
             assert graph.roles_of(rose.id) == {Role.SIMULACRUM, Role.REALITY_COUNTERPART}
             members = [m for s in graph.simulations.values() for m in s.members() if m == rose.id]
             assert len(members) == 3
+
+    def test_store_keeps_a_new_simulation_already_in_store_order(self):
+        a, b, c, d = (Iri(KB + x) for x in "abcd")
+        ordered = Simulation(
+            Iri(KB + "s"), SimulationKind.GENERIC, (a,),
+            ((RcRelation.HAS, b), (RcRelation.HAS, c), (RcRelation.PREVENTED, a)), (c, d), (d,),
+        )
+        assert Graph()._store(ordered) is ordered
+        foreign = [
+            replace(ordered, reality_counterparts=ordered.reality_counterparts[::-1]),
+            replace(ordered, contexts=(c, c, d)),
+            replace(ordered, simulacra=(a, a)),
+            replace(ordered, sources=(d, d)),
+        ]
+        for s in foreign:
+            stored = Graph()._store(s)
+            assert stored is not s and stored == ordered
 
 
 class TestRoles:
