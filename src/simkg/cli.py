@@ -378,7 +378,7 @@ def _cmd_query(args) -> int:
     except MissingBindingError as err:
         raise _UsageError(str(err)) from None
     compact = cache(compact_iri)  # result IRIs repeat across rows
-    table = [[compact(v) for v in row.values()] for row in rows]
+    table = [[compact(v) for v in row] for row in rows]
     if args.format == "csv":
         _emit_table(args, list(RESULT_VARIABLES[cq]), table)
     else:

@@ -60,9 +60,15 @@ _PREDICATE_RANK: dict[Iri, int] = {
 
 
 class UnknownEntityError(KeyError):
-    def __init__(self, iri: Iri):
+    """An IRI the graph holds no entity (or no simulation) for."""
+
+    def __init__(self, iri: Iri, kind: str = "entity"):
         super().__init__(str(iri))
         self.iri = iri
+        self.kind = kind
+
+    def __str__(self) -> str:  # KeyError's own quotes the key
+        return f"no {self.kind} {self.iri} in the graph"
 
 
 @dataclass(frozen=True, slots=True)

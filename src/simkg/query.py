@@ -1,14 +1,16 @@
 """Typed competency-question queries plus the meaning path query.
 
-Each query id maps to a fixed result shape; rows are deduplicated and
-sorted by their value tuple so results are stable across insertion orders.
+Each question is declared once, on its evaluator: the bindings it needs
+and the columns of its rows.  ``run_cq`` checks every binding against the
+graph, then deduplicates the evaluator's value tuples and sorts them, so
+results are stable across insertion orders.  A row is the tuple of its
+values; its question's row class holds the column names.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .graph import Graph, UnknownEntityError
 from .model import Entity, Iri, RcRelation, SimulationKind
@@ -30,46 +32,9 @@ class CqId(Enum):
     Q3_4 = "Q3.4"
     Q3_5 = "Q3.5"
 
-    # Each question is looked up in three tables per run_cq; the identity
-    # hash agrees with Enum equality and skips Enum.__hash__.
+    # run_cq looks each question up in its declarations; the identity hash
+    # agrees with Enum equality and skips Enum.__hash__.
     __hash__ = object.__hash__
-
-
-REQUIRED_BINDINGS: dict[CqId, tuple[str, ...]] = {
-    CqId.Q1_1: ("simulacrum",),
-    CqId.Q1_2: ("context",),
-    CqId.Q1_3: ("entity",),
-    CqId.Q1_4: ("rc",),
-    CqId.Q1_5: (),
-    CqId.Q2_1: ("simulacrum",),
-    CqId.Q2_2: (),
-    CqId.Q2_3: ("simulation",),
-    CqId.Q2_4: (),
-    CqId.Q3_1: ("entity",),
-    CqId.Q3_2: ("simulacrum",),
-    CqId.Q3_3: (),
-    CqId.Q3_4: ("rc",),
-    CqId.Q3_5: (),
-}
-
-
-# The variables of each question's result rows, in column order.
-RESULT_VARIABLES: dict[CqId, tuple[str, ...]] = {
-    CqId.Q1_1: ("rc",),
-    CqId.Q1_2: ("simulation",),
-    CqId.Q1_3: ("simulation",),
-    CqId.Q1_4: ("simulacrum", "context"),
-    CqId.Q1_5: ("simulation",),
-    CqId.Q2_1: ("simulation", "rc", "source"),
-    CqId.Q2_2: ("simulation", "rc", "source"),
-    CqId.Q2_3: ("source",),
-    CqId.Q2_4: ("simulation",),
-    CqId.Q3_1: ("variant",),
-    CqId.Q3_2: ("rc",),
-    CqId.Q3_3: ("simulation", "rc"),
-    CqId.Q3_4: ("simulation", "rc", "relation"),
-    CqId.Q3_5: ("simulation", "simulacrum", "context", "rc"),
-}
 
 
 class MissingBindingError(ValueError):
@@ -79,73 +44,83 @@ class MissingBindingError(ValueError):
         self.cq = cq
 
 
-@dataclass(frozen=True, slots=True)
-class ResultRow:
-    """Ordered variable bindings of one result row."""
+class ResultRow(tuple):
+    """One result row: its values, in the order of ``variables``.
 
-    bindings: tuple[tuple[str, Iri], ...]
+    Rows are tuples, so two rows of different questions that hold the same
+    values compare equal.
+    """
 
-    @property
-    def variables(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.bindings)
+    __slots__ = ()
+    variables: tuple[str, ...] = ()
 
     def values(self) -> tuple[Iri, ...]:
-        return tuple(value for _, value in self.bindings)
+        return tuple(self)
 
     def __getitem__(self, variable: str) -> Iri:
-        for name, value in self.bindings:
-            if name == variable:
-                return value
-        raise KeyError(variable)
+        try:
+            return tuple.__getitem__(self, self.variables.index(variable))
+        except ValueError:
+            raise KeyError(variable) from None
 
 
-def _rows(cq: CqId, value_tuples: Iterable[tuple[Iri, ...]]) -> list[ResultRow]:
-    variables = RESULT_VARIABLES[cq]
-    distinct = sorted(set(value_tuples))
-    return [ResultRow(tuple(zip(variables, values))) for values in distinct]
+# Each question's required bindings, row class and evaluator, which yields
+# value tuples that may repeat, in any order.
+_QUESTIONS: dict[CqId, tuple[tuple[str, ...], type[ResultRow], Callable[..., Iterable[tuple[Iri, ...]]]]] = {}
+
+
+def _cq(cq: CqId, bind: tuple[str, ...], columns: tuple[str, ...]):
+    """Declare ``cq`` with the decorated evaluator."""
+
+    def declare(evaluate):
+        row = type(f"{cq.name}Row", (ResultRow,), {"__slots__": (), "variables": columns})
+        _QUESTIONS[cq] = (bind, row, evaluate)
+        return evaluate
+
+    return declare
 
 
 def run_cq(g: Graph, cq: CqId, bindings: Optional[Mapping[str, Union[Iri, str]]] = None) -> list[ResultRow]:
-    """Answer one competency question against the graph."""
+    """Answer one competency question against the graph.
+
+    A binding named ``simulation`` must name a simulation of the graph, and
+    any other binding an entity; otherwise this raises UnknownEntityError.
+    """
+    needs, row, evaluate = _QUESTIONS[cq]
     bound = {k: Iri(v) for k, v in (bindings or {}).items()}
-    missing = [name for name in REQUIRED_BINDINGS[cq] if name not in bound]
+    missing = [name for name in needs if name not in bound]
     if missing:
         raise MissingBindingError(cq, missing)
-    return _rows(cq, _DISPATCH[cq](g, bound))
+    for name in needs:
+        if name == "simulation":
+            if bound[name] not in g.simulations:
+                raise UnknownEntityError(bound[name], "simulation")
+        elif bound[name] not in g.entities:
+            raise UnknownEntityError(bound[name])
+    return list(map(row, sorted(set(evaluate(g, bound)))))
 
 
-def _require_entity(g: Graph, iri: Iri) -> Iri:
-    if iri not in g.entities:
-        raise UnknownEntityError(iri)
-    return iri
+@_cq(CqId.Q1_1, bind=("simulacrum",), columns=("rc",))
+def _meanings_of_simulacrum(g: Graph, b) -> Iterable[tuple[Iri, ...]]:
+    return ((rc,) for rc in g.meanings_of(b["simulacrum"]))
 
 
-def _require_simulation(g: Graph, iri: Iri) -> Iri:
-    if iri not in g.simulations:
-        raise UnknownEntityError(iri)
-    return iri
+@_cq(CqId.Q1_2, bind=("context",), columns=("simulation",))
+def _simulations_in_context(g: Graph, b) -> Iterable[tuple[Iri, ...]]:
+    return ((i,) for i in g.simulations_with_context(b["context"]))
 
 
-def _q1_1(g: Graph, b) -> Iterable[tuple[Iri, ...]]:
-    s = _require_entity(g, b["simulacrum"])
-    return ((rc,) for rc in g.meanings_of(s))
-
-
-def _q1_2(g: Graph, b) -> Iterable[tuple[Iri, ...]]:
-    c = _require_entity(g, b["context"])
-    return ((i,) for i in g.simulations_with_context(c))
-
-
-def _q1_3(g: Graph, b) -> Iterable[tuple[Iri, ...]]:
-    e = _require_entity(g, b["entity"])
+@_cq(CqId.Q1_3, bind=("entity",), columns=("simulation",))
+def _simulations_of_entity(g: Graph, b) -> Iterable[tuple[Iri, ...]]:
+    e = b["entity"]
     ids = g.simulations_with_simulacrum(e) | g.simulations_with_rc(e)
     return ((i,) for i in ids)
 
 
-def _q1_4(g: Graph, b) -> Iterable[tuple[Iri, ...]]:
-    rc = _require_entity(g, b["rc"])
+@_cq(CqId.Q1_4, bind=("rc",), columns=("simulacrum", "context"))
+def _simulacra_sharing_rc(g: Graph, b) -> Iterable[tuple[Iri, ...]]:
     pairs = []
-    for sim_id in g.simulations_with_rc(rc):
+    for sim_id in g.simulations_with_rc(b["rc"]):
         sim = g.simulations[sim_id]
         for a in sim.simulacra:
             for c in sim.contexts:
@@ -153,7 +128,8 @@ def _q1_4(g: Graph, b) -> Iterable[tuple[Iri, ...]]:
     return pairs
 
 
-def _q1_5(g: Graph, b) -> Iterable[tuple[Iri, ...]]:
+@_cq(CqId.Q1_5, bind=(), columns=("simulation",))
+def _multi_simulacrum_simulations(g: Graph, b) -> Iterable[tuple[Iri, ...]]:
     return ((s.id,) for s in g.simulations.values() if len(s.simulacra) > 1)
 
 
@@ -171,39 +147,42 @@ def _same_simulacrum_rows(g: Graph, simulacrum: Iri) -> list[tuple[Iri, Iri, Iri
     return rows
 
 
-def _q2_1(g: Graph, b) -> Iterable[tuple[Iri, ...]]:
-    s = _require_entity(g, b["simulacrum"])
-    return _same_simulacrum_rows(g, s)
+@_cq(CqId.Q2_1, bind=("simulacrum",), columns=("simulation", "rc", "source"))
+def _simulacrum_across_sources(g: Graph, b) -> Iterable[tuple[Iri, ...]]:
+    return _same_simulacrum_rows(g, b["simulacrum"])
 
 
-def _q2_2(g: Graph, b) -> Iterable[tuple[Iri, ...]]:
+@_cq(CqId.Q2_2, bind=(), columns=("simulation", "rc", "source"))
+def _simulacra_across_sources(g: Graph, b) -> Iterable[tuple[Iri, ...]]:
     rows: list[tuple[Iri, Iri, Iri]] = []
     for simulacrum in g._sims_by_simulacrum:
         rows.extend(_same_simulacrum_rows(g, simulacrum))
     return rows
 
 
-def _q2_3(g: Graph, b) -> Iterable[tuple[Iri, ...]]:
-    sim = g.simulations[_require_simulation(g, b["simulation"])]
-    return ((src,) for src in sim.sources)
+@_cq(CqId.Q2_3, bind=("simulation",), columns=("source",))
+def _sources_of_simulation(g: Graph, b) -> Iterable[tuple[Iri, ...]]:
+    return ((src,) for src in g.simulations[b["simulation"]].sources)
 
 
-def _q2_4(g: Graph, b) -> Iterable[tuple[Iri, ...]]:
+@_cq(CqId.Q2_4, bind=(), columns=("simulation",))
+def _unsourced_simulations(g: Graph, b) -> Iterable[tuple[Iri, ...]]:
     return ((s.id,) for s in g.simulations.values() if not s.sources)
 
 
-def _q3_1(g: Graph, b) -> Iterable[tuple[Iri, ...]]:
-    e = _require_entity(g, b["entity"])
-    return ((v.id,) for v in g.variant_closure(e))
+@_cq(CqId.Q3_1, bind=("entity",), columns=("variant",))
+def _variants_of_entity(g: Graph, b) -> Iterable[tuple[Iri, ...]]:
+    return ((v.id,) for v in g.variant_closure(b["entity"]))
 
 
-def _q3_2(g: Graph, b) -> Iterable[tuple[Iri, ...]]:
-    s = _require_entity(g, b["simulacrum"])
-    meanings = symbolic_meanings(g, s, include_variants=True)
+@_cq(CqId.Q3_2, bind=("simulacrum",), columns=("rc",))
+def _meanings_with_variants(g: Graph, b) -> Iterable[tuple[Iri, ...]]:
+    meanings = symbolic_meanings(g, b["simulacrum"], include_variants=True)
     return ((m.id,) for m in meanings)
 
 
-def _q3_3(g: Graph, b) -> Iterable[tuple[Iri, ...]]:
+@_cq(CqId.Q3_3, bind=(), columns=("simulation", "rc"))
+def _prevented_rcs(g: Graph, b) -> Iterable[tuple[Iri, ...]]:
     rows = []
     for sim in g.simulations.values():
         if sim.kind is SimulationKind.PROTECTION:
@@ -213,10 +192,10 @@ def _q3_3(g: Graph, b) -> Iterable[tuple[Iri, ...]]:
     return rows
 
 
-def _q3_4(g: Graph, b) -> Iterable[tuple[Iri, ...]]:
-    rc = _require_entity(g, b["rc"])
+@_cq(CqId.Q3_4, bind=("rc",), columns=("simulation", "rc", "relation"))
+def _rcs_beside_rc(g: Graph, b) -> Iterable[tuple[Iri, ...]]:
     rows = []
-    for sim_id in g.simulations_with_rc(rc):
+    for sim_id in g.simulations_with_rc(b["rc"]):
         sim = g.simulations[sim_id]
         if len({e for _, e in sim.reality_counterparts}) < 2:
             continue
@@ -225,7 +204,8 @@ def _q3_4(g: Graph, b) -> Iterable[tuple[Iri, ...]]:
     return rows
 
 
-def _q3_5(g: Graph, b) -> Iterable[tuple[Iri, ...]]:
+@_cq(CqId.Q3_5, bind=(), columns=("simulation", "simulacrum", "context", "rc"))
+def _healings(g: Graph, b) -> Iterable[tuple[Iri, ...]]:
     rows = []
     for sim in g.simulations.values():
         if sim.kind is not SimulationKind.HEALING:
@@ -238,22 +218,8 @@ def _q3_5(g: Graph, b) -> Iterable[tuple[Iri, ...]]:
     return rows
 
 
-_DISPATCH = {
-    CqId.Q1_1: _q1_1,
-    CqId.Q1_2: _q1_2,
-    CqId.Q1_3: _q1_3,
-    CqId.Q1_4: _q1_4,
-    CqId.Q1_5: _q1_5,
-    CqId.Q2_1: _q2_1,
-    CqId.Q2_2: _q2_2,
-    CqId.Q2_3: _q2_3,
-    CqId.Q2_4: _q2_4,
-    CqId.Q3_1: _q3_1,
-    CqId.Q3_2: _q3_2,
-    CqId.Q3_3: _q3_3,
-    CqId.Q3_4: _q3_4,
-    CqId.Q3_5: _q3_5,
-}
+# The columns of each question's rows, in column order.
+RESULT_VARIABLES: dict[CqId, tuple[str, ...]] = {cq: row.variables for cq, (_, row, _) in _QUESTIONS.items()}
 
 
 def symbolic_meanings(

@@ -522,6 +522,21 @@ class TestUsage:
         assert err.startswith("usage error: ")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["query", "--cq", "Q1.1", "--bind", "simulacrum=kb:nope"], "no entity kb:nope in the graph"),
+            (["query", "--cq", "Q2.3", "--bind", "simulation=kb:nope"], "no simulation kb:nope in the graph"),
+            (["query", "--cq", "Q2.3", "--bind", "simulation=kb:olive"], "no simulation kb:olive in the graph"),
+            (["casestudy", "--target", "kb:nope"], "no entity kb:nope in the graph"),
+        ],
+        ids=["Q1.1", "Q2.3", "Q2.3-entity", "casestudy"],
+    )
+    def test_unknown_iri_is_usage_error(self, argv, message, toy_file, capsys):
+        assert main(argv + ["--graph", str(toy_file)]) == 1
+        full = message.replace("kb:", str(KB))
+        assert capsys.readouterr().err == f"usage error: {full}\n"
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "COMMAND" in capsys.readouterr().out

@@ -104,9 +104,37 @@ class TestBindingsAndErrors:
         with pytest.raises(MissingBindingError):
             run_cq(toy_graph, CqId.Q1_1)
 
-    def test_unknown_entity(self, toy_graph):
-        with pytest.raises(UnknownEntityError):
-            run_cq(toy_graph, CqId.Q1_1, {"simulacrum": kb("ghost")})
+    # Every question that takes a binding, with an IRI the graph does not
+    # hold in that place.
+    UNKNOWN_BINDINGS = [
+        (CqId.Q1_1, "simulacrum", "ghost"),
+        (CqId.Q1_2, "context", "ghost"),
+        (CqId.Q1_3, "entity", "ghost"),
+        (CqId.Q1_4, "rc", "ghost"),
+        (CqId.Q2_1, "simulacrum", "ghost"),
+        (CqId.Q2_3, "simulation", "ghost"),
+        (CqId.Q2_3, "simulation", "olive"),  # an entity, but no simulation
+        (CqId.Q3_1, "entity", "ghost"),
+        (CqId.Q3_2, "simulacrum", "ghost"),
+        (CqId.Q3_4, "rc", "ghost"),
+    ]
+
+    def test_every_bound_cq_has_an_unknown_case(self, toy_graph):
+        bound = set()
+        for cq in CqId:
+            try:
+                run_cq(toy_graph, cq)
+            except MissingBindingError:
+                bound.add(cq)
+        assert {cq for cq, _, _ in self.UNKNOWN_BINDINGS} == bound
+
+    @pytest.mark.parametrize(
+        "cq, name, local", UNKNOWN_BINDINGS, ids=lambda v: v.value if isinstance(v, CqId) else v
+    )
+    def test_unknown_entity(self, toy_graph, cq, name, local):
+        with pytest.raises(UnknownEntityError) as info:
+            run_cq(toy_graph, cq, {name: kb(local)})
+        assert info.value.iri == kb(local)
 
     @pytest.mark.parametrize(
         "cq, bindings",
@@ -144,6 +172,7 @@ class TestBindingsAndErrors:
         row = run_cq(toy_graph, CqId.Q2_2)[0]
         assert row.variables == ("simulation", "rc", "source")
         assert row["rc"] == kb("fertility")
+        assert type(row.values()) is tuple and row.values() == tuple(row)
         with pytest.raises(KeyError):
             row["nope"]
 
