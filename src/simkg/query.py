@@ -32,7 +32,7 @@ class CqId(Enum):
     Q3_4 = "Q3.4"
     Q3_5 = "Q3.5"
 
-    # run_cq looks each question up in its declarations; the identity hash
+    # run_cq looks each question up once, in _QUESTIONS; the identity hash
     # agrees with Enum equality and skips Enum.__hash__.
     __hash__ = object.__hash__
 
@@ -73,7 +73,9 @@ def _cq(cq: CqId, bind: tuple[str, ...], columns: tuple[str, ...]):
     """Declare ``cq`` with the decorated evaluator."""
 
     def declare(evaluate):
-        row = type(f"{cq.name}Row", (ResultRow,), {"__slots__": (), "variables": columns})
+        name = f"{cq.name}Row"
+        # a module attribute, so that pickle finds the row class by name
+        row = globals()[name] = type(name, (ResultRow,), {"__slots__": (), "variables": columns})
         _QUESTIONS[cq] = (bind, row, evaluate)
         return evaluate
 

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -173,6 +174,7 @@ class TestBindingsAndErrors:
         assert row.variables == ("simulation", "rc", "source")
         assert row["rc"] == kb("fertility")
         assert type(row.values()) is tuple and row.values() == tuple(row)
+        assert pickle.loads(pickle.dumps(row)).variables == row.variables
         with pytest.raises(KeyError):
             row["nope"]
 
