@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Optional, Union
 
 from .graph import Graph
 from .model import Entity, Iri
-from .query import symbolic_meanings
+from .query import _meaning_iris
 
 DEFAULT_COLOR_LEXICON = ("white", "red", "green", "black", "gold", "blue", "purple")
 COLOR_ALIASES = {"golden": "gold"}
@@ -75,9 +75,9 @@ def color_distribution(
     target_entity = g.entity(target)
     palette = tuple(colors)
     rows = []
-    for meaning in sorted(symbolic_meanings(g, target_entity), key=lambda e: e.id):
+    for meaning in sorted(_meaning_iris(g, target_entity.id)):
         sharers: set[Iri] = set()
-        for sim_id in g.simulations_with_rc(meaning.id):
+        for sim_id in g.simulations_with_rc(meaning):
             sharers.update(g.simulations[sim_id].simulacra)
         sharers.discard(target_entity.id)
         counts = {color: 0 for color in palette}
@@ -86,7 +86,7 @@ def color_distribution(
                 counts[color] += 1
         rows.append(
             MeaningRow(
-                meaning=meaning,
+                meaning=g.entities[meaning],
                 counts=tuple((c, counts[c]) for c in palette if counts[c]),
             )
         )

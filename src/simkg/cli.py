@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import logging
 import sys
@@ -165,6 +166,23 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one command and return its exit code.
+
+    The command runs with the cyclic garbage collector paused: graph work
+    makes no reference cycles, so its collections would only walk the
+    growing graph again and again and find nothing.  The caller gets its
+    own collector state back however the command ends.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv: Optional[list[str]]) -> int:
     logging.basicConfig(stream=sys.stderr, format="%(message)s")
     parser = _build_parser()
     try:

@@ -343,16 +343,19 @@ class Graph:
 
     def variant_closure(self, ref: Union[Entity, Iri, str]) -> set[Entity]:
         """All transitive variants of an entity (the entity itself excluded)."""
-        root = self.entity(ref).id
+        return {self.entities[i] for i in self._variant_iris(self.entity(ref).id)}
+
+    def _variant_iris(self, root: Iri) -> set[Iri]:
+        """The IRIs of :meth:`variant_closure`, for queries that need no entity."""
         found: set[Iri] = set()
         stack = [root]
         while stack:
-            node = stack.pop()
-            for child in self._variant_children.get(node, ()):
-                if child not in found and child != root:
+            for child in self._variant_children.get(stack.pop(), ()):
+                if child not in found:
                     found.add(child)
                     stack.append(child)
-        return {self.entities[i] for i in found}
+        found.discard(root)  # reached again only through a cycle in an imported file
+        return found
 
     # -- queries used across modules ---------------------------------------
 

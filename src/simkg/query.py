@@ -2,7 +2,7 @@
 
 Each question is declared once, on its evaluator: the bindings it needs
 and the columns of its rows.  ``run_cq`` checks every binding against the
-graph, then deduplicates the evaluator's value tuples and sorts them, so
+graph, then deduplicates the evaluator's values and sorts them, so
 results are stable across insertion orders.  A row is the tuple of its
 values; its question's row class holds the column names.
 """
@@ -65,8 +65,8 @@ class ResultRow(tuple):
 
 
 # Each question's required bindings, row class and evaluator, which yields
-# value tuples that may repeat, in any order.
-_QUESTIONS: dict[CqId, tuple[tuple[str, ...], type[ResultRow], Callable[..., Iterable[tuple[Iri, ...]]]]] = {}
+# values that may repeat, in any order: bare IRIs for one column, else tuples.
+_QUESTIONS: dict[CqId, tuple[tuple[str, ...], type[ResultRow], Callable[..., Iterable]]] = {}
 
 
 def _cq(cq: CqId, bind: tuple[str, ...], columns: tuple[str, ...]):
@@ -99,24 +99,23 @@ def run_cq(g: Graph, cq: CqId, bindings: Optional[Mapping[str, Union[Iri, str]]]
                 raise UnknownEntityError(bound[name], "simulation")
         elif bound[name] not in g.entities:
             raise UnknownEntityError(bound[name])
-    return list(map(row, sorted(set(evaluate(g, bound)))))
+    values = sorted(set(evaluate(g, bound)))
+    return list(map(row, zip(values) if len(row.variables) == 1 else values))
 
 
 @_cq(CqId.Q1_1, bind=("simulacrum",), columns=("rc",))
-def _meanings_of_simulacrum(g: Graph, b) -> Iterable[tuple[Iri, ...]]:
-    return ((rc,) for rc in g.meanings_of(b["simulacrum"]))
+def _meanings_of_simulacrum(g: Graph, b) -> Iterable[Iri]:
+    return g.meanings_of(b["simulacrum"])
 
 
 @_cq(CqId.Q1_2, bind=("context",), columns=("simulation",))
-def _simulations_in_context(g: Graph, b) -> Iterable[tuple[Iri, ...]]:
-    return ((i,) for i in g.simulations_with_context(b["context"]))
+def _simulations_in_context(g: Graph, b) -> Iterable[Iri]:
+    return g.simulations_with_context(b["context"])
 
 
 @_cq(CqId.Q1_3, bind=("entity",), columns=("simulation",))
-def _simulations_of_entity(g: Graph, b) -> Iterable[tuple[Iri, ...]]:
-    e = b["entity"]
-    ids = g.simulations_with_simulacrum(e) | g.simulations_with_rc(e)
-    return ((i,) for i in ids)
+def _simulations_of_entity(g: Graph, b) -> Iterable[Iri]:
+    return g.simulations_with_simulacrum(b["entity"]) | g.simulations_with_rc(b["entity"])
 
 
 @_cq(CqId.Q1_4, bind=("rc",), columns=("simulacrum", "context"))
@@ -131,8 +130,8 @@ def _simulacra_sharing_rc(g: Graph, b) -> Iterable[tuple[Iri, ...]]:
 
 
 @_cq(CqId.Q1_5, bind=(), columns=("simulation",))
-def _multi_simulacrum_simulations(g: Graph, b) -> Iterable[tuple[Iri, ...]]:
-    return ((s.id,) for s in g.simulations.values() if len(s.simulacra) > 1)
+def _multi_simulacrum_simulations(g: Graph, b) -> Iterable[Iri]:
+    return [s.id for s in g.simulations.values() if len(s.simulacra) > 1]
 
 
 def _same_simulacrum_rows(g: Graph, simulacrum: Iri) -> list[tuple[Iri, Iri, Iri]]:
@@ -163,24 +162,23 @@ def _simulacra_across_sources(g: Graph, b) -> Iterable[tuple[Iri, ...]]:
 
 
 @_cq(CqId.Q2_3, bind=("simulation",), columns=("source",))
-def _sources_of_simulation(g: Graph, b) -> Iterable[tuple[Iri, ...]]:
-    return ((src,) for src in g.simulations[b["simulation"]].sources)
+def _sources_of_simulation(g: Graph, b) -> Iterable[Iri]:
+    return g.simulations[b["simulation"]].sources
 
 
 @_cq(CqId.Q2_4, bind=(), columns=("simulation",))
-def _unsourced_simulations(g: Graph, b) -> Iterable[tuple[Iri, ...]]:
-    return ((s.id,) for s in g.simulations.values() if not s.sources)
+def _unsourced_simulations(g: Graph, b) -> Iterable[Iri]:
+    return [s.id for s in g.simulations.values() if not s.sources]
 
 
 @_cq(CqId.Q3_1, bind=("entity",), columns=("variant",))
-def _variants_of_entity(g: Graph, b) -> Iterable[tuple[Iri, ...]]:
-    return ((v.id,) for v in g.variant_closure(b["entity"]))
+def _variants_of_entity(g: Graph, b) -> Iterable[Iri]:
+    return g._variant_iris(b["entity"])
 
 
 @_cq(CqId.Q3_2, bind=("simulacrum",), columns=("rc",))
-def _meanings_with_variants(g: Graph, b) -> Iterable[tuple[Iri, ...]]:
-    meanings = symbolic_meanings(g, b["simulacrum"], include_variants=True)
-    return ((m.id,) for m in meanings)
+def _meanings_with_variants(g: Graph, b) -> Iterable[Iri]:
+    return _meaning_iris(g, b["simulacrum"], include_variants=True)
 
 
 @_cq(CqId.Q3_3, bind=(), columns=("simulation", "rc"))
@@ -237,19 +235,17 @@ def symbolic_meanings(
     are themselves simulacra of further simulations (off by default: a
     single hop).
     """
-    start = g.entity(entity)
-    seeds = {start.id}
-    if include_variants:
-        seeds.update(v.id for v in g.variant_closure(start))
+    return {g.entities[i] for i in _meaning_iris(g, g.entity(entity).id, include_variants, repeat)}
+
+
+def _meaning_iris(g: Graph, start: Iri, include_variants: bool = False, repeat: bool = False) -> set[Iri]:
+    """The IRIs of :func:`symbolic_meanings`, from an entity the graph holds."""
+    meanings = g._meanings_of.get  # one C call a node, and a miss allocates nothing
+    frontier = {start} | g._variant_iris(start) if include_variants else {start}
     found: set[Iri] = set()
-    frontier = seeds
     while frontier:
-        reached: set[Iri] = set()
-        for iri in frontier:
-            reached.update(g.meanings_of(iri))
-        new = reached - found
-        found |= new
+        frontier = set().union(*[meanings(i, ()) for i in frontier]) - found
+        found |= frontier
         if not repeat:
             break
-        frontier = new
-    return {g.entities[i] for i in found}
+    return found

@@ -18,6 +18,7 @@ from __future__ import annotations
 import logging
 import os
 import re
+import stat
 from functools import cache
 from itertools import chain, islice
 from typing import Union
@@ -394,9 +395,10 @@ def save_graph(g: Graph, path, force: bool = False) -> None:
 def write_atomic(path, text: str) -> None:
     """Replace the file at ``path`` with ``text`` in one step.
 
-    The text goes to a new file in the same directory, which is then
-    renamed over ``path``; if anything fails, ``path`` is left as it was
-    and the new file is removed.
+    The text goes to a new file in the same directory, which takes the
+    permission bits of the file it replaces and is then renamed over
+    ``path``; if anything fails, ``path`` is left as it was and the new
+    file is removed.
     """
     head, tail = os.path.split(os.fspath(path))
     tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
@@ -404,6 +406,10 @@ def write_atomic(path, text: str) -> None:
     try:
         with fh:
             fh.write(text)
+        try:
+            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+        except FileNotFoundError:  # a new file keeps the mode the umask gives
+            pass
         os.replace(tmp, path)
     except BaseException:
         os.remove(tmp)

@@ -1,3 +1,5 @@
+import gc
+import stat
 import subprocess
 import sys
 
@@ -444,6 +446,14 @@ class TestExportCommand:
         bad.write_text('kb:a kb:b "unclosed .\n', encoding="utf-8")
         assert main(["export", "--graph", str(bad)]) == 3
 
+    def test_out_keeps_the_mode_of_the_file_it_replaces(self, toy_file, tmp_path):
+        out = tmp_path / "out.ttl"
+        out.write_text("old\n", encoding="utf-8")
+        out.chmod(0o600)
+        assert main(["export", "--graph", str(toy_file), "--out", str(out)]) == 0
+        assert out.read_bytes() == toy_file.read_bytes()
+        assert stat.S_IMODE(out.stat().st_mode) == 0o600
+
 
 class TestAnalysisCommands:
     def test_casestudy(self, tmp_path, capsys):
@@ -544,6 +554,49 @@ class TestUsage:
     def test_dict_grammar_in_help(self, capsys):
         assert main(["ingest-dict", "--help"]) == 0
         assert "dictionary format" in capsys.readouterr().out
+
+
+class TestCollectorPause:
+    """``main`` runs a command with the cyclic garbage collector paused and
+    gives the caller back the collector state it had, however it ends."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def caller_state(self, request):
+        before = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if before else gc.disable)()
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["validate", "--graph", "{toy}"], 0),
+            (["validate", "--graph", "{toy}", "--frobnicate"], 1),
+            (["export", "--graph", "{bad}"], 2),
+            (["validate", "--graph", "{missing}"], 3),
+            (["--help"], 0),
+        ],
+        ids=["exit-0", "exit-1", "exit-2", "exit-3", "help"],
+    )
+    def test_state_is_restored(self, argv, code, caller_state, toy_file, tmp_path, capsys):
+        bad = tmp_path / "bad.ttl"
+        bad.write_text(HEADER + "kb:x-y sim:hasSimulacrum kb:x .\n", encoding="utf-8")
+        paths = {"toy": toy_file, "bad": bad, "missing": tmp_path / "missing.ttl"}
+        assert main([arg.format(**paths) for arg in argv]) == code
+        assert gc.isenabled() is caller_state
+
+    def test_command_runs_paused_and_an_exception_propagates(self, caller_state, toy_file, monkeypatch):
+        seen = []
+
+        def failing_stats(args):
+            seen.append(gc.isenabled())
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("simkg.cli._cmd_stats", failing_stats)
+        with pytest.raises(RuntimeError, match="boom"):
+            main(["stats", "--graph", str(toy_file)])
+        assert seen == [False]
+        assert gc.isenabled() is caller_state
 
 
 def test_module_entrypoint_subprocess(tmp_path):

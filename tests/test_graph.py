@@ -307,6 +307,14 @@ class TestVariants:
         with pytest.raises(UnknownEntityError):
             g.variant_closure(make_entity("ghost"))
 
+    def test_closure_of_an_imported_cycle_excludes_self(self):
+        g = import_turtle(
+            "@prefix sim: <https://w3id.org/simulation/ontology/> .\n"
+            "@prefix kb: <https://w3id.org/simulation/data/> .\n"
+            "kb:x sim:hasVariant kb:y .\nkb:y sim:hasVariant kb:z .\nkb:z sim:hasVariant kb:x .\n"
+        )
+        assert {e.id.local_name for e in g.variant_closure(make_entity("x"))} == {"y", "z"}
+
 
 class TestStats:
     def test_empty_graph_all_zero(self):

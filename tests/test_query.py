@@ -1,11 +1,13 @@
 import pickle
 import random
+from collections import deque
 
 import pytest
 
 from graphgen import random_graph
 from simkg import (
     CqId,
+    Entity,
     Graph,
     Iri,
     MissingBindingError,
@@ -158,6 +160,9 @@ class TestBindingsAndErrors:
     def test_rows_carry_the_declared_variables(self, toy_graph, cq, bindings):
         rows = run_cq(toy_graph, cq, bindings)
         assert rows and all(r.variables == RESULT_VARIABLES[cq] for r in rows)
+        assert all(len(r) == len(r.variables) for r in rows)
+        back = pickle.loads(pickle.dumps(rows))
+        assert back == rows and [type(r) for r in back] == [type(r) for r in rows]
 
     def test_unsourced_multi_simulacrum_rows_carry_the_declared_variables(self):
         g = import_turtle(
@@ -167,7 +172,11 @@ class TestBindingsAndErrors:
             "    sim:hasRealityCounterpart kb:y ; sim:hasContext kb:c .\n"
         )
         for cq in (CqId.Q1_5, CqId.Q2_4):
-            assert [r.variables for r in run_cq(g, cq)] == [RESULT_VARIABLES[cq]]
+            rows = run_cq(g, cq)
+            assert [r.variables for r in rows] == [RESULT_VARIABLES[cq]]
+            assert rows[0].values() == (kb("x-y"),)
+            back = pickle.loads(pickle.dumps(rows))
+            assert back == rows and type(back[0]) is type(rows[0])
 
     def test_row_api(self, toy_graph):
         row = run_cq(toy_graph, CqId.Q2_2)[0]
@@ -215,6 +224,67 @@ class TestSymbolicMeanings:
     def test_unknown_entity(self, toy_graph):
         with pytest.raises(UnknownEntityError):
             symbolic_meanings(toy_graph, kb("ghost"))
+
+
+def _reached(edges: dict, starts) -> set:
+    """Every node at the end of one or more edges from ``starts``, by a
+    plain breadth-first walk."""
+    seen, queue = set(), deque(starts)
+    while queue:
+        for nxt in edges.get(queue.popleft(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return seen
+
+
+class TestLongVariantChain:
+    """Path queries over a variant chain of 600 links, against a reference walk."""
+
+    LINKS = 600
+
+    @pytest.fixture(scope="class")
+    def chain(self):
+        g, variants, meanings = Graph(), {}, {}
+        src, ctx = make_entity("olderr"), make_entity("general")
+        chain = [make_entity(f"variant {i}") for i in range(self.LINKS + 1)]
+        for base, variant in zip(chain, chain[1:]):
+            g.add_variant(base, variant)
+            variants.setdefault(base.id, set()).add(variant.id)
+
+        def simulation(simulacrum, rc):
+            g.insert_simulation(build_simulation(SimulationKind.GENERIC, simulacrum, [(RcRelation.HAS, rc)], [ctx], [src]))
+            meanings.setdefault(simulacrum.id, set()).add(rc.id)
+
+        for i in range(0, self.LINKS + 1, 3):
+            meaning = make_entity(f"meaning {i}")
+            simulation(chain[i], meaning)
+            if i % 6 == 0:  # a meaning that is itself a simulacrum, for repeat
+                deeper = make_entity(f"deeper {i}")
+                simulation(meaning, deeper)
+                if i % 12 == 0 and i < self.LINKS:  # and one that leads back into the chain
+                    simulation(deeper, chain[i + 1])
+        return g, chain, variants, meanings
+
+    @pytest.mark.parametrize("start", [0, 1, 300, 599, 600])
+    def test_agrees_with_a_breadth_first_walk(self, chain, start):
+        g, entities, variants, meanings = chain
+        root = entities[start].id
+        closure = _reached(variants, [root]) - {root}
+        assert len(closure) == self.LINKS - start
+        one_hop = {m for seed in {root} | closure for m in meanings.get(seed, ())}
+        assert [r["variant"] for r in run_cq(g, CqId.Q3_1, {"entity": root})] == sorted(closure)
+        assert [r["rc"] for r in run_cq(g, CqId.Q3_2, {"simulacrum": root})] == sorted(one_hop)
+        found = symbolic_meanings(g, root, include_variants=True, repeat=True)
+        assert {e.id for e in found} == _reached(meanings, {root} | closure)
+
+    def test_path_queries_return_entities(self, chain):
+        g, entities, _, _ = chain
+        closure = g.variant_closure(entities[0])
+        found = symbolic_meanings(g, entities[0], include_variants=True, repeat=True)
+        for result in (closure, found):
+            assert result and all(type(e) is Entity for e in result)
+            assert result == {g.entities[e.id] for e in result}
 
 
 class TestQueryProperties:

@@ -1,5 +1,7 @@
 import hashlib
+import os
 import random
+import stat
 
 import pytest
 from hypothesis import given, settings
@@ -100,6 +102,25 @@ def test_failed_replace_leaves_no_temporary_file(tmp_path):
         write_atomic(target, "text\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
     assert sorted(p.name for p in target.iterdir()) == ["inner"]
+
+
+@pytest.mark.parametrize("mode", [0o600, 0o664], ids=oct)
+def test_replaced_file_keeps_its_mode(tmp_path, mode):
+    target = tmp_path / "out.ttl"
+    target.write_text("old\n", encoding="utf-8")
+    target.chmod(mode)
+    write_atomic(target, "new\n")
+    assert target.read_text(encoding="utf-8") == "new\n"
+    assert stat.S_IMODE(target.stat().st_mode) == mode
+
+
+def test_new_file_takes_the_umask_mode(tmp_path):
+    mask = os.umask(0o027)
+    try:
+        write_atomic(tmp_path / "out.ttl", "new\n")
+    finally:
+        os.umask(mask)
+    assert stat.S_IMODE((tmp_path / "out.ttl").stat().st_mode) == 0o640
 
 
 def test_round_trip_identity(toy_graph):
