@@ -11,9 +11,8 @@ from __future__ import annotations
 import csv
 import io
 import re
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from .graph import Graph
 from .model import Entity, Iri
@@ -29,8 +28,7 @@ class GoldFormatError(ValueError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class MeaningRow:
+class MeaningRow(NamedTuple):
     meaning: Entity
     counts: tuple[tuple[str, int], ...]  # (colour, distinct simulacra), colours with zero hits omitted
 
@@ -41,8 +39,7 @@ class MeaningRow:
         return sum(n for _, n in self.counts)
 
 
-@dataclass(frozen=True, slots=True)
-class ColorDistribution:
+class ColorDistribution(NamedTuple):
     target: Entity
     colors: tuple[str, ...]
     rows: tuple[MeaningRow, ...]
@@ -202,8 +199,7 @@ def predicted_items(g: Graph) -> GoldItems:
     return items
 
 
-@dataclass(frozen=True, slots=True)
-class MetricRow:
+class MetricRow(NamedTuple):
     category: str
     tp: int
     fp: int
@@ -227,8 +223,7 @@ class MetricRow:
         return 0.0 if p + r == 0 else 2 * p * r / (p + r)
 
 
-@dataclass(frozen=True, slots=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     rows: tuple[MetricRow, ...]
     average: MetricRow  # micro: TP/FP/FN pooled over all categories
 

@@ -19,9 +19,8 @@ from __future__ import annotations
 import logging
 import re
 import time
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Optional, Union
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Union
 
 from .graph import RDF_TYPE
 from .model import (
@@ -77,8 +76,7 @@ class SymbolPredicate(Enum):
     DCT_SUBJECT = "dct_subject"
 
 
-@dataclass(frozen=True, slots=True)
-class SymbolTriple:
+class SymbolTriple(NamedTuple):
     subject: Iri
     predicate: SymbolPredicate
     object: Union[Iri, str]  # literal objects stay plain strings
@@ -325,10 +323,11 @@ def _object_label(obj: Union[Iri, str]) -> str:
     return _resource_label(obj) if isinstance(obj, Iri) else obj
 
 
-@dataclass(slots=True)
-class DbpediaConversion:
-    simulations: list[Simulation[Entity]] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
+class DbpediaConversion(NamedTuple):
+    """Built with fresh lists, which the converter fills."""
+
+    simulations: list[Simulation[Entity]]
+    warnings: list[str]
 
 
 def convert_dbpedia(
@@ -339,7 +338,7 @@ def convert_dbpedia(
     """Apply the two extraction rules; unconvertible rows are logged and
     skipped, never fatal."""
     excluded = {str(t) for t in excluded_types}
-    out = DbpediaConversion()
+    out = DbpediaConversion([], [])
     for triple in triples:
         try:
             if triple.predicate is SymbolPredicate.DBP_SYMBOL:

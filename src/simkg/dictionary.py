@@ -19,8 +19,7 @@ collects every error instead of stopping at the first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .model import (
     CardinalityError,
@@ -64,31 +63,30 @@ class ParseError(ValueError):
         self.reason = message
 
 
-@dataclass(frozen=True, slots=True)
-class Clause:
+class Clause(NamedTuple):
     context_labels: tuple[str, ...]
     relation_phrase: Optional[str]
     meaning_terms: tuple[str, ...]
     line: int
 
 
-@dataclass(frozen=True, slots=True)
-class DictEntry:
+class DictEntry(NamedTuple):
     lemma: str
     clauses: tuple[Clause, ...]
     variant_blocks: tuple[tuple[str, tuple[Clause, ...], int], ...]  # label, clauses, line of ``~ label:``
     line: int
 
 
-@dataclass(slots=True)
-class ParsedDictionary:
-    entries: list[DictEntry] = field(default_factory=list)
-    errors: list[ParseError] = field(default_factory=list)
+class ParsedDictionary(NamedTuple):
+    """Built with fresh lists, which the parser fills."""
+
+    entries: list[DictEntry]
+    errors: list[ParseError]
 
 
 def parse_dictionary(text: str) -> ParsedDictionary:
     """Parse a whole document; entries and collected errors."""
-    result = ParsedDictionary()
+    result = ParsedDictionary([], [])
     lemma: Optional[str] = None
     lemma_line = 0
     clauses: list[Clause] = []
@@ -176,11 +174,12 @@ def _parse_clause(text: str, lineno: int) -> Clause:
     return Clause(context_labels=tuple(contexts), relation_phrase=phrase, meaning_terms=terms, line=lineno)
 
 
-@dataclass(slots=True)
-class DictConversion:
-    simulations: list[Simulation[Entity]] = field(default_factory=list)
-    variants: list[VariantLink] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
+class DictConversion(NamedTuple):
+    """Built with fresh lists, which the converter fills."""
+
+    simulations: list[Simulation[Entity]]
+    variants: list[VariantLink]
+    warnings: list[str]
 
 
 def convert_entry(
@@ -197,7 +196,7 @@ def convert_entry(
     cannot be minted skips its entry, block, clause or term with a warning.
     """
     table = PHRASE_TABLE if phrase_table is None else phrase_table
-    out = DictConversion()
+    out = DictConversion([], [], [])
     try:
         lemma_entity = make_entity(entry.lemma)
     except EmptyLabelError:
@@ -253,7 +252,7 @@ def convert_document(
 ) -> tuple[ParsedDictionary, DictConversion]:
     """Parse and convert in one step; parse errors surface as warnings."""
     parsed = parse_dictionary(text)
-    merged = DictConversion()
+    merged = DictConversion([], [], [])
     merged.warnings.extend(f"line {e.line}: {e.reason}" for e in parsed.errors)
     for entry in parsed.entries:
         one = convert_entry(entry, source, phrase_table)

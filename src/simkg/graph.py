@@ -9,8 +9,7 @@ multi-reader contract: all query methods are read-only.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .model import (
     OWL,
@@ -71,8 +70,7 @@ class UnknownEntityError(KeyError):
         return f"no {self.kind} {self.iri} in the graph"
 
 
-@dataclass(frozen=True, slots=True)
-class SourceStats:
+class SourceStats(NamedTuple):
     """One row of corpus statistics (per source, or the totals row)."""
 
     label: str
@@ -83,8 +81,7 @@ class SourceStats:
     n_triples: int
 
 
-@dataclass(frozen=True, slots=True)
-class CorpusStats:
+class CorpusStats(NamedTuple):
     rows: tuple[SourceStats, ...]
     total: SourceStats
 

@@ -4,22 +4,22 @@ The central value is the :class:`Simulation`: an n-ary node that ties one
 symbolic element (the simulacrum) to the meanings it stands for (its
 reality counterparts) within one or more cultural contexts, backed by
 documentary sources.  ``build_simulation`` is the validating constructor;
-a value it returns satisfies every structural axiom.  The raw dataclasses
-deliberately accept anomalous shapes so that data imported from foreign
-files can be represented and then *reported* by the validator instead of
-being rejected at the door.
+a value it returns satisfies every structural axiom.  The records
+themselves deliberately accept anomalous shapes so that data imported
+from foreign files can be represented and then *reported* by the
+validator instead of being rejected at the door.
 
 Everything here is immutable after construction and safe to share across
-threads.
+threads.  Records are named tuples: they compare and hash by value, also
+with a plain tuple of the same values.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Generic, Iterable, Optional, TypeVar, Union
+from typing import Iterable, NamedTuple, Optional, TypeVar, Union
 
 KB = "https://w3id.org/simulation/data/"
 SIM = "https://w3id.org/simulation/ontology/"
@@ -212,8 +212,7 @@ def mint_iri(label: str, namespace: str = KB) -> Iri:
     return Iri(namespace + local)
 
 
-@dataclass(frozen=True, slots=True)
-class Entity:
+class Entity(NamedTuple):
     """A named node: simulacrum, reality counterpart, context or source (its roles: ``Graph.roles_of``)."""
 
     id: Iri
@@ -252,13 +251,14 @@ RcPair = tuple[RcRelation, Entity]
 M = TypeVar("M", Entity, Iri)  # a member: Entity as built, Iri as a Graph stores it
 
 
-@dataclass(frozen=True, slots=True)
-class Simulation(Generic[M]):
+class Simulation(NamedTuple):
     """The n-ary relation node.
 
     Members are entities as built (``Simulation[Entity]``) and IRIs as a
-    graph stores them (``Simulation[Iri]``).  Construct it as plain
-    ``Simulation(...)``: the subscripted call fails on a slotted dataclass.
+    graph stores them (``Simulation[Iri]``).  The subscript only names
+    the member type: a named tuple cannot be generic on Python 3.10, so
+    nothing checks it, and ``Simulation[Iri](...)`` builds a plain
+    ``Simulation``.
     ``simulacra`` holds exactly one member for any value produced by
     ``build_simulation``; imported data may disagree, and the validator
     reports that as a cardinality violation rather than this type refusing
@@ -284,16 +284,28 @@ class Simulation(Generic[M]):
         yield from self.sources
 
 
-@dataclass(frozen=True, slots=True)
-class VariantLink:
-    """A narrower / composite / situated form of a simulacrum or rc."""
-
+class _Link(NamedTuple):
     base: Entity
     variant: Entity
 
-    def __post_init__(self) -> None:
-        if self.base.id == self.variant.id:
-            raise CycleError(f"variant link may not be reflexive: {self.base.id}")
+
+class VariantLink(_Link):
+    """A narrower / composite / situated form of a simulacrum or rc.
+
+    A reflexive link raises :class:`CycleError`; the check sits in
+    ``__new__``, so unpickling and ``_replace`` run it too.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, base: Entity, variant: Entity) -> VariantLink:
+        if base.id == variant.id:
+            raise CycleError(f"variant link may not be reflexive: {base.id}")
+        return super().__new__(cls, base, variant)
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Entity]) -> VariantLink:
+        return cls(*iterable)
 
 
 def _dedupe_entities(entities: Iterable[Entity]) -> tuple[Entity, ...]:
@@ -355,8 +367,7 @@ def build_simulation(
     return sim
 
 
-@dataclass(frozen=True, slots=True)
-class Literal:
+class Literal(NamedTuple):
     """An RDF string literal with an optional language tag."""
 
     text: str

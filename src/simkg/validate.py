@@ -9,14 +9,13 @@ from files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import Graph
 from .model import Axiom, Iri, Role, cardinality_violations
 
 
-@dataclass(frozen=True, slots=True)
-class Violation:
+class Violation(NamedTuple):
     axiom: Axiom
     subject: Iri
     detail: str

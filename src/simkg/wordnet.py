@@ -12,8 +12,7 @@ from __future__ import annotations
 import csv
 import logging
 import re
-from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .dictionary import ParseError
 from .model import (
@@ -45,8 +44,7 @@ class NoTriggerError(ValueError):
         self.record = record
 
 
-@dataclass(frozen=True, slots=True)
-class SynsetRecord:
+class SynsetRecord(NamedTuple):
     synset_iri: Iri
     label: str
     gloss: str
@@ -123,16 +121,17 @@ def convert_synset(record: SynsetRecord, source: Entity) -> list[Simulation[Enti
     return simulations
 
 
-@dataclass(slots=True)
-class WordnetConversion:
-    simulations: list[Simulation[Entity]] = field(default_factory=list)
-    skipped: list[SynsetRecord] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
+class WordnetConversion(NamedTuple):
+    """Built with fresh lists, which the converter fills."""
+
+    simulations: list[Simulation[Entity]]
+    skipped: list[SynsetRecord]
+    warnings: list[str]
 
 
 def convert_synsets(records: Iterable[SynsetRecord], source: Entity) -> WordnetConversion:
     """Select and convert a batch, keeping a log of skips and oddities."""
-    out = WordnetConversion()
+    out = WordnetConversion([], [], [])
     for record in select_synsets(records):
         if record.gloss.lower().lstrip().startswith("(figurative)"):
             out.warnings.append(f"{record.synset_iri}: figurative marker treated as a context")

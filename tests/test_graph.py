@@ -1,6 +1,5 @@
 import itertools
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -165,10 +164,10 @@ class TestInsert:
         )
         assert Graph()._store(ordered) is ordered
         foreign = [
-            replace(ordered, reality_counterparts=ordered.reality_counterparts[::-1]),
-            replace(ordered, contexts=(c, c, d)),
-            replace(ordered, simulacra=(a, a)),
-            replace(ordered, sources=(d, d)),
+            ordered._replace(reality_counterparts=ordered.reality_counterparts[::-1]),
+            ordered._replace(contexts=(c, c, d)),
+            ordered._replace(simulacra=(a, a)),
+            ordered._replace(sources=(d, d)),
         ]
         for s in foreign:
             stored = Graph()._store(s)
