@@ -13,7 +13,6 @@ import argparse
 import csv
 import gc
 import io
-import logging
 import sys
 from functools import cache
 from pathlib import Path
@@ -183,7 +182,6 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def _run(argv: Optional[list[str]]) -> int:
-    logging.basicConfig(stream=sys.stderr, format="%(message)s")
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -195,10 +193,7 @@ def _run(argv: Optional[list[str]]) -> int:
 
     try:
         return args.func(args)
-    except _UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except UnknownEntityError as err:
+    except (_UsageError, UnknownEntityError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except GraphViolationsError as err:

@@ -16,8 +16,8 @@ retry) or from an offline file of whitespace-separated triples.
 
 from __future__ import annotations
 
-import logging
 import re
+import sys
 import time
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Union
@@ -39,8 +39,6 @@ from .serialize import _unescape
 
 if TYPE_CHECKING:
     import requests
-
-logger = logging.getLogger(__name__)
 
 DBP_SYMBOL = Iri("http://dbpedia.org/property/symbol")
 DCT_SUBJECT = Iri("http://purl.org/dc/terms/subject")
@@ -182,11 +180,11 @@ def _fetch_page(http, endpoint, query, offset, max_attempts, retry_wait, timeout
             )
         except requests.RequestException as err:
             last_error = err
-            logger.warning("page at offset %d, attempt %d/%d failed: %s", offset, attempt + 1, max_attempts, err)
+            print(f"page at offset {offset}, attempt {attempt + 1}/{max_attempts} failed: {err}", file=sys.stderr)
             continue
         if response.status_code >= 500 or response.status_code == 429:
             last_error = RuntimeError(f"HTTP {response.status_code}")
-            logger.warning("page at offset %d, attempt %d/%d: HTTP %d", offset, attempt + 1, max_attempts, response.status_code)
+            print(f"page at offset {offset}, attempt {attempt + 1}/{max_attempts}: HTTP {response.status_code}", file=sys.stderr)
             continue
         if response.status_code != 200:
             raise NetworkError(f"page at offset {offset}: HTTP {response.status_code} from {endpoint}")
@@ -248,8 +246,6 @@ def read_triples_file(path) -> list[SymbolTriple]:
             s = _expand_term(s_term, lineno)
             p = _expand_term(p_term, lineno)
             obj: Union[Iri, str] = _expand_term(o_term, lineno) if literal is None else _literal(literal, lineno)
-            if not isinstance(s, Iri) or not isinstance(p, Iri):
-                raise MalformedResponseError(f"line {lineno}: subject and predicate must be IRIs")
             if p == RDF_TYPE and isinstance(obj, Iri):
                 types.setdefault(s, set()).add(obj)
             else:
@@ -261,11 +257,8 @@ def read_triples_file(path) -> list[SymbolTriple]:
             triples.append(
                 SymbolTriple(s, SymbolPredicate.DBP_SYMBOL, obj, tuple(sorted(types.get(s, ()))))
             )
-        elif p == DCT_SUBJECT and isinstance(obj, Iri):
-            if "symbol" in _category_label(obj).lower():
-                triples.append(SymbolTriple(s, SymbolPredicate.DCT_SUBJECT, obj))
-        else:
-            logger.debug("ignoring unrelated triple %s %s %s", s, p, obj)
+        elif p == DCT_SUBJECT and isinstance(obj, Iri) and "symbol" in _category_label(obj).lower():
+            triples.append(SymbolTriple(s, SymbolPredicate.DCT_SUBJECT, obj))
     triples.sort(key=lambda t: (t.subject, t.predicate.value, str(t.object)))
     return triples
 
@@ -335,8 +328,8 @@ def convert_dbpedia(
     source: Entity,
     excluded_types: Iterable[str] = DEFAULT_EXCLUDED_TYPES,
 ) -> DbpediaConversion:
-    """Apply the two extraction rules; unconvertible rows are logged and
-    skipped, never fatal."""
+    """Apply the two extraction rules; unconvertible rows are skipped with
+    a warning, never fatal."""
     excluded = {str(t) for t in excluded_types}
     out = DbpediaConversion([], [])
     for triple in triples:

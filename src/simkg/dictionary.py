@@ -13,8 +13,9 @@ A lemma starts at column 0.  Indented lines are clauses: an optional
 bracketed context list, an optional relation phrase ending in ``:``, then
 one or more meaning terms separated by ``;``.  A clause starting with
 ``~ <label>:`` opens a variant block whose more-indented clauses belong to
-the variant.  Parsing recovers at the next lemma after an error and
-collects every error instead of stopping at the first.
+the variant.  A line that cannot be parsed is recorded as an error and
+skipped; parsing goes on with the next line, so a bad clause loses only
+itself, and every error is collected instead of stopping at the first.
 """
 
 from __future__ import annotations
@@ -94,7 +95,6 @@ def parse_dictionary(text: str) -> ParsedDictionary:
     variant_label: Optional[str] = None
     variant_line = variant_indent = 0
     variant_clauses: list[Clause] = []
-    skipping = False  # recovering from a bad block: ignore until the next lemma
 
     def close_variant() -> None:
         nonlocal variant_label, variant_clauses
@@ -123,9 +123,6 @@ def parse_dictionary(text: str) -> ParsedDictionary:
             close_entry()
             lemma = stripped
             lemma_line = lineno
-            skipping = False
-            continue
-        if skipping:
             continue
         if lemma is None:
             result.errors.append(ParseError("indented clause before any lemma", lineno))

@@ -316,7 +316,7 @@ class Graph:
     def add_variant(self, base: Entity, variant: Entity) -> VariantLink:
         """Record base -> variant; refuses any link that closes a cycle."""
         link = VariantLink(base, variant)  # rejects self-loops
-        if self._reaches(variant.id, base.id):
+        if base.id in self._variant_iris(variant.id):
             raise CycleError(f"variant link {base.id} -> {variant.id} closes a cycle")
         self.upsert_entity(base)
         self.upsert_entity(variant)
@@ -325,18 +325,6 @@ class Graph:
 
     def _add_variant_edge(self, base: Iri, variant: Iri) -> None:
         self._variant_children[base].add(variant)
-
-    def _reaches(self, start: Iri, goal: Iri) -> bool:
-        stack, seen = [start], {start}
-        while stack:
-            node = stack.pop()
-            for child in self._variant_children.get(node, ()):
-                if child == goal:
-                    return True
-                if child not in seen:
-                    seen.add(child)
-                    stack.append(child)
-        return False
 
     def variant_closure(self, ref: Union[Entity, Iri, str]) -> set[Entity]:
         """All transitive variants of an entity (the entity itself excluded)."""

@@ -15,10 +15,10 @@ for an error message.
 
 from __future__ import annotations
 
-import logging
 import os
 import re
 import stat
+import sys
 from functools import cache
 from itertools import chain, islice
 from typing import Union
@@ -52,8 +52,6 @@ from .model import (
     SimulationKind,
 )
 from .validate import check_axioms
-
-logger = logging.getLogger(__name__)
 
 PREFIXES: tuple[tuple[str, str], ...] = (
     ("rdf", RDF),
@@ -332,7 +330,7 @@ def import_turtle(text: str) -> Graph:
                 kept.append(o)
                 continue
             if warn:
-                logger.warning("ignoring literal object %r of %s on %s", o.text, pred, subject)
+                print(f"ignoring literal object {o.text!r} of {pred} on {subject}", file=sys.stderr)
             extras.add((subject, pred, o))
         return kept
 
@@ -361,7 +359,7 @@ def import_turtle(text: str) -> Graph:
                 if unknown_types:
                     first = unknown_types[0]
                     first = _render_literal(first) if isinstance(first, Literal) else first
-                    logger.warning("unknown class %s on %s, defaulting to the generic simulation", first, subject)
+                    print(f"unknown class {first} on {subject}, defaulting to the generic simulation", file=sys.stderr)
             extras.update((subject, RDF_TYPE, t) for t in unknown_types)
             groups: tuple[list, ...] = ([], [], [], [])  # simulacra, counterparts, contexts, sources
             for pred in [p for p in preds if p in _MEMBER_SLOT]:

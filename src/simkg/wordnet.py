@@ -10,7 +10,6 @@ meaning terms.
 from __future__ import annotations
 
 import csv
-import logging
 import re
 from typing import Iterable, NamedTuple
 
@@ -26,8 +25,6 @@ from .model import (
     general_context,
     make_entity,
 )
-
-logger = logging.getLogger(__name__)
 
 TRIGGER_PHRASES = ("symbol of", "emblem of", "symbolizes")
 _TRIGGER = re.compile(r"\b(?:%s)\b" % "|".join(TRIGGER_PHRASES), re.IGNORECASE)
@@ -112,8 +109,7 @@ def convert_synset(record: SynsetRecord, source: Entity) -> list[Simulation[Enti
             continue
         try:
             rc = make_entity(term)
-        except EmptyLabelError:
-            logger.debug("skipping unmintable meaning term %r from %s", term, record.synset_iri)
+        except EmptyLabelError:  # the record's other terms still convert
             continue
         simulations.append(
             build_simulation(SimulationKind.GENERIC, simulacrum, [(RcRelation.HAS, rc)], [context], [source])

@@ -316,6 +316,28 @@ class TestIngestCommands:
             f"{tsv}: 2 records -> 1 simulations (1 skipped)",
         ]
 
+    def test_unmintable_wordnet_meaning_term_is_dropped(self, tmp_path, capsys):
+        tsv = tmp_path / "syn.tsv"
+        tsv.write_text("http://example.org/synset/x\tdove\tsymbol of !!!, love\t0\n", encoding="utf-8")
+        out = tmp_path / "out.ttl"
+        assert main(["ingest-wordnet", str(tsv), "--out", str(out)]) == 0
+        assert list(load_graph(out).simulations) == ["https://w3id.org/simulation/data/dove-love"]
+        assert capsys.readouterr().err == f"{tsv}: 1 records -> 1 simulations (0 skipped)\n"
+
+    def test_variant_link_closing_a_cycle_is_a_warning(self, tmp_path, capsys):
+        doc = tmp_path / "cycle.dict"
+        doc.write_text("a\n  ~ b:\nb\n  ~ a:\n", encoding="utf-8")
+        out = tmp_path / "out.ttl"
+        assert main(["ingest-dict", str(doc), "--out", str(out)]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: variant link https://w3id.org/simulation/data/b -> https://w3id.org/simulation/data/a "
+            "closes a cycle",
+            f"{doc}: 2 entries -> 0 simulations, 2 variant links",
+        ]
+        g = load_graph(out)
+        assert {e.id.local_name for e in g.variant_closure(Iri(KB + "a"))} == {"b"}
+        assert g.variant_closure(Iri(KB + "b")) == set()
+
     def test_variant_only_simulacra_keep_their_type(self, tmp_path):
         # hook has only a variant, and night owl's only term is skipped: no
         # simulation of their own says they are simulacra
@@ -374,6 +396,12 @@ class TestReaderErrors:
             f"error: {nt}: line 1: not an IRI: '' "
             "(empty, or has whitespace, a control character or one of <>\"{}|^`\\)\n"
         )
+
+    def test_dbpedia_unknown_prefix(self, tmp_path, capsys):
+        nt = tmp_path / "bad.nt"
+        nt.write_text("foo:bar dbp:symbol dbr:B .\n", encoding="utf-8")
+        assert main(["ingest-dbpedia", "--triples", str(nt)]) == 3
+        assert capsys.readouterr().err == f"error: {nt}: line 1: cannot resolve term 'foo:bar'\n"
 
     def test_wordnet_iri_with_turtle_delimiter(self, tmp_path, capsys):
         # exported as <http://example.org/a>b>, the row would make a file no reader accepts
@@ -597,6 +625,33 @@ class TestCollectorPause:
             main(["stats", "--graph", str(toy_file)])
         assert seen == [False]
         assert gc.isenabled() is caller_state
+
+
+def test_main_leaves_the_callers_stderr_alone(tmp_path):
+    # a warning after main() returns goes to the stderr of that moment, not
+    # to the stream that was stderr while the command ran
+    mystery = tmp_path / "mystery.ttl"
+    mystery.write_text(HEADER + "kb:x a <http://example.org/Mystery> ;\n    sim:hasSimulacrum kb:y .\n", encoding="utf-8")
+    code = """\
+import contextlib, io, sys
+from simkg.cli import main
+from simkg.serialize import load_graph
+buf = io.StringIO()
+with contextlib.redirect_stderr(buf):
+    assert main(["validate", "--graph", sys.argv[1]]) == 0
+load_graph(sys.argv[2])
+assert buf.getvalue() == "", buf.getvalue()
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(FIXTURES / "golden" / "hook.ttl"), str(mystery)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == (
+        "unknown class http://example.org/Mystery on https://w3id.org/simulation/data/x, "
+        "defaulting to the generic simulation\n"
+    )
 
 
 def test_module_entrypoint_subprocess(tmp_path):

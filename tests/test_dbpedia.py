@@ -204,6 +204,20 @@ class TestConvert:
         assert sim.id.local_name == "whiteFlag-truce"
         assert [c.id.local_name for c in sim.contexts] == ["generalOrUnknown"]
 
+    @pytest.mark.parametrize(
+        "category, shown",
+        [
+            (Iri("http://dbpedia.org/resource/Category:"), "http://dbpedia.org/resource/Category:"),
+            ("Symbols of ", "Symbols of "),
+        ],
+        ids=["empty-iri-label", "prefix-only-literal"],
+    )
+    def test_category_empty_after_cleaning_is_a_warning(self, category, shown, source):
+        subject = Iri("http://dbpedia.org/resource/X")
+        out = convert_dbpedia([SymbolTriple(subject, SymbolPredicate.DCT_SUBJECT, category)], source)
+        assert out.simulations == []
+        assert out.warnings == [f"{subject}: category {shown} empty after cleaning"]
+
     def test_extra_exclusions_are_config(self, source):
         triples = [
             SymbolTriple(
@@ -421,6 +435,8 @@ def test_cli_start_up_leaves_out_the_modules_it_does_not_run(argv, runs):
     assert loaded.isdisjoint(_COMMAND_MODULES - runs)
     # records are tuples: no command pays for the dataclass machinery
     assert loaded.isdisjoint({"dataclasses", "inspect", "requests"})
+    # warnings are plain stderr lines
+    assert loaded.isdisjoint({"logging", "traceback"})
 
 
 def test_public_names_load_on_first_use():

@@ -87,6 +87,14 @@ class TestParse:
         assert [e.lemma for e in parsed.entries] == ["hook", "rose"]
         assert len(parsed.errors) == 1
 
+    def test_recovery_is_per_line(self):
+        # a bad clause costs only its own line; the entry keeps the clauses after it
+        parsed = parse_dictionary("hook\n  [unclosed\n  attraction\n")
+        assert [(e.lemma, [c.meaning_terms for c in e.clauses]) for e in parsed.entries] == [
+            ("hook", [("attraction",)])
+        ]
+        assert [str(e) for e in parsed.errors] == ["line 2: unclosed context bracket"]
+
     @given(st.text(max_size=300))
     @settings(max_examples=60)
     def test_parser_never_raises(self, doc):

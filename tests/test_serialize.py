@@ -446,7 +446,7 @@ kb:owl rdfs:label "owl" ;
     assert import_turtle(text) == g
 
 
-def test_unknown_class_defaults_to_generic(caplog):
+def test_unknown_class_defaults_to_generic(capsys):
     doc = """\
 @prefix sim: <https://w3id.org/simulation/ontology/> .
 @prefix prov: <http://www.w3.org/ns/prov#> .
@@ -459,10 +459,12 @@ kb:owl-death a ex:Mystery ;
     sim:hasContext kb:hindu ;
     prov:wasDerivedFrom kb:olderr .
 """
-    with caplog.at_level("WARNING", logger="simkg.serialize"):
-        g = import_turtle(doc)
+    g = import_turtle(doc)
     assert g.simulations[Iri(KB + "owl-death")].kind is SimulationKind.GENERIC
-    assert any("unknown class" in m for m in caplog.messages)
+    assert capsys.readouterr().err == (
+        "unknown class http://example.org/Mystery on https://w3id.org/simulation/data/owl-death, "
+        "defaulting to the generic simulation\n"
+    )
 
 
 @pytest.mark.parametrize("name", ["eagle", "hook", "penelope"])
