@@ -237,7 +237,10 @@ def _emit_table(args, header: list[str], rows: list[list[str]]) -> None:
 # -- ingest commands ---------------------------------------------------------
 
 
-def _insert_all(g: Graph, simulations, variants=()) -> None:
+def _insert_all(g: Graph, simulations, variants=()) -> int:
+    """Insert the simulations, then the variant links; returns how many
+    links were stored, as a link that closes a cycle is refused."""
+    stored = 0
     before = set(kind_conflict_violations(g))
     for sim in simulations:
         g.insert_simulation(sim)
@@ -250,8 +253,10 @@ def _insert_all(g: Graph, simulations, variants=()) -> None:
         except CycleError as err:
             print(f"warning: {err}", file=sys.stderr)
             continue
+        stored += 1
         for end in (link.base, link.variant):  # simulacra, even with no simulation of their own
             g.state_role(end.id, Role.SIMULACRUM)
+    return stored
 
 
 def _save_graph_output(g: Graph, args) -> None:
@@ -295,10 +300,9 @@ def _cmd_ingest_dict(args) -> int:
         parsed, conv = convert_document(_read(_read_text, name), source, table)
         for warning in conv.warnings:
             print(f"{name}: {warning}", file=sys.stderr)
-        _insert_all(g, conv.simulations, conv.variants)
+        links = _insert_all(g, conv.simulations, conv.variants)
         print(
-            f"{name}: {len(parsed.entries)} entries -> {len(conv.simulations)} simulations, "
-            f"{len(conv.variants)} variant links",
+            f"{name}: {len(parsed.entries)} entries -> {len(conv.simulations)} simulations, {links} variant links",
             file=sys.stderr,
         )
     _save_graph_output(g, args)

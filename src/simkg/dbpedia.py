@@ -58,7 +58,7 @@ FILE_PREFIXES = {
 # type IRI or its local name, so both bare names and full IRIs work.
 DEFAULT_EXCLUDED_TYPES = frozenset({"RailwayStation", "PublicCompany"})
 
-_CATEGORY_PREFIXES = re.compile(r"^(national symbols of|symbols of|symbol of)\s+", re.IGNORECASE)
+_CATEGORY_PREFIXES = re.compile(r"^(national symbols of|symbols of|symbol of)(?:\s+|\Z)", re.IGNORECASE)
 
 
 class NetworkError(RuntimeError):

@@ -9,6 +9,7 @@ multi-reader contract: all query methods are read-only.
 from __future__ import annotations
 
 from collections import defaultdict
+from operator import lt
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .model import (
@@ -95,7 +96,7 @@ _RC_RANK = {rel: i for i, rel in enumerate(RcRelation)}
 
 
 def _increasing(group: Sequence) -> bool:
-    return len(group) < 2 or all([a < b for a, b in zip(group, group[1:])])
+    return len(group) < 2 or all(map(lt, group, group[1:]))
 
 
 def _in_store_order(s: Simulation[Iri]) -> bool:

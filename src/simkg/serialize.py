@@ -20,7 +20,7 @@ import re
 import stat
 import sys
 from functools import cache
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from typing import Union
 
 from .graph import (
@@ -210,6 +210,7 @@ def _parse_statements(text: str) -> Statements:
     prefixes: dict[str, str] = {}
     statements: Statements = {}
     resolved: dict[str, Iri] = {}  # token -> IRI; names repeat heavily
+    known = resolved.get  # an IRI is never empty, so a miss is the only false result
 
     def offset(i: int) -> int:
         """Where token ``i`` starts, found by scanning again."""
@@ -263,19 +264,19 @@ def _parse_statements(text: str) -> Statements:
             i += 4
             continue
 
-        preds = statements.setdefault(resolved[tok] if tok in resolved else resolve(i, "a subject"), {})
+        preds = statements.setdefault(known(tok) or resolve(i, "a subject"), {})
         i += 1
         while True:
             verb = tokens[i]
             if verb == "a":
                 objects = preds.setdefault(RDF_TYPE, [])
             else:
-                objects = preds.setdefault(resolved[verb] if verb in resolved else resolve(i, "a predicate"), [])
+                objects = preds.setdefault(known(verb) or resolve(i, "a predicate"), [])
             i += 1
             while True:
                 tok = tokens[i]
-                if tok in resolved:
-                    objects.append(resolved[tok])
+                if iri := known(tok):
+                    objects.append(iri)
                 elif tok[:1] == '"':
                     body = tok[1:-1]
                     if "\\" in body:
@@ -320,9 +321,9 @@ def import_turtle(text: str) -> Graph:
 
     def objects(subject: Iri, preds: dict, pred: Iri, keep: type, warn: bool = False) -> list:
         """Takes ``pred``'s objects off ``preds``; those not of type ``keep``
-        are kept as extra triples."""
-        found = preds.pop(pred, [])
-        if all([isinstance(o, keep) for o in found]):  # the usual case
+        are kept as extra triples.  One C-level pass clears the usual list."""
+        found = preds.pop(pred, ())
+        if all(map(isinstance, found, repeat(keep))):
             return found
         kept = []
         for o in found:
@@ -336,40 +337,45 @@ def import_turtle(text: str) -> Graph:
 
     # Subjects go in as they come.  Members and variants that no subject
     # declares are made afterwards, so a default label never competes, and
-    # roles are stated once every membership is stored.
+    # roles are stated once every membership is stored.  Unknown classes,
+    # literals where IRIs belong, extra labels and unknown predicates cost
+    # only the subject that has them.
     variant_edges: list[tuple[Iri, Iri]] = []
     stated: list[tuple[Iri, Role]] = []
     for subject in sorted(statements):
         preds = statements[subject]
-        types = preds.pop(RDF_TYPE, [])  # a literal here is kept as an extra triple
-        if KIND_BY_CLASS.keys().isdisjoint(types) and _MEMBER_SLOT.keys().isdisjoint(preds):
-            extras.update((subject, RDF_TYPE, t) for t in types if t not in _ROLE_BY_CLASS)
+        types = preds.pop(RDF_TYPE, ())  # a literal here is kept as an extra triple
+        kinds = [*filter(None, map(KIND_BY_CLASS.get, types))]
+        if not kinds and _MEMBER_SLOT.keys().isdisjoint(preds):
+            for t in types:
+                if role := _ROLE_BY_CLASS.get(t):
+                    stated.append((subject, role))
+                else:
+                    extras.add((subject, RDF_TYPE, t))
             labels = objects(subject, preds, RDFS_LABEL, Literal)
             label = min([o.text for o in labels]) if labels else subject.local_name
-            # the entity holds one untagged label; the others are extra triples
-            extras.update((subject, RDFS_LABEL, o) for o in labels if o.lang or o.text != label)
+            if len(labels) > 1 or labels and labels[0].lang:
+                # the entity holds one untagged label; the others are extra triples
+                extras.update((subject, RDFS_LABEL, o) for o in labels if o.lang or o.text != label)
             entities[subject] = Entity(subject, label, frozenset(objects(subject, preds, OWL_SAME_AS, Iri)))
-            stated += ((subject, _ROLE_BY_CLASS[t]) for t in types if t in _ROLE_BY_CLASS)
-            variant_edges += ((subject, o) for o in objects(subject, preds, SIM_HAS_VARIANT, Iri, warn=True))
+            variant_edges += zip(repeat(subject), objects(subject, preds, SIM_HAS_VARIANT, Iri, warn=True))
         else:
-            kinds = [KIND_BY_CLASS[t] for t in types if t in KIND_BY_CLASS]
-            unknown_types = [t for t in types if t not in KIND_BY_CLASS]
-            if not kinds:
-                kinds = [SimulationKind.GENERIC]
-                if unknown_types:
+            if len(kinds) < len(types):
+                unknown_types = [t for t in types if t not in KIND_BY_CLASS]
+                if not kinds:
                     first = unknown_types[0]
                     first = _render_literal(first) if isinstance(first, Literal) else first
                     print(f"unknown class {first} on {subject}, defaulting to the generic simulation", file=sys.stderr)
-            extras.update((subject, RDF_TYPE, t) for t in unknown_types)
+                extras.update(zip(repeat(subject), repeat(RDF_TYPE), unknown_types))
             groups: tuple[list, ...] = ([], [], [], [])  # simulacra, counterparts, contexts, sources
             for pred in [p for p in preds if p in _MEMBER_SLOT]:
                 index, rel = _MEMBER_SLOT[pred]
                 iris = objects(subject, preds, pred, Iri, warn=True)
-                groups[index].extend(iris if rel is None else [(rel, iri) for iri in iris])
-            for kind in kinds:
+                groups[index].extend(iris if rel is None else zip(repeat(rel), iris))
+            for kind in kinds or (SimulationKind.GENERIC,):
                 g._store(Simulation(subject, kind, *map(tuple, groups)))
-        for pred, rest in preds.items():
-            extras.update((subject, pred, o) for o in rest)
+        for pred, rest in preds.items():  # unknown predicates
+            extras.update(zip(repeat(subject), repeat(pred), rest))
 
     for iri in chain(*g._index_of_role.values(), (v for _, v in variant_edges)):
         if iri not in entities:

@@ -28,15 +28,18 @@ def check_axioms(g: Graph) -> list[Violation]:
     """Run every structural check; returns violations sorted by subject
     then axiom name.  Read-only: the graph is left untouched."""
     found: list[Violation] = []
-    participating: set[Iri] = set()
-
     for sim in g.simulations.values():
-        participating.update(sim.members())
         for axiom, detail in cardinality_violations(sim):
             found.append(Violation(axiom, sim.id, detail))
-        for e in sim.members():
-            if e not in g.entities:
-                found.append(Violation(Axiom.DANGLING_ENTITY, e, f"referenced by {sim.id} but not in the graph"))
+
+    # the membership indexes hold every member; only a missing one needs
+    # the walk that names each reference to it
+    participating: set[Iri] = set().union(*g._index_of_role.values())
+    if dangling := participating.difference(g.entities):
+        for sim in g.simulations.values():
+            for e in sim.members():
+                if e in dangling:
+                    found.append(Violation(Axiom.DANGLING_ENTITY, e, f"referenced by {sim.id} but not in the graph"))
 
     for base, variant in sorted(g.variant_edges):
         participating.add(base)

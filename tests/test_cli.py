@@ -324,6 +324,18 @@ class TestIngestCommands:
         assert list(load_graph(out).simulations) == ["https://w3id.org/simulation/data/dove-love"]
         assert capsys.readouterr().err == f"{tsv}: 1 records -> 1 simulations (0 skipped)\n"
 
+    def test_bare_category_prefix_is_empty_after_cleaning(self, tmp_path, capsys):
+        nt = tmp_path / "bare.nt"
+        nt.write_text("dbr:Eagle dct:subject dbc:Symbols_of .\n", encoding="utf-8")
+        out = tmp_path / "out.ttl"
+        assert main(["ingest-dbpedia", "--triples", str(nt), "--out", str(out)]) == 0
+        assert load_graph(out).simulations == {}
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: http://dbpedia.org/resource/Eagle: category "
+            "http://dbpedia.org/resource/Category:Symbols_of empty after cleaning",
+            "1 triples -> 0 simulations",
+        ]
+
     def test_variant_link_closing_a_cycle_is_a_warning(self, tmp_path, capsys):
         doc = tmp_path / "cycle.dict"
         doc.write_text("a\n  ~ b:\nb\n  ~ a:\n", encoding="utf-8")
@@ -332,7 +344,7 @@ class TestIngestCommands:
         assert capsys.readouterr().err.splitlines() == [
             "warning: variant link https://w3id.org/simulation/data/b -> https://w3id.org/simulation/data/a "
             "closes a cycle",
-            f"{doc}: 2 entries -> 0 simulations, 2 variant links",
+            f"{doc}: 2 entries -> 0 simulations, 1 variant links",
         ]
         g = load_graph(out)
         assert {e.id.local_name for e in g.variant_closure(Iri(KB + "a"))} == {"b"}

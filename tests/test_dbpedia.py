@@ -209,8 +209,12 @@ class TestConvert:
         [
             (Iri("http://dbpedia.org/resource/Category:"), "http://dbpedia.org/resource/Category:"),
             ("Symbols of ", "Symbols of "),
+            *[
+                (Iri(f"http://dbpedia.org/resource/Category:{name}"), f"http://dbpedia.org/resource/Category:{name}")
+                for name in ("Symbols_of", "Symbol_of", "National_symbols_of")
+            ],
         ],
-        ids=["empty-iri-label", "prefix-only-literal"],
+        ids=["empty-iri-label", "prefix-only-literal", "Symbols_of", "Symbol_of", "National_symbols_of"],
     )
     def test_category_empty_after_cleaning_is_a_warning(self, category, shown, source):
         subject = Iri("http://dbpedia.org/resource/X")

@@ -626,3 +626,109 @@ def test_tokenizer_error_wins_over_an_earlier_parse_error():
     with pytest.raises(TurtleSyntaxError) as err:
         import_turtle(doc)
     assert str(err.value) == "line 3, col 16: unexpected character '!'"
+
+
+_LENIENT_DOC = """\
+@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .
+@prefix owl: <http://www.w3.org/2002/07/owl#> .
+@prefix prov: <http://www.w3.org/ns/prov#> .
+@prefix sim: <https://w3id.org/simulation/ontology/> .
+@prefix kb: <https://w3id.org/simulation/data/> .
+@prefix ex: <http://example.org/> .
+
+kb:olive-peace a sim:Simulation, sim:HealingSimulation, "y" ;
+    sim:hasSimulacrum kb:olive ;
+    sim:healedRealityCounterpart kb:war ;
+    sim:hasRealityCounterpart kb:peace ;
+    sim:hasContext kb:greek, "roman" ;
+    prov:wasDerivedFrom kb:src .
+kb:owl-death a ex:Mystery ;
+    sim:hasSimulacrum kb:owl ;
+    sim:hasRealityCounterpart kb:death ;
+    sim:hasContext kb:hindu ;
+    prov:wasDerivedFrom kb:src .
+kb:x-y a "z" ;
+    sim:hasSimulacrum kb:x .
+kb:e a "x" ;
+    rdfs:label "e" .
+kb:rose a sim:Simulacrum, ex:Flower ;
+    rdfs:label kb:roseLabel, "rose", "Rose"@en ;
+    sim:hasVariant kb:whiteRose, "pink rose" ;
+    owl:sameAs <http://dbpedia.org/resource/Rose>, "rose" ;
+    ex:colour "red" .
+"""
+
+_LENIENT_EXPORT = "".join(f"@prefix {name}: <{ns}> .\n" for name, ns in PREFIXES) + """
+kb:death a sim:RealityCounterpart ;
+    rdfs:label "death" .
+
+kb:e a "x" ;
+    rdfs:label "e" .
+
+kb:greek a sim:Context ;
+    rdfs:label "greek" .
+
+kb:hindu a sim:Context ;
+    rdfs:label "hindu" .
+
+kb:olive a sim:Simulacrum ;
+    rdfs:label "olive" .
+
+kb:olive-peace a sim:HealingSimulation, sim:Simulation, "y" ;
+    sim:hasSimulacrum kb:olive ;
+    sim:hasRealityCounterpart kb:peace ;
+    sim:healedRealityCounterpart kb:war ;
+    sim:hasContext kb:greek, "roman" ;
+    prov:wasDerivedFrom kb:src .
+
+kb:owl a sim:Simulacrum ;
+    rdfs:label "owl" .
+
+kb:owl-death a <http://example.org/Mystery>, sim:Simulation ;
+    sim:hasSimulacrum kb:owl ;
+    sim:hasRealityCounterpart kb:death ;
+    sim:hasContext kb:hindu ;
+    prov:wasDerivedFrom kb:src .
+
+kb:peace a sim:RealityCounterpart ;
+    rdfs:label "peace" .
+
+kb:rose a <http://example.org/Flower>, sim:Simulacrum ;
+    rdfs:label kb:roseLabel, "Rose", "Rose"@en, "rose" ;
+    sim:hasVariant kb:whiteRose, "pink rose" ;
+    owl:sameAs <http://dbpedia.org/resource/Rose>, "rose" ;
+    <http://example.org/colour> "red" .
+
+kb:src a sim:Source ;
+    rdfs:label "src" .
+
+kb:war a sim:RealityCounterpart ;
+    rdfs:label "war" .
+
+kb:whiteRose rdfs:label "whiteRose" .
+
+kb:x a sim:Simulacrum ;
+    rdfs:label "x" .
+
+kb:x-y a sim:Simulation, "z" ;
+    sim:hasSimulacrum kb:x .
+"""
+
+
+def test_every_lenient_import_branch(capsys):
+    # a literal member, literal types on an entity and on simulations, an
+    # unknown class, two kinds, a role class beside an unknown type, a
+    # literal sameAs and variant, IRI and tagged labels, an unknown predicate
+    g = import_turtle(_LENIENT_DOC)
+    assert capsys.readouterr().err.splitlines() == [
+        "ignoring literal object 'roman' of https://w3id.org/simulation/ontology/hasContext "
+        "on https://w3id.org/simulation/data/olive-peace",
+        "unknown class http://example.org/Mystery on https://w3id.org/simulation/data/owl-death, "
+        "defaulting to the generic simulation",
+        "ignoring literal object 'pink rose' of https://w3id.org/simulation/ontology/hasVariant "
+        "on https://w3id.org/simulation/data/rose",
+        'unknown class "z" on https://w3id.org/simulation/data/x-y, defaulting to the generic simulation',
+    ]
+    text = export_turtle(g, force=True)
+    assert text == _LENIENT_EXPORT
+    assert import_turtle(text) == g

@@ -194,6 +194,33 @@ def test_broken_reference_is_dangling():
     assert violations[0].subject == Iri(KB + "death")
 
 
+def test_dangling_member_reported_once_per_occurrence():
+    # ghost is both simulacrum and context of one simulation, and the
+    # simulacrum of another: three references, three violations
+    g = import_turtle(
+        HEADER
+        + """
+kb:ghost-peace a sim:Simulation ;
+    sim:hasSimulacrum kb:ghost ;
+    sim:hasRealityCounterpart kb:peace ;
+    sim:hasContext kb:ghost ;
+    prov:wasDerivedFrom kb:src .
+kb:ghost-war a sim:Simulation ;
+    sim:hasSimulacrum kb:ghost ;
+    sim:hasRealityCounterpart kb:war ;
+    sim:hasContext kb:greek ;
+    prov:wasDerivedFrom kb:src .
+"""
+    )
+    del g.entities[Iri(KB + "ghost")]
+    ghost = Iri(KB + "ghost")
+    assert check_axioms(g) == [
+        (Axiom.DANGLING_ENTITY, ghost, f"referenced by {KB}ghost-peace but not in the graph"),
+        (Axiom.DANGLING_ENTITY, ghost, f"referenced by {KB}ghost-peace but not in the graph"),
+        (Axiom.DANGLING_ENTITY, ghost, f"referenced by {KB}ghost-war but not in the graph"),
+    ]
+
+
 def test_validation_is_read_only(toy_graph):
     before = (
         dict(toy_graph.simulations),
