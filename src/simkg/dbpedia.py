@@ -153,15 +153,17 @@ def fetch_symbol_data(
 
 
 def _fetch_all_pages(http, endpoint, query_template, page_size, max_attempts, retry_wait, timeout):
+    """Every row of the query.  A server may answer fewer rows than asked
+    for (Virtuoso caps each response at its ResultSetMaxRows), so a short
+    page is not the last: the next page starts after the rows received,
+    and only an empty page ends the result."""
     rows = []
-    offset = 0
-    while True:
-        query = query_template.format(limit=page_size, offset=offset)
-        page = _fetch_page(http, endpoint, query, offset, max_attempts, retry_wait, timeout)
+    while page := _fetch_page(
+        http, endpoint, query_template.format(limit=page_size, offset=len(rows)), len(rows),
+        max_attempts, retry_wait, timeout,
+    ):
         rows.extend(page)
-        if len(page) < page_size:
-            return rows
-        offset += page_size
+    return rows
 
 
 def _fetch_page(http, endpoint, query, offset, max_attempts, retry_wait, timeout):

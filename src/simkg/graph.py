@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from operator import lt
-from typing import Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, KeysView, NamedTuple, Sequence, Union
 
 from .model import (
     OWL,
@@ -93,6 +93,8 @@ def _min_label(a: str, b: str) -> str:
 
 
 _RC_RANK = {rel: i for i, rel in enumerate(RcRelation)}
+
+_NO_MEMBERS: dict[Iri, None] = {}  # what an index lookup misses with; never filled
 
 
 def _increasing(group: Sequence) -> bool:
@@ -179,11 +181,15 @@ class Graph:
         self.extra_triples: set[Triple] = set()
 
         self._variant_children: dict[Iri, set[Iri]] = defaultdict(set)
-        self._sims_by_simulacrum: dict[Iri, set[Iri]] = defaultdict(set)
-        self._sims_by_rc: dict[Iri, set[Iri]] = defaultdict(set)
-        self._sims_by_context: dict[Iri, set[Iri]] = defaultdict(set)
-        self._sims_by_source: dict[Iri, set[Iri]] = defaultdict(set)
-        self._meanings_of: dict[Iri, set[Iri]] = defaultdict(set)
+        # The membership and meaning indexes are ordered sets: dicts whose
+        # keys keep store order.  import_turtle stores simulations in IRI
+        # order, so on a loaded graph a membership index lists them sorted,
+        # and run_cq sorts what a question reads from one in linear time.
+        self._sims_by_simulacrum: dict[Iri, dict[Iri, None]] = defaultdict(dict)
+        self._sims_by_rc: dict[Iri, dict[Iri, None]] = defaultdict(dict)
+        self._sims_by_context: dict[Iri, dict[Iri, None]] = defaultdict(dict)
+        self._sims_by_source: dict[Iri, dict[Iri, None]] = defaultdict(dict)
+        self._meanings_of: dict[Iri, dict[Iri, None]] = defaultdict(dict)
         indexes = self._sims_by_simulacrum, self._sims_by_rc, self._sims_by_context, self._sims_by_source
         self._index_of_role = dict(zip(Role, indexes))  # Role lists the four positions in this order
         self._stated_roles: dict[Iri, set[Role]] = {}  # only roles no membership implies
@@ -297,16 +303,16 @@ class Graph:
                 tuple(sorted({*old.sources, *s.sources})),
             )
         for a in stored.simulacra:
-            self._sims_by_simulacrum[a].add(stored.id)
+            self._sims_by_simulacrum[a][stored.id] = None
         for _, rc in stored.reality_counterparts:
-            self._sims_by_rc[rc].add(stored.id)
+            self._sims_by_rc[rc][stored.id] = None
         for c in stored.contexts:
-            self._sims_by_context[c].add(stored.id)
+            self._sims_by_context[c][stored.id] = None
         for src in stored.sources:
-            self._sims_by_source[src].add(stored.id)
+            self._sims_by_source[src][stored.id] = None
         for a in stored.simulacra:
             for _, rc in stored.reality_counterparts:
-                self._meanings_of[a].add(rc)
+                self._meanings_of[a][rc] = None
         for m in stored.members() if self._stated_roles else ():  # drop what a membership now implies
             if left := {role for role in self._stated_roles.pop(m, ()) if m not in self._index_of_role[role]}:
                 self._stated_roles[m] = left
@@ -344,18 +350,19 @@ class Graph:
         return found
 
     # -- queries used across modules ---------------------------------------
+    # Each returns a read-only, set-like view of an index, in store order.
 
-    def simulations_with_simulacrum(self, iri: Iri) -> set[Iri]:
-        return self._sims_by_simulacrum.get(iri, set())
+    def simulations_with_simulacrum(self, iri: Iri) -> KeysView[Iri]:
+        return self._sims_by_simulacrum.get(iri, _NO_MEMBERS).keys()
 
-    def simulations_with_rc(self, iri: Iri) -> set[Iri]:
-        return self._sims_by_rc.get(iri, set())
+    def simulations_with_rc(self, iri: Iri) -> KeysView[Iri]:
+        return self._sims_by_rc.get(iri, _NO_MEMBERS).keys()
 
-    def simulations_with_context(self, iri: Iri) -> set[Iri]:
-        return self._sims_by_context.get(iri, set())
+    def simulations_with_context(self, iri: Iri) -> KeysView[Iri]:
+        return self._sims_by_context.get(iri, _NO_MEMBERS).keys()
 
-    def meanings_of(self, iri: Iri) -> set[Iri]:
-        return self._meanings_of.get(iri, set())
+    def meanings_of(self, iri: Iri) -> KeysView[Iri]:
+        return self._meanings_of.get(iri, _NO_MEMBERS).keys()
 
     # -- statements and statistics -----------------------------------------
 

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import re
@@ -302,10 +303,13 @@ class TestFetch:
     def test_recorded_responses_three_rows(self):
         session = _StubSession([
             _StubResponse(payload=_load_fixture("symbol_page.json")),
+            _StubResponse(payload=_page([])),  # only an empty page ends a query
             _StubResponse(payload=_load_fixture("category_page.json")),
+            _StubResponse(payload=_page([])),
         ])
         triples = fetch_symbol_data("http://example.org/sparql", page_size=100, session=session)
         assert len(triples) == 3
+        assert [re.search(r"OFFSET (\d+)", q).group(1) for q in session.requests] == ["0", "2", "0", "1"]
         predicates = sorted(t.predicate.value for t in triples)
         assert predicates == ["dbp_symbol", "dbp_symbol", "dct_subject"]
         zeus = next(t for t in triples if t.subject.local_name == "Zeus")
@@ -344,7 +348,7 @@ class TestFetch:
     @pytest.mark.parametrize("binding", [{"type": "uri"}, "http://dbpedia.org/resource/Zeus"])
     def test_binding_without_value_is_a_malformed_response(self, binding):
         row = {"s": binding, "o": {"type": "literal", "value": "x"}}
-        session = _StubSession([_StubResponse(payload=_page([row])), _StubResponse(payload=_page([]))])
+        session = _StubSession([_StubResponse(payload=_page([row])), *[_StubResponse(payload=_page([]))] * 2])
         with pytest.raises(MalformedResponseError, match="binding 's'"):
             fetch_symbol_data("http://example.org/sparql", session=session)
 
@@ -384,13 +388,13 @@ class TestFetch:
             "type": {"type": "uri", "value": "http://dbpedia.org/ontology/Deity"},
         }
         row[var] = {"type": "uri", "value": "http://dbpedia.org/resource/a>b"}
-        session = _StubSession([_StubResponse(payload=_page([row])), _StubResponse(payload=_page([]))])
+        session = _StubSession([_StubResponse(payload=_page([row])), *[_StubResponse(payload=_page([]))] * 2])
         with pytest.raises(MalformedResponseError, match="a>b"):
             fetch_symbol_data("http://example.org/sparql", session=session)
 
     def test_bad_endpoint_iri_exits_3_with_one_line(self, monkeypatch, tmp_path, capsys):
         row = {"s": {"type": "uri", "value": "http://dbpedia.org/resource/a b"}, "o": {"type": "literal", "value": "x"}}
-        session = _StubSession([_StubResponse(payload=_page([row])), _StubResponse(payload=_page([]))])
+        session = _StubSession([_StubResponse(payload=_page([row])), *[_StubResponse(payload=_page([]))] * 2])
         session.close = lambda: None
         monkeypatch.setattr(requests, "Session", lambda: session)
         code = main(["ingest-dbpedia", "--endpoint", "http://example.org/sparql", "--out", str(tmp_path / "out.ttl")])
@@ -460,9 +464,12 @@ def test_public_names_load_on_first_use():
 
 class _SparqlHandler(BaseHTTPRequestHandler):
     """Miniature SPARQL endpoint: serves fixture rows with LIMIT/OFFSET
-    pagination and fails the first request with a 500 to exercise retry."""
+    pagination, fails its first ``failures`` requests with a 500 to exercise
+    retry, and answers at most ``row_cap`` rows a request when that is set,
+    as a Virtuoso server capped by its ResultSetMaxRows setting does."""
 
-    failures = {"remaining": 1}
+    failures = {"remaining": 0}
+    row_cap = None
     symbol_rows = _load_fixture("symbol_page.json")["results"]["bindings"]
     category_rows = _load_fixture("category_page.json")["results"]["bindings"]
 
@@ -475,6 +482,8 @@ class _SparqlHandler(BaseHTTPRequestHandler):
         query = parse_qs(urlparse(self.path).query)["query"][0]
         rows = self.symbol_rows if "symbol>" in query else self.category_rows
         limit = int(re.search(r"LIMIT (\d+)", query).group(1))
+        if self.row_cap is not None:
+            limit = min(limit, self.row_cap)
         offset = int(re.search(r"OFFSET (\d+)", query).group(1))
         body = json.dumps({"results": {"bindings": rows[offset : offset + limit]}}).encode()
         self.send_response(200)
@@ -487,15 +496,33 @@ class _SparqlHandler(BaseHTTPRequestHandler):
         pass
 
 
-def test_fetch_against_local_http_endpoint():
-    _SparqlHandler.failures["remaining"] = 1
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _SparqlHandler)
+@contextlib.contextmanager
+def _local_endpoint(failures=0, row_cap=None):
+    """The URL of a :class:`_SparqlHandler` served on a loopback port."""
+    handler = type("Handler", (_SparqlHandler,), {"failures": {"remaining": failures}, "row_cap": row_cap})
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
-        endpoint = f"http://127.0.0.1:{server.server_port}/sparql"
-        triples = fetch_symbol_data(endpoint, page_size=1, retry_wait=0.001)
-        assert len(triples) == 3
+        yield f"http://127.0.0.1:{server.server_port}/sparql"
     finally:
         server.shutdown()
         thread.join()
+        server.server_close()
+
+
+def test_fetch_against_local_http_endpoint():
+    with _local_endpoint(failures=1) as endpoint:
+        triples = fetch_symbol_data(endpoint, page_size=1, retry_wait=0.001)
+    assert len(triples) == 3
+
+
+@pytest.mark.parametrize("page_size", [1, 2, 3, 10000])
+def test_endpoint_that_caps_its_rows_still_gives_every_row(page_size):
+    # one row a response, below every page size but 1: a page shorter than
+    # asked for is not the last one
+    with _local_endpoint(row_cap=1) as endpoint:
+        capped = fetch_symbol_data(endpoint, page_size=page_size, retry_wait=0.001)
+    with _local_endpoint() as endpoint:
+        assert capped == fetch_symbol_data(endpoint, page_size=page_size, retry_wait=0.001)
+    assert len(capped) == 3

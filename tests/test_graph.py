@@ -15,6 +15,7 @@ from graphgen import (
 )
 from simkg import (
     Axiom,
+    CqId,
     CycleError,
     Graph,
     Iri,
@@ -28,6 +29,7 @@ from simkg import (
     export_turtle,
     import_turtle,
     make_entity,
+    run_cq,
 )
 from simkg.graph import KIND_BY_CLASS, RDF_TYPE
 from simkg.model import KB
@@ -395,6 +397,63 @@ def test_sample_corpus_matches_golden_stats():
         for r in (*stats.rows, stats.total)
     ]
     assert produced == golden_lines[1:]
+
+
+_ACCESSORS = ("simulations_with_simulacrum", "simulations_with_rc", "simulations_with_context", "meanings_of")
+
+
+def _point_answers(g):
+    """Every answer of the four questions that read one index entry."""
+    asked = {CqId.Q1_1: "simulacrum", CqId.Q1_2: "context", CqId.Q1_3: "entity", CqId.Q1_4: "rc"}
+    return {(cq, iri): run_cq(g, cq, {name: iri}) for cq, name in asked.items() for iri in sorted(g.entities)}
+
+
+class TestIndexViews:
+    def test_mutating_an_accessor_result_leaves_the_graph_alone(self):
+        from conftest import FIXTURES
+
+        text = (FIXTURES / "golden" / "hook.ttl").read_text(encoding="utf-8")
+        g = import_turtle(text)
+        context = Iri(KB + "generalOrUnknown")
+        assert len(run_cq(g, CqId.Q1_2, {"context": context})) == 4
+        answers = _point_answers(g)
+        s = g.simulations_with_context(context)
+        s -= set(list(s)[:2])
+        assert len(run_cq(g, CqId.Q1_2, {"context": context})) == 4
+        for name in _ACCESSORS:
+            for iri in [*sorted(g.entities), Iri(KB + "noSuchEntity")]:
+                s = getattr(g, name)(iri)
+                s -= set(list(s)[:1])
+                s |= {Iri(KB + "intruder")}
+                s &= set()
+        assert _point_answers(g) == answers
+        assert export_turtle(g) == text
+
+    def test_accessor_results_are_read_only_views(self):
+        g = random_graph(random.Random(3))
+        owner = next(iter(g._sims_by_simulacrum))
+        for name in _ACCESSORS:
+            for view in (getattr(g, name)(owner), getattr(g, name)(Iri(KB + "noSuchEntity"))):
+                assert not hasattr(view, "add") and not hasattr(view, "discard")
+        # set-like all the same
+        sims = g.simulations_with_simulacrum(owner)
+        assert sims == set(sims) and sims - set(sims) == set() and (sims | set()) == set(sims)
+        assert not g.simulations_with_rc(Iri(KB + "noSuchEntity"))
+
+    def test_loaded_graph_lists_each_index_in_iri_order(self):
+        # run_cq sorts what arrives in order in linear time, so a silent
+        # return to hash-ordered indexes shows here first
+        for seed in range(40):
+            g = import_turtle(export_turtle(random_graph(random.Random(seed))))
+            for name in _ACCESSORS[:3]:
+                for iri in g.entities:
+                    members = list(getattr(g, name)(iri))
+                    assert members == sorted(members), f"seed {seed}: {name}({iri})"
+            # a simulacrum's meanings in store order: by the first simulation,
+            # in IRI order, that states each of them
+            for a, sims in g._sims_by_simulacrum.items():
+                stated = dict.fromkeys(rc for i in sims for _, rc in g.simulations[i].reality_counterparts)
+                assert list(g.meanings_of(a)) == list(stated), f"seed {seed}: meanings_of({a})"
 
 
 class TestProperties:
