@@ -20,12 +20,12 @@ _PUBLIC_NAMES = {
         "MalformedResponseError", "NetworkError", "SymbolPredicate", "SymbolTriple", "convert_dbpedia",
         "fetch_symbol_data", "read_triples_file",
     ),
-    "dictionary": ("Clause", "DictEntry", "ParseError", "convert_document", "convert_entry", "parse_dictionary"),
+    "dictionary": ("Clause", "DictEntry", "convert_document", "convert_entry", "parse_dictionary"),
     "graph": ("CorpusStats", "Graph", "SourceStats", "UnknownEntityError"),
     "model": (
         "KB", "OWL", "PROV", "RDF", "RDFS", "SIM", "Axiom", "CardinalityError", "CycleError", "EmptyLabelError",
-        "Entity", "Iri", "Literal", "RcRelation", "Role", "Simulation", "SimulationKind", "VariantLink",
-        "build_simulation", "camel_case", "general_context", "make_entity", "mint_iri",
+        "Entity", "Iri", "Literal", "ParseError", "RcRelation", "Role", "Simulation", "SimulationKind",
+        "VariantLink", "build_simulation", "camel_case", "general_context", "make_entity", "mint_iri",
     ),
     "query": ("CqId", "MissingBindingError", "ResultRow", "run_cq", "symbolic_meanings"),
     "serialize": (

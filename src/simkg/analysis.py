@@ -12,7 +12,7 @@ import csv
 import io
 import re
 from enum import Enum
-from typing import Iterable, Mapping, NamedTuple, Optional, Union
+from typing import Iterable, NamedTuple, Union
 
 from .graph import Graph
 from .model import Entity, Iri
@@ -45,14 +45,13 @@ class ColorDistribution(NamedTuple):
     rows: tuple[MeaningRow, ...]
 
 
-def label_colors(label: str, colors: Iterable[str], aliases: Optional[Mapping[str, str]] = None) -> set[str]:
-    """Colour tokens present in a label, on word boundaries; aliases fold
-    variants onto their canonical colour ("golden" counts as gold)."""
-    alias_map = COLOR_ALIASES if aliases is None else aliases
+def label_colors(label: str, colors: Iterable[str]) -> set[str]:
+    """Colour tokens present in a label, on word boundaries; COLOR_ALIASES
+    fold variants onto their canonical colour ("golden" counts as gold)."""
     lexicon = set(colors)
     found = set()
     for word in _WORDS.findall(label.lower()):
-        word = alias_map.get(word, word)
+        word = COLOR_ALIASES.get(word, word)
         if word in lexicon:
             found.add(word)
     return found

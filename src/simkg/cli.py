@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Optional
 
 from .graph import Graph, UnknownEntityError
-from .model import CycleError, Iri, RcRelation, Role, SimulationKind, make_entity
+from .model import CycleError, Iri, ParseError, RcRelation, Role, SimulationKind, make_entity
 from .serialize import (
     PREFIXES,
     GraphViolationsError,
@@ -341,7 +341,6 @@ def _cmd_ingest_dbpedia(args) -> int:
 
 
 def _cmd_ingest_wordnet(args) -> int:
-    from .dictionary import ParseError
     from .wordnet import convert_synsets, read_synset_file
 
     g = _load(args)

@@ -58,6 +58,12 @@ FILE_PREFIXES = {
 # type IRI or its local name, so both bare names and full IRIs work.
 DEFAULT_EXCLUDED_TYPES = frozenset({"RailwayStation", "PublicCompany"})
 
+# Endpoint retry bounds: tries per page, the wait in seconds before the
+# second try (doubled before each later one), and each request's timeout.
+MAX_ATTEMPTS = 5
+RETRY_WAIT = 0.5
+TIMEOUT = 60.0
+
 _CATEGORY_PREFIXES = re.compile(r"^(national symbols of|symbols of|symbol of)(?:\s+|\Z)", re.IGNORECASE)
 
 
@@ -100,93 +106,70 @@ def fetch_symbol_data(
     endpoint: str,
     page_size: int = 10000,
     session: Optional[requests.Session] = None,
-    max_attempts: int = 5,
-    retry_wait: float = 0.5,
-    timeout: float = 60.0,
 ) -> list[SymbolTriple]:
     """Fetch every symbol-bearing triple from a SPARQL endpoint.
 
-    Pages with LIMIT/OFFSET and retries each page with exponential backoff;
-    either the whole result arrives or the failing page is reported.  No
-    partial result is ever returned silently.
+    Pages with LIMIT/OFFSET and retries each page with exponential backoff
+    (:data:`MAX_ATTEMPTS`, :data:`RETRY_WAIT`, :data:`TIMEOUT`); either the
+    whole result arrives or the failing page is reported.  No partial result
+    is ever returned silently.  A ``session`` passed in is left open.
     """
     if page_size < 1:
         raise ValueError(f"page_size must be at least 1, got {page_size}")
     import requests  # only the endpoint path needs the HTTP stack
 
-    own_session = session is None
     http = session or requests.Session()
     try:
-        symbol_rows = _fetch_all_pages(
-            http, endpoint, _SYMBOL_QUERY.replace("{dbp_symbol}", DBP_SYMBOL),
-            page_size, max_attempts, retry_wait, timeout,
-        )
-        category_rows = _fetch_all_pages(
-            http, endpoint, _CATEGORY_QUERY.replace("{dct_subject}", DCT_SUBJECT),
-            page_size, max_attempts, retry_wait, timeout,
-        )
+        symbol_rows = _fetch_all_pages(http, endpoint, _SYMBOL_QUERY.replace("{dbp_symbol}", DBP_SYMBOL), page_size)
+        category_rows = _fetch_all_pages(http, endpoint, _CATEGORY_QUERY.replace("{dct_subject}", DCT_SUBJECT), page_size)
     finally:
-        if own_session:
+        if session is None:
             http.close()
 
-    grouped: dict[tuple[Iri, Union[Iri, str]], set[Iri]] = {}
+    # the query's OPTIONAL gives every row of a subject the same types
+    symbols: dict[tuple[Iri, Union[Iri, str]], None] = {}
+    types: dict[Iri, set[Iri]] = {}
     for row in symbol_rows:
-        subject = _binding_iri(row, "s")
-        obj = _binding_value(row, "o")
-        types = grouped.setdefault((subject, obj), set())
+        subject = _binding(row, "s")
+        symbols[subject, _binding(row, "o", literal_ok=True)] = None
         if "type" in row:
-            types.add(_binding_iri(row, "type"))
-    triples = [
-        SymbolTriple(subject=s, predicate=SymbolPredicate.DBP_SYMBOL, object=o, subject_types=tuple(sorted(types)))
-        for (s, o), types in grouped.items()
-    ]
-    for row in category_rows:
-        triples.append(
-            SymbolTriple(
-                subject=_binding_iri(row, "s"),
-                predicate=SymbolPredicate.DCT_SUBJECT,
-                object=_binding_iri(row, "o"),
-            )
-        )
-    triples.sort(key=lambda t: (t.subject, t.predicate.value, str(t.object)))
-    return triples
+            types.setdefault(subject, set()).add(_binding(row, "type"))
+    categories = [(_binding(row, "s"), _binding(row, "o")) for row in category_rows]
+    return _symbol_triples(symbols, types, categories)
 
 
-def _fetch_all_pages(http, endpoint, query_template, page_size, max_attempts, retry_wait, timeout):
+def _fetch_all_pages(http, endpoint, query_template, page_size):
     """Every row of the query.  A server may answer fewer rows than asked
     for (Virtuoso caps each response at its ResultSetMaxRows), so a short
     page is not the last: the next page starts after the rows received,
     and only an empty page ends the result."""
     rows = []
-    while page := _fetch_page(
-        http, endpoint, query_template.format(limit=page_size, offset=len(rows)), len(rows),
-        max_attempts, retry_wait, timeout,
-    ):
+    while page := _fetch_page(http, endpoint, query_template.format(limit=page_size, offset=len(rows)), len(rows)):
         rows.extend(page)
     return rows
 
 
-def _fetch_page(http, endpoint, query, offset, max_attempts, retry_wait, timeout):
+def _fetch_page(http, endpoint, query, offset):
     import requests
 
     last_error = None
-    for attempt in range(max_attempts):
+    for attempt in range(MAX_ATTEMPTS):
         if attempt:
-            time.sleep(retry_wait * 2 ** (attempt - 1))
+            time.sleep(RETRY_WAIT * 2 ** (attempt - 1))
         try:
             response = http.get(
                 endpoint,
                 params={"query": query, "format": "application/sparql-results+json"},
                 headers={"Accept": "application/sparql-results+json"},
-                timeout=timeout,
+                timeout=TIMEOUT,
             )
         except requests.RequestException as err:
             last_error = err
-            print(f"page at offset {offset}, attempt {attempt + 1}/{max_attempts} failed: {err}", file=sys.stderr)
+            print(f"page at offset {offset}, attempt {attempt + 1}/{MAX_ATTEMPTS} failed: {err}", file=sys.stderr)
             continue
         if response.status_code >= 500 or response.status_code == 429:
             last_error = RuntimeError(f"HTTP {response.status_code}")
-            print(f"page at offset {offset}, attempt {attempt + 1}/{max_attempts}: HTTP {response.status_code}", file=sys.stderr)
+            print(f"page at offset {offset}, attempt {attempt + 1}/{MAX_ATTEMPTS}: HTTP {response.status_code}", file=sys.stderr)
             continue
         if response.status_code != 200:
             raise NetworkError(f"page at offset {offset}: HTTP {response.status_code} from {endpoint}")
@@ -195,32 +178,23 @@ def _fetch_page(http, endpoint, query, offset, max_attempts, retry_wait, timeout
             return payload["results"]["bindings"]
         except (ValueError, KeyError, TypeError) as err:
             raise MalformedResponseError(f"page at offset {offset}: not a SPARQL JSON result ({err})") from err
-    raise NetworkError(f"page at offset {offset} failed after {max_attempts} attempts: {last_error}")
+    raise NetworkError(f"page at offset {offset} failed after {MAX_ATTEMPTS} attempts: {last_error}")
 
 
-def _binding_iri(row: dict, var: str) -> Iri:
-    return _endpoint_iri(_binding(row, var)[1])
-
-
-def _binding_value(row: dict, var: str) -> Union[Iri, str]:
-    kind, value = _binding(row, var)
-    return _endpoint_iri(value) if kind == "uri" else str(value)
-
-
-def _endpoint_iri(value) -> Iri:
+def _binding(row: dict, var: str, literal_ok: bool = False) -> Union[Iri, str]:
+    """The term bound to ``var``: an IRI, or where ``literal_ok`` is set a
+    term that is not one, as its plain value."""
+    try:
+        b = row[var]
+        kind, value = b.get("type"), b["value"]
+    except (KeyError, TypeError, AttributeError) as err:
+        raise MalformedResponseError(f"binding {var!r} missing from result row") from err
+    if literal_ok and kind != "uri":
+        return str(value)
     try:
         return Iri(value)
     except (ValueError, TypeError) as err:
         raise MalformedResponseError(f"endpoint returned a bad IRI: {err}") from None
-
-
-def _binding(row: dict, var: str) -> tuple[Optional[str], object]:
-    """The binding's ``type`` and ``value``."""
-    try:
-        b = row[var]
-        return b.get("type"), b["value"]
-    except (KeyError, TypeError, AttributeError) as err:
-        raise MalformedResponseError(f"binding {var!r} missing from result row") from err
 
 
 def read_triples_file(path) -> list[SymbolTriple]:
@@ -232,8 +206,9 @@ def read_triples_file(path) -> list[SymbolTriple]:
     is kept (its language tag or datatype is dropped).  Whitespace between
     terms is optional where N-Triples allows it.
     """
+    symbols: list[tuple[Iri, Union[Iri, str]]] = []
     types: dict[Iri, set[Iri]] = {}
-    raw_rows: list[tuple[Iri, Iri, Union[Iri, str]]] = []
+    categories: list[tuple[Iri, Iri]] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -248,19 +223,23 @@ def read_triples_file(path) -> list[SymbolTriple]:
             s = _expand_term(s_term, lineno)
             p = _expand_term(p_term, lineno)
             obj: Union[Iri, str] = _expand_term(o_term, lineno) if literal is None else _literal(literal, lineno)
-            if p == RDF_TYPE and isinstance(obj, Iri):
+            if p == DBP_SYMBOL:
+                symbols.append((s, obj))
+            elif not isinstance(obj, Iri):
+                continue
+            elif p == RDF_TYPE:
                 types.setdefault(s, set()).add(obj)
-            else:
-                raw_rows.append((s, p, obj))
+            elif p == DCT_SUBJECT and "symbol" in _category_label(obj).lower():
+                categories.append((s, obj))
+    return _symbol_triples(symbols, types, categories)
 
-    triples = []
-    for s, p, obj in raw_rows:
-        if p == DBP_SYMBOL:
-            triples.append(
-                SymbolTriple(s, SymbolPredicate.DBP_SYMBOL, obj, tuple(sorted(types.get(s, ()))))
-            )
-        elif p == DCT_SUBJECT and isinstance(obj, Iri) and "symbol" in _category_label(obj).lower():
-            triples.append(SymbolTriple(s, SymbolPredicate.DCT_SUBJECT, obj))
+
+def _symbol_triples(symbols, types, categories) -> list[SymbolTriple]:
+    """Rule A's ``(subject, object)`` pairs, each with its subject's types
+    (a dict of sets), and rule B's ``(subject, category)`` pairs, as one
+    sorted list; both readers end here."""
+    triples = [SymbolTriple(s, SymbolPredicate.DBP_SYMBOL, o, tuple(sorted(types.get(s, ())))) for s, o in symbols]
+    triples += [SymbolTriple(s, SymbolPredicate.DCT_SUBJECT, category) for s, category in categories]
     triples.sort(key=lambda t: (t.subject, t.predicate.value, str(t.object)))
     return triples
 

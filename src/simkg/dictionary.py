@@ -27,6 +27,7 @@ from .model import (
     CycleError,
     EmptyLabelError,
     Entity,
+    ParseError,
     RcRelation,
     Simulation,
     SimulationKind,
@@ -55,13 +56,6 @@ PHRASE_TABLE: dict[str, tuple[SimulationKind, RcRelation]] = {
     "restores": (SimulationKind.GENERIC, RcRelation.RESTORED),
     "eases": (SimulationKind.GENERIC, RcRelation.EASED),
 }
-
-
-class ParseError(ValueError):
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
-        self.reason = message
 
 
 class Clause(NamedTuple):

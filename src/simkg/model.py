@@ -48,6 +48,15 @@ class CycleError(ValueError):
     """A variant link would make the variant relation cyclic."""
 
 
+class ParseError(ValueError):
+    """A line of a dictionary or synset file that cannot be read; names the line."""
+
+    def __init__(self, message: str, line: int):
+        super().__init__(f"line {line}: {message}")
+        self.line = line
+        self.reason = message
+
+
 class Axiom(Enum):
     """Names of the closed-world checks a graph can violate."""
 

@@ -50,8 +50,9 @@ class MissingBindingError(ValueError):
 class ResultRow(tuple):
     """One result row: its values, in the order of ``variables``.
 
-    Rows are tuples, so two rows of different questions that hold the same
-    values compare equal.
+    ``row["rc"]`` reads a value by its variable name, and any other key
+    indexes the tuple.  Rows are tuples, so two rows of different questions
+    that hold the same values compare equal.
     """
 
     __slots__ = ()
@@ -60,11 +61,13 @@ class ResultRow(tuple):
     def values(self) -> tuple[Iri, ...]:
         return tuple(self)
 
-    def __getitem__(self, variable: str) -> Iri:
+    def __getitem__(self, key):
+        if not isinstance(key, str):
+            return tuple.__getitem__(self, key)
         try:
-            return tuple.__getitem__(self, self.variables.index(variable))
+            return tuple.__getitem__(self, self.variables.index(key))
         except ValueError:
-            raise KeyError(variable) from None
+            raise KeyError(key) from None
 
 
 # Each question's required bindings, row class and evaluator, which yields

@@ -13,11 +13,11 @@ import csv
 import re
 from typing import Iterable, NamedTuple
 
-from .dictionary import ParseError
 from .model import (
     EmptyLabelError,
     Entity,
     Iri,
+    ParseError,
     RcRelation,
     Simulation,
     SimulationKind,

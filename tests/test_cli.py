@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from conftest import FIXTURES
-from simkg import Iri, Role, export_turtle, import_turtle, load_graph
+from simkg import Iri, Role, compact_iri, export_turtle, import_turtle, load_graph, run_cq
 from simkg.cli import main
 from simkg.model import KB
 from simkg.query import RESULT_VARIABLES, CqId
@@ -124,6 +124,21 @@ class TestQueryCommand:
         assert capsys.readouterr().out == ",".join(RESULT_VARIABLES[CqId(cq)]) + "\n"
         assert main(args) == 0
         assert capsys.readouterr().out == ""  # text output has no header
+
+    @pytest.mark.parametrize(("cq", "binds"), [("Q2.1", {"simulacrum": "hook"}), ("Q2.2", {})])
+    def test_source_questions_on_a_simulacrum_in_two_sources(self, cq, binds, tmp_path, capsys):
+        hook, graph = str(FIXTURES / "hook.dict"), str(tmp_path / "hook.ttl")
+        assert main(["ingest-dict", hook, "--source-label", "olderr", "--out", graph]) == 0
+        assert main(["ingest-dict", hook, "--source-label", "cirlot", "--graph", graph, "--out", graph]) == 0
+        capsys.readouterr()
+        args = ["query", "--graph", graph, "--cq", cq, "--format", "csv"]
+        assert main([*args, *(a for k, v in binds.items() for a in ("--bind", f"{k}=kb:{v}"))]) == 0
+        rows = run_cq(load_graph(graph), CqId(cq), {k: KB + v for k, v in binds.items()})
+        assert len(rows) == 10
+        assert capsys.readouterr().out.splitlines() == [
+            ",".join(RESULT_VARIABLES[CqId(cq)]),
+            *(",".join(compact_iri(v) for v in row) for row in rows),
+        ]
 
     def test_unknown_cq_is_usage_error(self, toy_file, capsys):
         assert main(["query", "--graph", str(toy_file), "--cq", "Q9.9"]) == 1

@@ -26,12 +26,18 @@ from simkg import (
     read_triples_file,
 )
 from simkg.cli import main
+from simkg.dbpedia import FILE_PREFIXES
 from simkg.model import KB
 
 
 @pytest.fixture
 def source():
     return make_entity("DBpedia")
+
+
+@pytest.fixture(autouse=True)
+def _short_retry_wait(monkeypatch):
+    monkeypatch.setattr("simkg.dbpedia.RETRY_WAIT", 0.001)
 
 
 class TestTriplesFile:
@@ -330,14 +336,14 @@ class TestFetch:
             _StubResponse(payload=ok),
             _StubResponse(payload=ok),
         ])
-        triples = fetch_symbol_data("http://example.org/sparql", session=session, retry_wait=0.001)
+        triples = fetch_symbol_data("http://example.org/sparql", session=session)
         assert triples == []
         assert len(session.requests) == 3
 
     def test_gives_up_after_max_attempts_naming_page(self):
         session = _StubSession([_StubResponse(status_code=500)] * 5)
         with pytest.raises(NetworkError) as err:
-            fetch_symbol_data("http://example.org/sparql", session=session, retry_wait=0.001, max_attempts=5)
+            fetch_symbol_data("http://example.org/sparql", session=session)
         assert "offset 0" in str(err.value)
 
     def test_malformed_response(self):
@@ -355,7 +361,7 @@ class TestFetch:
     def test_connection_error_is_retried(self):
         ok = _page([])
         session = _StubSession([requests.ConnectionError("refused"), _StubResponse(payload=ok), _StubResponse(payload=ok)])
-        assert fetch_symbol_data("http://example.org/sparql", session=session, retry_wait=0.001) == []
+        assert fetch_symbol_data("http://example.org/sparql", session=session) == []
         assert len(session.requests) == 3
 
     @pytest.mark.parametrize("page_size", [0, -1])
@@ -429,7 +435,7 @@ _COMMAND_MODULES = {"simkg.analysis", "simkg.dbpedia", "simkg.dictionary", "simk
         (["-c", "import simkg.cli"], set()),
         (["-m", "simkg", "validate", "--graph", str(FIXTURES / "golden" / "hook.ttl")], set()),
         (["-m", "simkg", "ingest-dict", str(FIXTURES / "hook.dict"), "--source-label", "olderr"], {"simkg.dictionary"}),
-        (["-m", "simkg", "ingest-wordnet", str(FIXTURES / "penelope.tsv")], {"simkg.wordnet", "simkg.dictionary"}),
+        (["-m", "simkg", "ingest-wordnet", str(FIXTURES / "penelope.tsv")], {"simkg.wordnet"}),
         (["-m", "simkg", "ingest-dbpedia", "--triples", str(FIXTURES / "eagle.nt")], {"simkg.dbpedia"}),
     ],
     ids=["import", "validate", "ingest-dict", "ingest-wordnet", "ingest-dbpedia"],
@@ -497,9 +503,10 @@ class _SparqlHandler(BaseHTTPRequestHandler):
 
 
 @contextlib.contextmanager
-def _local_endpoint(failures=0, row_cap=None):
-    """The URL of a :class:`_SparqlHandler` served on a loopback port."""
-    handler = type("Handler", (_SparqlHandler,), {"failures": {"remaining": failures}, "row_cap": row_cap})
+def _local_endpoint(failures=0, row_cap=None, **rows):
+    """The URL of a :class:`_SparqlHandler` served on a loopback port;
+    ``symbol_rows`` and ``category_rows`` replace the fixture rows."""
+    handler = type("Handler", (_SparqlHandler,), {"failures": {"remaining": failures}, "row_cap": row_cap, **rows})
     server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -513,7 +520,7 @@ def _local_endpoint(failures=0, row_cap=None):
 
 def test_fetch_against_local_http_endpoint():
     with _local_endpoint(failures=1) as endpoint:
-        triples = fetch_symbol_data(endpoint, page_size=1, retry_wait=0.001)
+        triples = fetch_symbol_data(endpoint, page_size=1)
     assert len(triples) == 3
 
 
@@ -522,7 +529,56 @@ def test_endpoint_that_caps_its_rows_still_gives_every_row(page_size):
     # one row a response, below every page size but 1: a page shorter than
     # asked for is not the last one
     with _local_endpoint(row_cap=1) as endpoint:
-        capped = fetch_symbol_data(endpoint, page_size=page_size, retry_wait=0.001)
+        capped = fetch_symbol_data(endpoint, page_size=page_size)
     with _local_endpoint() as endpoint:
-        assert capped == fetch_symbol_data(endpoint, page_size=page_size, retry_wait=0.001)
+        assert capped == fetch_symbol_data(endpoint, page_size=page_size)
     assert len(capped) == 3
+
+
+def _endpoint_rows(nt_text):
+    """The rows the two endpoint queries answer on a graph of these triple
+    lines, each category taken for a ``skos:Concept`` labelled with its
+    name.  Terms are prefixed names or plain literals."""
+    def term(text):
+        if text.startswith('"'):
+            return {"type": "literal", "value": json.loads(text)}
+        prefix, _, local = text.partition(":")
+        return {"type": "uri", "value": FILE_PREFIXES[prefix] + local}
+
+    triples = []
+    for line in nt_text.splitlines():
+        if line.strip() and not line.startswith("#"):
+            s, p, o = line.rstrip(" .").split(" ", 2)
+            triples.append((term(s), term(p)["value"], term(o)))
+    symbol_rows, category_rows = [], []
+    for s, p, o in triples:
+        if p == FILE_PREFIXES["dbp"] + "symbol":
+            types = [t for s2, p2, t in triples if s2 == s and p2 == FILE_PREFIXES["rdf"] + "type"]
+            symbol_rows += [{"s": s, "o": o, **({"type": t} if t else {})} for t in types or [None]]
+        elif p == FILE_PREFIXES["dct"] + "subject" and "symbol" in o["value"].lower():
+            category_rows.append({"s": s, "o": o})
+    return {"symbol_rows": symbol_rows, "category_rows": category_rows}
+
+
+@pytest.mark.parametrize(
+    "nt_text",
+    [
+        (FIXTURES / "eagle.nt").read_text(encoding="utf-8"),
+        # a subject with two symbols and two types, one type line after its symbols
+        "dbr:Athena dbp:symbol dbr:Owl .\n"
+        "dbr:Athena rdf:type dbo:Deity .\n"
+        'dbr:Athena dbp:symbol "olive branch" .\n'
+        "dbr:Athena rdf:type dbo:Person .\n"
+        "dbr:Dove dct:subject dbc:Symbols_of_peace .\n",
+    ],
+    ids=["eagle", "two-symbols-two-types"],
+)
+def test_endpoint_and_triples_file_give_the_same_graph(nt_text, tmp_path, capsys):
+    nt = tmp_path / "rows.nt"
+    nt.write_text(nt_text, encoding="utf-8")
+    assert main(["ingest-dbpedia", "--triples", str(nt), "--out", str(tmp_path / "file.ttl")]) == 0
+    from_file = capsys.readouterr()
+    with _local_endpoint(row_cap=1, **_endpoint_rows(nt_text)) as endpoint:
+        assert main(["ingest-dbpedia", "--endpoint", endpoint, "--out", str(tmp_path / "endpoint.ttl")]) == 0
+    assert capsys.readouterr() == from_file
+    assert (tmp_path / "endpoint.ttl").read_bytes() == (tmp_path / "file.ttl").read_bytes()

@@ -17,8 +17,9 @@ from simkg import (
     make_entity,
     parse_dictionary,
 )
+import simkg.dictionary
 from simkg.dictionary import PHRASE_TABLE
-from simkg.model import KB
+from simkg.model import KB, ParseError
 
 HOOK = (FIXTURES / "hook.dict").read_text(encoding="utf-8")
 BIRDS = (FIXTURES / "birds.dict").read_text(encoding="utf-8")
@@ -80,6 +81,7 @@ class TestParse:
         assert len(parsed.errors) == 1
         assert reason_part in parsed.errors[0].reason
         assert parsed.errors[0].line == line
+        assert type(parsed.errors[0]) is ParseError is simkg.dictionary.ParseError
 
     def test_recovery_continues_at_next_lemma(self):
         doc = "  stray\nhook\n  attraction\nrose\n  love\n"

@@ -4,6 +4,7 @@ from collections import deque
 
 import pytest
 
+from conftest import FIXTURES
 from graphgen import random_graph
 from simkg import (
     CqId,
@@ -17,6 +18,7 @@ from simkg import (
     build_simulation,
     export_turtle,
     import_turtle,
+    load_graph,
     make_entity,
     run_cq,
     symbolic_meanings,
@@ -187,6 +189,14 @@ class TestBindingsAndErrors:
         assert pickle.loads(pickle.dumps(row)).variables == row.variables
         with pytest.raises(KeyError):
             row["nope"]
+
+    def test_row_indexes_as_a_tuple(self):
+        g = load_graph(FIXTURES / "golden" / "hook.ttl")
+        row = run_cq(g, CqId.Q1_2, {"context": kb("generalOrUnknown")})[0]
+        assert row[0] == row[-1] == row["simulation"] == kb("hook-attraction")
+        assert row[:1] == (kb("hook-attraction"),)
+        with pytest.raises(IndexError):
+            row[1]
 
 
 class TestSymbolicMeanings:
