@@ -59,7 +59,8 @@ FILE_PREFIXES = {
 DEFAULT_EXCLUDED_TYPES = frozenset({"RailwayStation", "PublicCompany"})
 
 # Endpoint retry bounds: tries per page, the wait in seconds before the
-# second try (doubled before each later one), and each request's timeout.
+# second try (doubled before each later one), and each request's timeout,
+# which also caps the wait a Retry-After header asks for.
 MAX_ATTEMPTS = 5
 RETRY_WAIT = 0.5
 TIMEOUT = 60.0
@@ -127,11 +128,11 @@ def fetch_symbol_data(
             http.close()
 
     # the query's OPTIONAL gives every row of a subject the same types
-    symbols: dict[tuple[Iri, Union[Iri, str]], None] = {}
+    symbols: list[tuple[Iri, Union[Iri, str]]] = []
     types: dict[Iri, set[Iri]] = {}
     for row in symbol_rows:
         subject = _binding(row, "s")
-        symbols[subject, _binding(row, "o", literal_ok=True)] = None
+        symbols.append((subject, _binding(row, "o", literal_ok=True)))
         if "type" in row:
             types.setdefault(subject, set()).add(_binding(row, "type"))
     categories = [(_binding(row, "s"), _binding(row, "o")) for row in category_rows]
@@ -152,10 +153,11 @@ def _fetch_all_pages(http, endpoint, query_template, page_size):
 def _fetch_page(http, endpoint, query, offset):
     import requests
 
-    last_error = None
+    last_error = retry_after = None
     for attempt in range(MAX_ATTEMPTS):
         if attempt:
-            time.sleep(RETRY_WAIT * 2 ** (attempt - 1))
+            time.sleep(RETRY_WAIT * 2 ** (attempt - 1) if retry_after is None else retry_after)
+            retry_after = None  # it replaces one wait only
         try:
             response = http.get(
                 endpoint,
@@ -169,6 +171,7 @@ def _fetch_page(http, endpoint, query, offset):
             continue
         if response.status_code >= 500 or response.status_code == 429:
             last_error = RuntimeError(f"HTTP {response.status_code}")
+            retry_after = _retry_after(response)
             print(f"page at offset {offset}, attempt {attempt + 1}/{MAX_ATTEMPTS}: HTTP {response.status_code}", file=sys.stderr)
             continue
         if response.status_code != 200:
@@ -179,6 +182,16 @@ def _fetch_page(http, endpoint, query, offset):
         except (ValueError, KeyError, TypeError) as err:
             raise MalformedResponseError(f"page at offset {offset}: not a SPARQL JSON result ({err})") from err
     raise NetworkError(f"page at offset {offset} failed after {MAX_ATTEMPTS} attempts: {last_error}")
+
+
+def _retry_after(response) -> Optional[float]:
+    """The wait a 429 or 503 asks for in delta-seconds, at most
+    :data:`TIMEOUT`; None for any other answer, or a ``Retry-After`` that
+    is missing, an HTTP-date or unreadable."""
+    value = response.headers.get("Retry-After", "").strip()
+    if response.status_code not in (429, 503) or not (value.isascii() and value.isdecimal()):
+        return None
+    return min(int(value), TIMEOUT)
 
 
 def _binding(row: dict, var: str, literal_ok: bool = False) -> Union[Iri, str]:
@@ -237,9 +250,12 @@ def read_triples_file(path) -> list[SymbolTriple]:
 def _symbol_triples(symbols, types, categories) -> list[SymbolTriple]:
     """Rule A's ``(subject, object)`` pairs, each with its subject's types
     (a dict of sets), and rule B's ``(subject, category)`` pairs, as one
-    sorted list; both readers end here."""
-    triples = [SymbolTriple(s, SymbolPredicate.DBP_SYMBOL, o, tuple(sorted(types.get(s, ())))) for s, o in symbols]
-    triples += [SymbolTriple(s, SymbolPredicate.DCT_SUBJECT, category) for s, category in categories]
+    sorted list; both readers end here.  A pair is kept once, however
+    often it was read, as an endpoint answers a statement once."""
+    triples = [
+        SymbolTriple(s, SymbolPredicate.DBP_SYMBOL, o, tuple(sorted(types.get(s, ())))) for s, o in dict.fromkeys(symbols)
+    ]
+    triples += [SymbolTriple(s, SymbolPredicate.DCT_SUBJECT, category) for s, category in dict.fromkeys(categories)]
     triples.sort(key=lambda t: (t.subject, t.predicate.value, str(t.object)))
     return triples
 

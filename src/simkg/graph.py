@@ -113,6 +113,16 @@ def _in_store_order(s: Simulation[Iri]) -> bool:
     )
 
 
+def _holds(old: Simulation[Iri], s: Simulation[Iri]) -> bool:
+    """Whether each member group of ``old`` already holds every member of ``s``'s."""
+    return (
+        all(map(old.simulacra.__contains__, s.simulacra))
+        and all(map(old.reality_counterparts.__contains__, s.reality_counterparts))
+        and all(map(old.contexts.__contains__, s.contexts))
+        and all(map(old.sources.__contains__, s.sources))
+    )
+
+
 def statement_block(
     sim: Simulation[Iri] | None, entity: Entity | None, roles: Iterable[Role], variants: set[Iri] | None,
     extra: Extra | None = None,
@@ -285,10 +295,14 @@ class Graph:
         A new simulation whose member groups are already strictly increasing
         in that order, as the exporter writes them, is stored as given: one
         pass of comparisons shows it is sorted and holds no duplicate.  A
-        merge, or members in any other order, are set-and-sorted."""
+        merge that adds nothing, the same kind with every member already
+        stored, returns the stored value untouched.  Any other merge, or
+        members in any other order, are set-and-sorted."""
         old = self.simulations.get(s.id)
         if old is None and _in_store_order(s):
             stored = self.simulations[s.id] = s
+        elif old is not None and old.kind is s.kind and _holds(old, s):
+            return old
         else:
             kind, old = s.kind, old or s  # a new one merges with itself
             if old.kind is not kind:

@@ -108,11 +108,16 @@ _IRI_RE = re.compile(IRI_CHAR + "+")
 
 
 class Iri(str):
-    """An absolute IRI.  Behaves as a plain string plus namespace helpers."""
+    """An absolute IRI.  Behaves as a plain string plus namespace helpers.
+
+    ``Iri(iri)`` returns its argument, as ``str(s)`` does: an ``Iri`` was
+    checked when it was made and cannot change.  Any other string is checked."""
 
     __slots__ = ()
 
     def __new__(cls, value: str) -> "Iri":
+        if type(value) is cls:
+            return value
         if not _IRI_RE.fullmatch(value):
             raise ValueError(f"not an IRI: {value!r} (empty, or has whitespace, a control character or one of <>\"{{}}|^`\\)")
         return super().__new__(cls, value)

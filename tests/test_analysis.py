@@ -117,6 +117,18 @@ class TestColorDistribution:
                     expected[color] = expected.get(color, 0) + 1
             assert dict(row.counts) == expected
 
+    def test_each_palette_gets_its_own_counts(self, rose_graph):
+        target = Iri(KB + "whiteRose")
+        for _ in range(2):  # the second round reads colours found by the first
+            default = color_distribution(rose_graph, target)
+            gold_red = color_distribution(rose_graph, target, ["gold", "red"])
+            purity = next(r for r in default.rows if r.meaning.label == "purity")
+            assert purity.counts == (("white", 2), ("gold", 1))
+            assert gold_red.colors == ("gold", "red")
+            assert [(r.meaning.label, r.counts) for r in gold_red.rows] == [
+                ("charm", ()), ("faith", ()), ("innocence", ()), ("purity", (("gold", 1),)),
+            ]
+
     def test_csv_and_svg_render(self, rose_graph):
         dist = color_distribution(rose_graph, Iri(KB + "whiteRose"))
         csv_text = distribution_csv(dist)

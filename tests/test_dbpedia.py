@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import parse_qs, urlparse
@@ -142,6 +143,29 @@ class TestTriplesFile:
             read_triples_file(nt)
         assert str(err.value) == f"line 1: {message}"
 
+    def test_repeated_statement_counts_once(self, tmp_path, capsys):
+        # an endpoint answers a statement once, however often a dump repeats it
+        nt = tmp_path / "repeated.nt"
+        nt.write_text(
+            "dbr:Zeus dbp:symbol dbr:Thunderbolt .\n"
+            "dbr:Zeus dbp:symbol dbr:Thunderbolt .\n"
+            "dbr:Zeus dbp:symbol <http://dbpedia.org/resource/Thunderbolt> .\n",
+            encoding="utf-8",
+        )
+        assert len(read_triples_file(nt)) == 1
+        assert main(["ingest-dbpedia", "--triples", str(nt), "--out", str(tmp_path / "out.ttl")]) == 0
+        assert capsys.readouterr().err.splitlines()[-1] == "1 triples -> 1 simulations"
+
+    def test_repeated_category_counts_once(self, tmp_path):
+        nt = tmp_path / "repeated.nt"
+        nt.write_text(
+            "dbr:Dove dct:subject dbc:Symbols_of_peace .\n"
+            "<http://dbpedia.org/resource/Dove> dct:subject dbc:Symbols_of_peace .\n",
+            encoding="utf-8",
+        )
+        [triple] = read_triples_file(nt)
+        assert triple.predicate is SymbolPredicate.DCT_SUBJECT
+
     def test_unterminated_line_rejected(self, tmp_path):
         bad = tmp_path / "bad.nt"
         bad.write_text("dbr:A dbp:symbol dbr:B\n", encoding="utf-8")
@@ -254,10 +278,11 @@ class TestConvert:
 
 
 class _StubResponse:
-    def __init__(self, status_code=200, payload=None, text=""):
+    def __init__(self, status_code=200, payload=None, text="", headers=None):
         self.status_code = status_code
         self._payload = payload
         self._text = text
+        self.headers = headers or {}
 
     def json(self):
         if self._payload is None:
@@ -339,6 +364,43 @@ class TestFetch:
         triples = fetch_symbol_data("http://example.org/sparql", session=session)
         assert triples == []
         assert len(session.requests) == 3
+
+    @pytest.mark.parametrize(
+        "status, retry_after, waits",
+        [
+            (429, "2", [2]),
+            (503, " 7 ", [7]),
+            (429, "99999", [simkg.dbpedia.TIMEOUT]),
+            (429, "soon", [0.001]),
+            (503, "Wed, 21 Oct 2026 07:28:00 GMT", [0.001]),
+            (429, "-1", [0.001]),
+            (429, "1.5", [0.001]),
+            (500, "2", [0.001]),  # only a 429 or a 503 says when to come back
+            (429, None, [0.001]),
+        ],
+    )
+    def test_retry_after_replaces_the_next_wait(self, status, retry_after, waits, monkeypatch):
+        slept = []
+        monkeypatch.setattr(time, "sleep", slept.append)
+        headers = {"Retry-After": retry_after} if retry_after is not None else {}
+        ok = _StubResponse(payload=_page([]))
+        session = _StubSession([_StubResponse(status_code=status, headers=headers), ok, ok])
+        assert fetch_symbol_data("http://example.org/sparql", session=session) == []
+        assert slept == waits
+
+    def test_retry_after_is_not_kept_for_later_waits(self, monkeypatch):
+        slept = []
+        monkeypatch.setattr(time, "sleep", slept.append)
+        ok = _StubResponse(payload=_page([]))
+        session = _StubSession([
+            _StubResponse(status_code=429, headers={"Retry-After": "3"}),
+            requests.ConnectionError("refused"),
+            _StubResponse(status_code=503),
+            ok,
+            ok,
+        ])
+        assert fetch_symbol_data("http://example.org/sparql", session=session) == []
+        assert slept == [3, 0.002, 0.004]
 
     def test_gives_up_after_max_attempts_naming_page(self):
         session = _StubSession([_StubResponse(status_code=500)] * 5)

@@ -175,6 +175,44 @@ class TestInsert:
             stored = Graph()._store(s)
             assert stored is not s and stored == ordered
 
+    @staticmethod
+    def _state(g):
+        indexes = g._sims_by_simulacrum, g._sims_by_rc, g._sims_by_context, g._sims_by_source, g._meanings_of
+        return (
+            list(g.simulations.items()),
+            [[(k, list(v)) for k, v in index.items()] for index in indexes],
+            set(g.extra_triples),
+            {k: set(v) for k, v in g._stated_roles.items()},
+        )
+
+    def test_reinsert_that_adds_nothing_stores_nothing(self):
+        g = random_graph(random.Random(5), max_sims=12)
+        owl = g.upsert_entity(make_entity("owl"))
+        g.state_role(owl.id, Role.CONTEXT)  # a stated role the simulation does not imply
+        sim = build_simulation(
+            SimulationKind.ALLUSION, owl, [(RcRelation.HAS, make_entity("death"))],
+            [make_entity("hindu"), make_entity("mayan")], [make_entity("olderr")],
+        )
+        stored = g.insert_simulation(sim)
+        assert g._stated_roles[owl.id] == {Role.CONTEXT}
+        before = self._state(g)
+        # the same simulation again, and one that repeats some of its members
+        assert g.insert_simulation(sim) is stored
+        assert g.insert_simulation(sim._replace(contexts=sim.contexts[1:])) is stored
+        assert self._state(g) == before
+        back = Simulation(stored.id, stored.kind, stored.simulacra, stored.reality_counterparts[::-1],
+                          stored.contexts[::-1], stored.sources)
+        assert g._store(back) is stored
+        assert self._state(g) == before
+
+    def test_reinsert_that_adds_a_context_still_merges(self):
+        g = Graph()
+        first = g.insert_simulation(_sim("owl", "death", ["hindu", "mayan"], "olderr"))
+        merged = g.insert_simulation(_sim("owl", "death", ["mayan", "greek"], "olderr"))
+        assert merged is not first
+        assert merged.contexts == (Iri(KB + "greek"), Iri(KB + "hindu"), Iri(KB + "mayan"))
+        assert list(g.simulations_with_context(Iri(KB + "greek"))) == [first.id]
+
 
 class TestRoles:
     def test_membership_implies_the_role(self):

@@ -74,6 +74,22 @@ class TestIri:
         with pytest.raises(ValueError):
             Iri("")
 
+    def test_an_iri_is_returned_as_it_is(self):
+        iri = Iri("https://example.org/a")
+        assert Iri(iri) is iri
+        assert Iri(Iri(iri)) is iri
+
+    def test_any_other_string_is_checked(self):
+        class Text(str):
+            pass
+
+        for value in ("https://example.org/a", Text("https://example.org/a")):
+            iri = Iri(value)
+            assert type(iri) is Iri and iri == value and iri is not value
+        for bad in ("https://example.org/a b", Text("https://example.org/a b"), Text("")):
+            with pytest.raises(ValueError):
+                Iri(bad)
+
     def test_local_name_of_schema_iri(self):
         assert SimulationKind.HEALING.schema_iri == Iri(SIM + "HealingSimulation")
         assert SimulationKind.GENERIC.schema_iri == Iri(SIM + "Simulation")
