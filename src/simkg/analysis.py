@@ -12,7 +12,6 @@ import csv
 import io
 import re
 from enum import Enum
-from functools import lru_cache
 from typing import Iterable, NamedTuple, Union
 
 from .graph import Graph
@@ -58,12 +57,6 @@ def label_colors(label: str, colors: Iterable[str]) -> set[str]:
     return found
 
 
-@lru_cache(maxsize=65536)
-def _shared_label_colors(label: str, palette: tuple[str, ...]) -> frozenset[str]:
-    # a sharer's label is read once per palette, not once per meaning and call
-    return frozenset(label_colors(label, palette))
-
-
 def color_distribution(
     g: Graph,
     target: Union[Entity, Iri, str],
@@ -85,7 +78,7 @@ def color_distribution(
         sharers.discard(target_entity.id)
         counts = {color: 0 for color in palette}
         for iri in sharers:
-            for color in _shared_label_colors(g.entities[iri].label, palette):
+            for color in label_colors(g.entities[iri].label, palette):
                 counts[color] += 1
         rows.append(
             MeaningRow(

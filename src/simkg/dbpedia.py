@@ -251,12 +251,12 @@ def _symbol_triples(symbols, types, categories) -> list[SymbolTriple]:
     """Rule A's ``(subject, object)`` pairs, each with its subject's types
     (a dict of sets), and rule B's ``(subject, category)`` pairs, as one
     sorted list; both readers end here.  A pair is kept once, however
-    often it was read, as an endpoint answers a statement once."""
-    triples = [
-        SymbolTriple(s, SymbolPredicate.DBP_SYMBOL, o, tuple(sorted(types.get(s, ())))) for s, o in dict.fromkeys(symbols)
-    ]
+    often it was read, as an endpoint answers a statement once; a literal
+    object is never the same term as an IRI of the same text."""
+    pairs = dict.fromkeys((s, isinstance(o, Iri), o) for s, o in symbols)
+    triples = [SymbolTriple(s, SymbolPredicate.DBP_SYMBOL, o, tuple(sorted(types.get(s, ())))) for s, _, o in pairs]
     triples += [SymbolTriple(s, SymbolPredicate.DCT_SUBJECT, category) for s, category in dict.fromkeys(categories)]
-    triples.sort(key=lambda t: (t.subject, t.predicate.value, str(t.object)))
+    triples.sort(key=lambda t: (t.subject, t.predicate.value, str(t.object), isinstance(t.object, Iri)))
     return triples
 
 

@@ -3,7 +3,8 @@
 The store materializes the simulacrum->meaning edges eagerly on insert
 (the composition of "is simulacrum of" with "has reality counterpart"),
 so reads never pay for inference.  Mutation follows a single-writer,
-multi-reader contract: all query methods are read-only.
+multi-reader contract: no query method changes what the graph holds,
+though a variant read keeps the closure it walked for the next one.
 """
 
 from __future__ import annotations
@@ -113,16 +114,6 @@ def _in_store_order(s: Simulation[Iri]) -> bool:
     )
 
 
-def _holds(old: Simulation[Iri], s: Simulation[Iri]) -> bool:
-    """Whether each member group of ``old`` already holds every member of ``s``'s."""
-    return (
-        all(map(old.simulacra.__contains__, s.simulacra))
-        and all(map(old.reality_counterparts.__contains__, s.reality_counterparts))
-        and all(map(old.contexts.__contains__, s.contexts))
-        and all(map(old.sources.__contains__, s.sources))
-    )
-
-
 def statement_block(
     sim: Simulation[Iri] | None, entity: Entity | None, roles: Iterable[Role], variants: set[Iri] | None,
     extra: Extra | None = None,
@@ -191,6 +182,9 @@ class Graph:
         self.extra_triples: set[Triple] = set()
 
         self._variant_children: dict[Iri, set[Iri]] = defaultdict(set)
+        # Each variant closure a read asked for, as a sorted tuple; a new
+        # variant link empties it, and nothing else changes a closure.
+        self._closures: dict[Iri, tuple[Iri, ...]] = {}
         # The membership and meaning indexes are ordered sets: dicts whose
         # keys keep store order.  import_turtle stores simulations in IRI
         # order, so on a loaded graph a membership index lists them sorted,
@@ -295,14 +289,10 @@ class Graph:
         A new simulation whose member groups are already strictly increasing
         in that order, as the exporter writes them, is stored as given: one
         pass of comparisons shows it is sorted and holds no duplicate.  A
-        merge that adds nothing, the same kind with every member already
-        stored, returns the stored value untouched.  Any other merge, or
-        members in any other order, are set-and-sorted."""
+        merge, or members in any other order, are set-and-sorted."""
         old = self.simulations.get(s.id)
         if old is None and _in_store_order(s):
             stored = self.simulations[s.id] = s
-        elif old is not None and old.kind is s.kind and _holds(old, s):
-            return old
         else:
             kind, old = s.kind, old or s  # a new one merges with itself
             if old.kind is not kind:
@@ -337,7 +327,7 @@ class Graph:
     def add_variant(self, base: Entity, variant: Entity) -> VariantLink:
         """Record base -> variant; refuses any link that closes a cycle."""
         link = VariantLink(base, variant)  # rejects self-loops
-        if base.id in self._variant_iris(variant.id):
+        if base.id in self._walk_variants(variant.id):  # not kept: the link below would drop it
             raise CycleError(f"variant link {base.id} -> {variant.id} closes a cycle")
         self.upsert_entity(base)
         self.upsert_entity(variant)
@@ -346,13 +336,24 @@ class Graph:
 
     def _add_variant_edge(self, base: Iri, variant: Iri) -> None:
         self._variant_children[base].add(variant)
+        if self._closures:
+            self._closures.clear()
 
     def variant_closure(self, ref: Union[Entity, Iri, str]) -> set[Entity]:
         """All transitive variants of an entity (the entity itself excluded)."""
         return {self.entities[i] for i in self._variant_iris(self.entity(ref).id)}
 
-    def _variant_iris(self, root: Iri) -> set[Iri]:
-        """The IRIs of :meth:`variant_closure`, for queries that need no entity."""
+    def _variant_iris(self, root: Iri) -> tuple[Iri, ...]:
+        """The IRIs of :meth:`variant_closure`, sorted, for queries that need
+        no entity.  A closure is walked once and kept until the next variant
+        link: the variant chains of a dictionary run to hundreds of links."""
+        found = self._closures.get(root)
+        if found is None:
+            found = self._closures[root] = tuple(sorted(self._walk_variants(root)))
+        return found
+
+    def _walk_variants(self, root: Iri) -> set[Iri]:
+        """The variant closure of ``root`` by a fresh walk."""
         found: set[Iri] = set()
         stack = [root]
         while stack:

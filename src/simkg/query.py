@@ -247,7 +247,7 @@ def symbolic_meanings(
 def _meaning_iris(g: Graph, start: Iri, include_variants: bool = False, repeat: bool = False) -> set[Iri]:
     """The IRIs of :func:`symbolic_meanings`, from an entity the graph holds."""
     meanings = g._meanings_of.get  # one C call a node, and a miss allocates nothing
-    frontier = {start} | g._variant_iris(start) if include_variants else {start}
+    frontier = {start, *g._variant_iris(start)} if include_variants else {start}
     found: set[Iri] = set()
     while frontier:
         frontier = set().union(*[meanings(i, ()) for i in frontier]) - found

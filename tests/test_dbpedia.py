@@ -166,6 +166,21 @@ class TestTriplesFile:
         [triple] = read_triples_file(nt)
         assert triple.predicate is SymbolPredicate.DCT_SUBJECT
 
+    def test_literal_and_iri_of_the_same_text_are_two_objects(self, tmp_path, capsys):
+        lines = [
+            "dbr:Zeus dbp:symbol dbr:Thunderbolt .",
+            'dbr:Zeus dbp:symbol "http://dbpedia.org/resource/Thunderbolt" .',
+        ]
+        thunderbolt = "http://dbpedia.org/resource/Thunderbolt"
+        for name, order in (("iri-first", lines), ("literal-first", lines[::-1])):
+            nt = tmp_path / f"{name}.nt"
+            nt.write_text("\n".join(order) + "\n", encoding="utf-8")
+            # either line order gives the same list: the literal sorts first
+            assert [(type(t.object), t.object) for t in read_triples_file(nt)] == [(str, thunderbolt), (Iri, thunderbolt)]
+            assert main(["ingest-dbpedia", "--triples", str(nt), "--out", str(tmp_path / f"{name}.ttl")]) == 0
+            assert capsys.readouterr().err.splitlines()[-1].startswith("2 triples -> ")
+        assert (tmp_path / "iri-first.ttl").read_bytes() == (tmp_path / "literal-first.ttl").read_bytes()
+
     def test_unterminated_line_rejected(self, tmp_path):
         bad = tmp_path / "bad.nt"
         bad.write_text("dbr:A dbp:symbol dbr:B\n", encoding="utf-8")

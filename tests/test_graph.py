@@ -185,7 +185,7 @@ class TestInsert:
             {k: set(v) for k, v in g._stated_roles.items()},
         )
 
-    def test_reinsert_that_adds_nothing_stores_nothing(self):
+    def test_reinsert_that_adds_nothing_changes_nothing(self):
         g = random_graph(random.Random(5), max_sims=12)
         owl = g.upsert_entity(make_entity("owl"))
         g.state_role(owl.id, Role.CONTEXT)  # a stated role the simulation does not imply
@@ -197,12 +197,12 @@ class TestInsert:
         assert g._stated_roles[owl.id] == {Role.CONTEXT}
         before = self._state(g)
         # the same simulation again, and one that repeats some of its members
-        assert g.insert_simulation(sim) is stored
-        assert g.insert_simulation(sim._replace(contexts=sim.contexts[1:])) is stored
+        assert g.insert_simulation(sim) == stored
+        assert g.insert_simulation(sim._replace(contexts=sim.contexts[1:])) == stored
         assert self._state(g) == before
         back = Simulation(stored.id, stored.kind, stored.simulacra, stored.reality_counterparts[::-1],
                           stored.contexts[::-1], stored.sources)
-        assert g._store(back) is stored
+        assert g._store(back) == stored
         assert self._state(g) == before
 
     def test_reinsert_that_adds_a_context_still_merges(self):
@@ -345,6 +345,20 @@ class TestVariants:
         g = Graph()
         with pytest.raises(UnknownEntityError):
             g.variant_closure(make_entity("ghost"))
+
+    def test_a_new_link_reaches_closures_read_before_it(self):
+        g = Graph()
+        a, b, c, d = (make_entity(w) for w in ("a", "b", "c", "d"))
+        g.add_variant(a, b)
+        assert g._variant_iris(a.id) == (b.id,) and g._variant_iris(b.id) == ()
+        g.add_variant(b, c)
+        assert g._variant_iris(a.id) == (b.id, c.id)
+        assert g.variant_closure(b) == {c}
+        with pytest.raises(CycleError):
+            g.add_variant(c, a)
+        g.add_variant(d, a)
+        assert g._variant_iris(d.id) == (a.id, b.id, c.id)
+        assert g._variant_iris(a.id) == (b.id, c.id)
 
     def test_closure_of_an_imported_cycle_excludes_self(self):
         g = import_turtle(
