@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Optional
 
 from .graph import Graph, UnknownEntityError
-from .model import CycleError, Iri, ParseError, RcRelation, Role, SimulationKind, make_entity
+from .model import Conversion, CycleError, Iri, ParseError, RcRelation, Role, SimulationKind, make_entity
 from .serialize import (
     PREFIXES,
     GraphViolationsError,
@@ -237,17 +237,20 @@ def _emit_table(args, header: list[str], rows: list[list[str]]) -> None:
 # -- ingest commands ---------------------------------------------------------
 
 
-def _insert_all(g: Graph, simulations, variants=()) -> int:
-    """Insert the simulations, then the variant links; returns how many
-    links were stored, as a link that closes a cycle is refused."""
+def _insert_all(g: Graph, conv: Conversion, where: str) -> int:
+    """Print the converter's warnings, each after ``where``, then insert
+    its simulations and its variant links; returns how many links were
+    stored, as a link that closes a cycle is refused with a warning."""
+    for warning in conv.warnings:
+        print(f"{where}: {warning}", file=sys.stderr)
     stored = 0
     before = set(kind_conflict_violations(g))
-    for sim in simulations:
+    for sim in conv.simulations:
         g.insert_simulation(sim)
     for v in kind_conflict_violations(g):
         if v not in before:
             print(f"warning: kind-conflict: {v.subject} {v.detail}", file=sys.stderr)
-    for link in variants:
+    for link in conv.variants:
         try:
             g.add_variant(link.base, link.variant)
         except CycleError as err:
@@ -298,9 +301,7 @@ def _cmd_ingest_dict(args) -> int:
     for name in args.files:
         source = make_entity(args.source_label or Path(name).stem)
         parsed, conv = convert_document(_read(_read_text, name), source, table)
-        for warning in conv.warnings:
-            print(f"{name}: {warning}", file=sys.stderr)
-        links = _insert_all(g, conv.simulations, conv.variants)
+        links = _insert_all(g, conv, name)
         print(
             f"{name}: {len(parsed.entries)} entries -> {len(conv.simulations)} simulations, {links} variant links",
             file=sys.stderr,
@@ -332,9 +333,7 @@ def _cmd_ingest_dbpedia(args) -> int:
     excluded = set(DEFAULT_EXCLUDED_TYPES) | set(args.exclude_type)
     source = make_entity(args.source_label)
     conv = convert_dbpedia(triples, source, excluded_types=excluded)
-    for warning in conv.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    _insert_all(g, conv.simulations)
+    _insert_all(g, conv, "warning")
     print(f"{len(triples)} triples -> {len(conv.simulations)} simulations", file=sys.stderr)
     _save_graph_output(g, args)
     return EXIT_OK
@@ -348,9 +347,7 @@ def _cmd_ingest_wordnet(args) -> int:
     for name in args.files:
         records = _read(read_synset_file, name, ParseError)
         conv = convert_synsets(records, source)
-        for warning in conv.warnings:
-            print(f"{name}: {warning}", file=sys.stderr)
-        _insert_all(g, conv.simulations)
+        _insert_all(g, conv, name)
         print(
             f"{name}: {len(records)} records -> {len(conv.simulations)} simulations "
             f"({len(conv.skipped)} skipped)",

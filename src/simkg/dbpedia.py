@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Union
 from .graph import RDF_TYPE
 from .model import (
     IRI_CHAR,
+    Conversion,
     EmptyLabelError,
     Entity,
     Iri,
@@ -313,22 +314,15 @@ def _object_label(obj: Union[Iri, str]) -> str:
     return _resource_label(obj) if isinstance(obj, Iri) else obj
 
 
-class DbpediaConversion(NamedTuple):
-    """Built with fresh lists, which the converter fills."""
-
-    simulations: list[Simulation[Entity]]
-    warnings: list[str]
-
-
 def convert_dbpedia(
     triples: Iterable[SymbolTriple],
     source: Entity,
     excluded_types: Iterable[str] = DEFAULT_EXCLUDED_TYPES,
-) -> DbpediaConversion:
+) -> Conversion:
     """Apply the two extraction rules; unconvertible rows are skipped with
     a warning, never fatal."""
     excluded = {str(t) for t in excluded_types}
-    out = DbpediaConversion([], [])
+    out = Conversion([], [], [], [])
     for triple in triples:
         try:
             if triple.predicate is SymbolPredicate.DBP_SYMBOL:

@@ -24,12 +24,12 @@ from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .model import (
     CardinalityError,
+    Conversion,
     CycleError,
     EmptyLabelError,
     Entity,
     ParseError,
     RcRelation,
-    Simulation,
     SimulationKind,
     VariantLink,
     build_simulation,
@@ -165,19 +165,11 @@ def _parse_clause(text: str, lineno: int) -> Clause:
     return Clause(context_labels=tuple(contexts), relation_phrase=phrase, meaning_terms=terms, line=lineno)
 
 
-class DictConversion(NamedTuple):
-    """Built with fresh lists, which the converter fills."""
-
-    simulations: list[Simulation[Entity]]
-    variants: list[VariantLink]
-    warnings: list[str]
-
-
 def convert_entry(
     entry: DictEntry,
     source: Entity,
     phrase_table: Optional[Mapping[str, tuple[SimulationKind, RcRelation]]] = None,
-) -> DictConversion:
+) -> Conversion:
     """Turn a parsed entry into simulations and variant links.
 
     One simulation per meaning term per clause; a clause without contexts
@@ -187,7 +179,7 @@ def convert_entry(
     cannot be minted skips its entry, block, clause or term with a warning.
     """
     table = PHRASE_TABLE if phrase_table is None else phrase_table
-    out = DictConversion([], [], [])
+    out = Conversion([], [], [], [])
     try:
         lemma_entity = make_entity(entry.lemma)
     except EmptyLabelError:
@@ -211,7 +203,7 @@ def _convert_clauses(
     clauses: Iterable[Clause],
     source: Entity,
     table: Mapping[str, tuple[SimulationKind, RcRelation]],
-    out: DictConversion,
+    out: Conversion,
 ) -> None:
     for clause in clauses:
         try:
@@ -240,14 +232,11 @@ def convert_document(
     text: str,
     source: Entity,
     phrase_table: Optional[Mapping[str, tuple[SimulationKind, RcRelation]]] = None,
-) -> tuple[ParsedDictionary, DictConversion]:
+) -> tuple[ParsedDictionary, Conversion]:
     """Parse and convert in one step; parse errors surface as warnings."""
     parsed = parse_dictionary(text)
-    merged = DictConversion([], [], [])
-    merged.warnings.extend(f"line {e.line}: {e.reason}" for e in parsed.errors)
+    merged = Conversion([], [], [], [f"line {e.line}: {e.reason}" for e in parsed.errors])
     for entry in parsed.entries:
-        one = convert_entry(entry, source, phrase_table)
-        merged.simulations.extend(one.simulations)
-        merged.variants.extend(one.variants)
-        merged.warnings.extend(one.warnings)
+        for into, part in zip(merged, convert_entry(entry, source, phrase_table)):
+            into.extend(part)
     return parsed, merged

@@ -204,11 +204,6 @@ class Graph:
         return {(base, v) for base, variants in self._variant_children.items() for v in variants}
 
     @property
-    def derived_meanings(self) -> set[tuple[Iri, Iri]]:
-        """Every simulacrum -> meaning edge, read from the meaning index."""
-        return {(a, m) for a, meanings in self._meanings_of.items() for m in meanings}
-
-    @property
     def kind_conflicts(self) -> dict[Iri, tuple[SimulationKind, SimulationKind]]:
         """Simulations typed with more than one kind: the stored kind and
         the lowest other one, read from the extra ``rdf:type`` triples."""

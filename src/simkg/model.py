@@ -216,14 +216,14 @@ def camel_case(label: str) -> str:
     return "".join(parts)
 
 
-def mint_iri(label: str, namespace: str = KB) -> Iri:
-    """Deterministically mint an IRI for a label (same label, same IRI)."""
+def mint_iri(label: str) -> Iri:
+    """Deterministically mint an IRI in ``KB`` for a label (same label, same IRI)."""
     if not label.strip():
         raise EmptyLabelError("label is empty or whitespace-only")
     local = camel_case(label)
     if not local:
         raise EmptyLabelError(f"label {label!r} has no alphanumeric characters")
-    return Iri(namespace + local)
+    return Iri(KB + local)
 
 
 class Entity(NamedTuple):
@@ -237,7 +237,6 @@ class Entity(NamedTuple):
 def make_entity(
     label: str,
     *roles: Role,
-    namespace: str = KB,
     links: Iterable[Union[Iri, str]] = (),
 ) -> Entity:
     """Mint an entity from its label; identity is the minted IRI.
@@ -247,12 +246,12 @@ def make_entity(
     its entity once.  A blank label raises on every call.  ``roles`` are
     accepted and ignored; a graph derives roles from memberships.
     """
-    return _shared_entity(label, namespace, frozenset(links))
+    return _shared_entity(label, frozenset(links))
 
 
 @lru_cache(maxsize=65536)
-def _shared_entity(label: str, namespace: str, links: frozenset[str]) -> Entity:
-    return Entity(id=mint_iri(label, namespace), label=label, external_links=frozenset(Iri(l) for l in links))
+def _shared_entity(label: str, links: frozenset[str]) -> Entity:
+    return Entity(id=mint_iri(label), label=label, external_links=frozenset(Iri(l) for l in links))
 
 
 def general_context() -> Entity:
@@ -320,6 +319,16 @@ class VariantLink(_Link):
     @classmethod
     def _make(cls, iterable: Iterable[Entity]) -> VariantLink:
         return cls(*iterable)
+
+
+class Conversion(NamedTuple):
+    """What a converter made of its input: built with fresh lists, which
+    the converter fills; ``skipped`` holds the input records it left out."""
+
+    simulations: list[Simulation[Entity]]
+    variants: list[VariantLink]
+    skipped: list[tuple]
+    warnings: list[str]
 
 
 def _dedupe_entities(entities: Iterable[Entity]) -> tuple[Entity, ...]:

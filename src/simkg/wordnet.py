@@ -14,6 +14,7 @@ import re
 from typing import Iterable, NamedTuple
 
 from .model import (
+    Conversion,
     EmptyLabelError,
     Entity,
     Iri,
@@ -117,17 +118,9 @@ def convert_synset(record: SynsetRecord, source: Entity) -> list[Simulation[Enti
     return simulations
 
 
-class WordnetConversion(NamedTuple):
-    """Built with fresh lists, which the converter fills."""
-
-    simulations: list[Simulation[Entity]]
-    skipped: list[SynsetRecord]
-    warnings: list[str]
-
-
-def convert_synsets(records: Iterable[SynsetRecord], source: Entity) -> WordnetConversion:
+def convert_synsets(records: Iterable[SynsetRecord], source: Entity) -> Conversion:
     """Select and convert a batch, keeping a log of skips and oddities."""
-    out = WordnetConversion([], [], [])
+    out = Conversion([], [], [], [])
     for record in select_synsets(records):
         if record.gloss.lower().lstrip().startswith("(figurative)"):
             out.warnings.append(f"{record.synset_iri}: figurative marker treated as a context")

@@ -127,6 +127,12 @@ def add_stated_roles(g: Graph, rng: random.Random) -> None:
         g.state_role(iri, rng.choice(list(Role)))
 
 
+def derived_pairs(g: Graph) -> set:
+    """Every simulacrum -> meaning edge the graph derives, read through
+    ``meanings_of`` for each simulacrum of each simulation."""
+    return {(a, m) for s in g.simulations.values() for a in s.simulacra for m in g.meanings_of(a)}
+
+
 def brute_force_meanings(g: Graph) -> set:
     """Independent recomputation of the materialized meaning edges."""
     expected = set()

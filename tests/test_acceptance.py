@@ -10,7 +10,7 @@ import time
 from pathlib import Path
 
 from conftest import FIXTURES
-from graphgen import brute_force_meanings, random_graph
+from graphgen import brute_force_meanings, derived_pairs, random_graph
 from simkg import (
     CqId,
     EvalCategory,
@@ -105,7 +105,7 @@ def test_criterion_3_property_chain_oracle():
     mismatches = 0
     for seed in range(500):
         g = random_graph(random.Random(1_000_000 + seed), max_sims=30)
-        if g.derived_meanings != brute_force_meanings(g):
+        if derived_pairs(g) != brute_force_meanings(g):
             mismatches += 1
     assert mismatches == 0
     _passed(3, "derived meaning edges equal brute-force recomputation on 500 graphs")
@@ -131,7 +131,7 @@ def test_criterion_5_conversion_fixtures():
     _, conv = convert_document(
         (FIXTURES / "hook.dict").read_text(encoding="utf-8"), make_entity("olderr")
     )
-    _insert_all(g, conv.simulations, conv.variants)
+    _insert_all(g, conv, "hook.dict")
     sims = list(g.simulations.values())
     contexts = {g.entities[c].id.local_name for s in sims for c in s.contexts}
     kinds = {s.kind for s in sims}
@@ -144,7 +144,7 @@ def test_criterion_5_conversion_fixtures():
     g = Graph()
     records = [r for r in read_synset_file(FIXTURES / "penelope.tsv") if r.label == "Penelope"]
     out = convert_synsets(records, make_entity("Wordnet"))
-    _insert_all(g, out.simulations)
+    _insert_all(g, out, "penelope.tsv")
     assert set(g.simulations) == {kb("penelope-devotion"), kb("penelope-fidelity")}
     assert all(
         [g.entities[c].id.local_name for c in s.contexts] == ["greekMythology"] for s in g.simulations.values()
@@ -154,7 +154,7 @@ def test_criterion_5_conversion_fixtures():
     g = Graph()
     triples = [t for t in read_triples_file(FIXTURES / "eagle.nt") if t.subject.local_name == "Eagle"]
     dbp = convert_dbpedia(triples, make_entity("DBpedia"))
-    _insert_all(g, dbp.simulations)
+    _insert_all(g, dbp, "warning")
     assert set(g.simulations) == {kb("eagle-liechtenstein")}
     sim = g.simulations[kb("eagle-liechtenstein")]
     assert [g.entities[c].id.local_name for c in sim.contexts] == ["generalOrUnknown"]

@@ -200,7 +200,7 @@ class TestIngestCommands:
         _, conv = convert_document(
             (FIXTURES / "birds.dict").read_text(encoding="utf-8"), make_entity("olderr")
         )
-        _insert_all(g, conv.simulations, conv.variants)
+        _insert_all(g, conv, "birds.dict")
         rows = run_cq(g, CqId.Q3_3)
         expected = "\n".join(
             "  ".join(["kb:" + v.local_name for v in row.values()]) for row in rows

@@ -76,9 +76,9 @@ def test_converted_input_round_trips(dict_text, synset_rows, nt_lines):
         nt.write_text("\n".join(nt_lines) + "\n", encoding="utf-8")
         records, triples = read_synset_file(tsv), read_triples_file(nt)
     _, conv = convert_document(dict_text, make_entity("dictionary"))
-    _insert_all(g, conv.simulations, conv.variants)
-    _insert_all(g, convert_dbpedia(triples, make_entity("DBpedia")).simulations)
-    _insert_all(g, convert_synsets(records, make_entity("Wordnet")).simulations)
+    _insert_all(g, conv, "dictionary")
+    _insert_all(g, convert_dbpedia(triples, make_entity("DBpedia")), "warning")
+    _insert_all(g, convert_synsets(records, make_entity("Wordnet")), "synsets.tsv")
 
     text = export_turtle(g, force=True)
     back = import_turtle(text)

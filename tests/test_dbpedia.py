@@ -545,6 +545,10 @@ def test_public_names_load_on_first_use():
     assert result.returncode == 0, result.stderr
 
 
+def test_dir_lists_the_public_names():
+    assert "Graph" in dir(simkg)
+
+
 class _SparqlHandler(BaseHTTPRequestHandler):
     """Miniature SPARQL endpoint: serves fixture rows with LIMIT/OFFSET
     pagination, fails its first ``failures`` requests with a 500 to exercise

@@ -10,6 +10,7 @@ from graphgen import (
     add_stated_roles,
     brute_force_meanings,
     build_graph,
+    derived_pairs,
     random_graph,
     random_parts,
 )
@@ -77,7 +78,7 @@ class TestInsert:
     def test_singleton_graph_derives_meaning(self):
         g = Graph()
         g.insert_simulation(_sim("owl", "death", ["hindu"], "olderr"))
-        assert g.derived_meanings == {(Iri(KB + "owl"), Iri(KB + "death"))}
+        assert derived_pairs(g) == {(Iri(KB + "owl"), Iri(KB + "death"))}
 
     def test_kind_conflict_is_reported(self):
         g = Graph()
@@ -360,6 +361,13 @@ class TestVariants:
         assert g._variant_iris(d.id) == (a.id, b.id, c.id)
         assert g._variant_iris(a.id) == (b.id, c.id)
 
+    def test_repr_counts_and_equality_with_another_type(self):
+        g = Graph()
+        g.add_variant(make_entity("a"), make_entity("b"))
+        del g.entities[Iri(KB + "b")]
+        assert repr(g) == "Graph(entities=1, simulations=0, variants=1)"
+        assert (Graph() == 1) is False
+
     def test_closure_of_an_imported_cycle_excludes_self(self):
         g = import_turtle(
             "@prefix sim: <https://w3id.org/simulation/ontology/> .\n"
@@ -435,13 +443,11 @@ def test_sample_corpus_matches_golden_stats():
     _, conv = convert_document(
         (FIXTURES / "birds.dict").read_text(encoding="utf-8"), make_entity("olderr")
     )
-    _insert_all(g, conv.simulations, conv.variants)
+    _insert_all(g, conv, "birds.dict")
     _insert_all(
-        g, convert_synsets(read_synset_file(FIXTURES / "penelope.tsv"), make_entity("Wordnet")).simulations
+        g, convert_synsets(read_synset_file(FIXTURES / "penelope.tsv"), make_entity("Wordnet")), "penelope.tsv"
     )
-    _insert_all(
-        g, convert_dbpedia(read_triples_file(FIXTURES / "eagle.nt"), make_entity("DBpedia")).simulations
-    )
+    _insert_all(g, convert_dbpedia(read_triples_file(FIXTURES / "eagle.nt"), make_entity("DBpedia")), "warning")
     stats = g.stats()
     golden_lines = (FIXTURES / "golden" / "sample_corpus_stats.csv").read_text(encoding="utf-8").splitlines()
     produced = [
@@ -512,7 +518,7 @@ class TestProperties:
     def test_property_chain_matches_brute_force(self):
         for seed in range(60):
             g = random_graph(random.Random(seed), max_sims=20)
-            assert g.derived_meanings == brute_force_meanings(g), f"seed {seed}"
+            assert derived_pairs(g) == brute_force_meanings(g), f"seed {seed}"
 
     def test_stored_members_are_entity_iris_with_their_slot_role(self):
         for seed in range(60):
@@ -552,4 +558,4 @@ class TestProperties:
     @given(st.integers(0, 2**32 - 1))
     def test_derived_meanings_complete_and_sound(self, seed):
         g = random_graph(random.Random(seed), max_sims=12)
-        assert g.derived_meanings == brute_force_meanings(g)
+        assert derived_pairs(g) == brute_force_meanings(g)

@@ -221,7 +221,6 @@ class TestSharedEntities:
     def test_equal_arguments_return_one_value(self):
         a = make_entity("white rose")
         assert make_entity("white rose") is a
-        assert make_entity("white rose", namespace=SIM) is not a
         assert make_entity("white rose", links=["http://example.org/a"]) is not a
 
     def test_roles_are_accepted_and_ignored(self):

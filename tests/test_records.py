@@ -32,6 +32,7 @@ from simkg import (
     parse_dictionary,
 )
 from simkg.analysis import MeaningRow, MetricRow
+from simkg.model import Conversion
 
 A = Entity(Iri("http://e.org/a"), "a")
 B = Entity(Iri("http://e.org/b"), "b", frozenset({Iri("http://e.org/x")}))
@@ -114,7 +115,7 @@ def test_reflexive_variant_link_raises_however_it_is_made():
         lambda: convert_dbpedia([], make_entity("DBpedia")),
         lambda: convert_synsets([], make_entity("Wordnet")),
     ],
-    ids=["ParsedDictionary", "DictConversion", "DbpediaConversion", "WordnetConversion"],
+    ids=["ParsedDictionary", "convert_document", "convert_dbpedia", "convert_synsets"],
 )
 def test_each_conversion_fills_lists_of_its_own(convert):
     one, two = convert(), convert()
@@ -124,3 +125,10 @@ def test_each_conversion_fills_lists_of_its_own(convert):
     assert pickle.loads(pickle.dumps(one)) == one
     with pytest.raises(AttributeError):
         setattr(one, one._fields[0], [])
+
+
+def test_the_three_converters_return_one_record():
+    source = make_entity("olderr")
+    results = [convert_document("", source)[1], convert_dbpedia([], source), convert_synsets([], source)]
+    assert {type(conv) for conv in results} == {Conversion}
+    assert Conversion._fields == ("simulations", "variants", "skipped", "warnings")

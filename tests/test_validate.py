@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from graphgen import random_graph
+from graphgen import derived_pairs, random_graph
 from simkg import (
     Axiom,
     CardinalityError,
@@ -221,19 +221,28 @@ kb:ghost-war a sim:Simulation ;
     ]
 
 
+def test_dangling_variant_end_is_reported():
+    g = Graph()
+    g.add_variant(make_entity("a"), make_entity("b"))
+    del g.entities[Iri(KB + "b")]
+    assert [v.as_text() for v in check_axioms(g)] == [
+        f"DanglingEntity\t{KB}b\tvariant link {KB}a -> {KB}b references it"
+    ]
+
+
 def test_validation_is_read_only(toy_graph):
     before = (
         dict(toy_graph.simulations),
         dict(toy_graph.entities),
         set(toy_graph.variant_edges),
-        set(toy_graph.derived_meanings),
+        derived_pairs(toy_graph),
     )
     check_axioms(toy_graph)
     assert before == (
         dict(toy_graph.simulations),
         dict(toy_graph.entities),
         set(toy_graph.variant_edges),
-        set(toy_graph.derived_meanings),
+        derived_pairs(toy_graph),
     )
 
 
