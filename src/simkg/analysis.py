@@ -16,7 +16,6 @@ from typing import Iterable, NamedTuple, Union
 
 from .graph import Graph
 from .model import Entity, Iri
-from .query import _meaning_iris
 
 DEFAULT_COLOR_LEXICON = ("white", "red", "green", "black", "gold", "blue", "purple")
 COLOR_ALIASES = {"golden": "gold"}
@@ -71,7 +70,7 @@ def color_distribution(
     target_entity = g.entity(target)
     palette = tuple(colors)
     rows = []
-    for meaning in sorted(_meaning_iris(g, target_entity.id)):
+    for meaning in g.reachable_meanings(target_entity.id):
         sharers: set[Iri] = set()
         for sim_id in g.simulations_with_rc(meaning):
             sharers.update(g.simulations[sim_id].simulacra)

@@ -320,7 +320,7 @@ def convert_dbpedia(
     excluded_types: Iterable[str] = DEFAULT_EXCLUDED_TYPES,
 ) -> Conversion:
     """Apply the two extraction rules; unconvertible rows are skipped with
-    a warning, never fatal."""
+    a warning, never fatal, and listed in ``skipped``."""
     excluded = {str(t) for t in excluded_types}
     out = Conversion([], [], [], [])
     for triple in triples:
@@ -331,8 +331,10 @@ def convert_dbpedia(
                 sim = _convert_category_row(triple, source, out)
         except EmptyLabelError as err:
             out.warnings.append(f"{triple.subject}: skipped ({err})")
-            continue
-        if sim is not None:
+            sim = None
+        if sim is None:
+            out.skipped.append(triple)
+        else:
             out.simulations.append(sim)
     out.simulations.sort(key=lambda s: s.id)
     return out

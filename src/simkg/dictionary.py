@@ -176,13 +176,15 @@ def convert_entry(
     falls back to the general-or-unknown context; an unrecognized relation
     phrase demotes the clause to a generic simulation and is reported in
     the warnings.  A lemma, variant label, context or meaning term that
-    cannot be minted skips its entry, block, clause or term with a warning.
+    cannot be minted skips its entry, block, clause or term with a warning;
+    an entry skipped whole is also listed in ``skipped``.
     """
     table = PHRASE_TABLE if phrase_table is None else phrase_table
     out = Conversion([], [], [], [])
     try:
         lemma_entity = make_entity(entry.lemma)
     except EmptyLabelError:
+        out.skipped.append(entry)
         out.warnings.append(f"line {entry.line}: unusable lemma {entry.lemma!r}, entry skipped")
         return out
     _convert_clauses(lemma_entity, entry.clauses, source, table, out)

@@ -184,7 +184,7 @@ def _variants_of_entity(g: Graph, b) -> Iterable[Iri]:
 
 @_cq(CqId.Q3_2, bind=("simulacrum",), columns=("rc",))
 def _meanings_with_variants(g: Graph, b) -> Iterable[Iri]:
-    return _meaning_iris(g, b["simulacrum"], include_variants=True)
+    return g.reachable_meanings(b["simulacrum"], include_variants=True)
 
 
 @_cq(CqId.Q3_3, bind=(), columns=("simulation", "rc"))
@@ -241,17 +241,4 @@ def symbolic_meanings(
     are themselves simulacra of further simulations (off by default: a
     single hop).
     """
-    return {g.entities[i] for i in _meaning_iris(g, g.entity(entity).id, include_variants, repeat)}
-
-
-def _meaning_iris(g: Graph, start: Iri, include_variants: bool = False, repeat: bool = False) -> set[Iri]:
-    """The IRIs of :func:`symbolic_meanings`, from an entity the graph holds."""
-    meanings = g._meanings_of.get  # one C call a node, and a miss allocates nothing
-    frontier = {start, *g._variant_iris(start)} if include_variants else {start}
-    found: set[Iri] = set()
-    while frontier:
-        frontier = set().union(*[meanings(i, ()) for i in frontier]) - found
-        found |= frontier
-        if not repeat:
-            break
-    return found
+    return {g.entities[i] for i in g.reachable_meanings(g.entity(entity).id, include_variants, repeat)}

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import re
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Optional
 
 from .model import (
     Conversion,
@@ -78,14 +78,17 @@ def select_synsets(records: Iterable[SynsetRecord]) -> list[SynsetRecord]:
     return [r for r in records if r.is_symbol_hyponym or _TRIGGER.search(r.gloss)]
 
 
-def convert_synset(record: SynsetRecord, source: Entity) -> list[Simulation[Entity]]:
+def convert_synset(
+    record: SynsetRecord, source: Entity, warnings: Optional[list[str]] = None
+) -> list[Simulation[Entity]]:
     """One simulation per extracted meaning term.
 
     The record's label becomes the simulacrum, linked back to the synset
     IRI; a leading parenthesized phrase in the gloss becomes the context.
-    Raises :class:`NoTriggerError` when the gloss has no trigger phrase,
-    and :class:`EmptyLabelError` when the label or the context cannot be
-    minted.
+    A meaning term that cannot be minted is skipped, with a line in
+    ``warnings`` when one is given.  Raises :class:`NoTriggerError` when the
+    gloss has no trigger phrase, and :class:`EmptyLabelError` when the
+    label or the context cannot be minted.
     """
     gloss = record.gloss
     context = general_context()
@@ -110,7 +113,9 @@ def convert_synset(record: SynsetRecord, source: Entity) -> list[Simulation[Enti
             continue
         try:
             rc = make_entity(term)
-        except EmptyLabelError:  # the record's other terms still convert
+        except EmptyLabelError as err:  # the record's other terms still convert
+            if warnings is not None:
+                warnings.append(f"{record.synset_iri}: skipped meaning term {term!r} ({err})")
             continue
         simulations.append(
             build_simulation(SimulationKind.GENERIC, simulacrum, [(RcRelation.HAS, rc)], [context], [source])
@@ -125,7 +130,7 @@ def convert_synsets(records: Iterable[SynsetRecord], source: Entity) -> Conversi
         if record.gloss.lower().lstrip().startswith("(figurative)"):
             out.warnings.append(f"{record.synset_iri}: figurative marker treated as a context")
         try:
-            out.simulations.extend(convert_synset(record, source))
+            out.simulations.extend(convert_synset(record, source, out.warnings))
         except NoTriggerError:
             out.skipped.append(record)
             out.warnings.append(f"{record.synset_iri}: no trigger phrase in gloss, skipped")

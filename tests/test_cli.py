@@ -337,7 +337,10 @@ class TestIngestCommands:
         out = tmp_path / "out.ttl"
         assert main(["ingest-wordnet", str(tsv), "--out", str(out)]) == 0
         assert list(load_graph(out).simulations) == ["https://w3id.org/simulation/data/dove-love"]
-        assert capsys.readouterr().err == f"{tsv}: 1 records -> 1 simulations (0 skipped)\n"
+        assert capsys.readouterr().err.splitlines() == [
+            f"{tsv}: http://example.org/synset/x: skipped meaning term '!!!' (label '!!!' has no alphanumeric characters)",
+            f"{tsv}: 1 records -> 1 simulations (0 skipped)",
+        ]
 
     def test_bare_category_prefix_is_empty_after_cleaning(self, tmp_path, capsys):
         nt = tmp_path / "bare.nt"

@@ -361,6 +361,37 @@ class TestVariants:
         assert g._variant_iris(d.id) == (a.id, b.id, c.id)
         assert g._variant_iris(a.id) == (b.id, c.id)
 
+    def test_a_new_link_reaches_meaning_walks_read_before_it(self):
+        g = Graph()
+        g.insert_simulation(_sim("b", "faith", ["greek"], "olderr"))
+        a, b = make_entity("a"), make_entity("b")
+        assert g.reachable_meanings(a.id, include_variants=True) == ()
+        g.add_variant(a, b)
+        assert g._walks == {} and g.reachable_meanings(a.id, include_variants=True) == (Iri(KB + "faith"),)
+
+    def test_a_new_meaning_pair_empties_the_kept_walks(self):
+        g = Graph()
+        g.insert_simulation(_sim("a", "faith", ["greek"], "olderr"))
+        a = Iri(KB + "a")
+        assert g.reachable_meanings(a) == (Iri(KB + "faith"),)
+        g.insert_simulation(_sim("a", "charm", ["greek"], "olderr"))
+        assert g._walks == {}
+        assert g.reachable_meanings(a) == (Iri(KB + "charm"), Iri(KB + "faith"))
+
+    def test_a_merge_that_adds_no_meaning_pair_keeps_the_walks(self):
+        g = Graph()
+        g.insert_simulation(_sim("a", "faith", ["greek"], "olderr"))
+        a = Iri(KB + "a")
+        walks = {(a, False, False): g.reachable_meanings(a), (a, True, True): g.reachable_meanings(a, True, True)}
+        g.insert_simulation(_sim("a", "faith", ["greek"], "olderr"))  # a re-insert
+        g.insert_simulation(_sim("a", "faith", ["roman"], "cirlot"))  # new members, no new pair
+        other = build_simulation(
+            SimulationKind.GENERIC, make_entity("a"), [(RcRelation.EASED, make_entity("faith"))],
+            [make_entity("greek")], [make_entity("olderr")],
+        )
+        g.insert_simulation(other)  # the same pair through another simulation and relation
+        assert g._walks == walks
+
     def test_repr_counts_and_equality_with_another_type(self):
         g = Graph()
         g.add_variant(make_entity("a"), make_entity("b"))
@@ -514,6 +545,28 @@ class TestIndexViews:
                 assert list(g.meanings_of(a)) == list(stated), f"seed {seed}: meanings_of({a})"
 
 
+def _fresh_walk(g, start, include_variants, repeat):
+    """:meth:`Graph.reachable_meanings` by a breadth-first walk over the
+    graph's variant edges and ``meanings_of``, kept nowhere."""
+    children: dict = {}
+    for base, variant in g.variant_edges:
+        children.setdefault(base, []).append(variant)
+    starts, queue = {start}, [start] if include_variants else []
+    while queue:
+        for v in children.get(queue.pop(), ()):
+            if v not in starts:
+                starts.add(v)
+                queue.append(v)
+    found = {m for i in starts for m in g.meanings_of(i)}
+    queue = list(found) if repeat else []
+    while queue:
+        for m in g.meanings_of(queue.pop()):
+            if m not in found:
+                found.add(m)
+                queue.append(m)
+    return tuple(sorted(found))
+
+
 class TestProperties:
     def test_property_chain_matches_brute_force(self):
         for seed in range(60):
@@ -553,6 +606,26 @@ class TestProperties:
                 shuffled_variants = variants[:]
                 rng.shuffle(shuffled_variants)
                 assert build_graph(shuffled, shuffled_variants) == reference, f"seed {seed}"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["insert", "link", "read"]), st.integers(0, 3), st.integers(0, 3)),
+                    max_size=40))
+    def test_each_kept_walk_equals_a_fresh_walk(self, steps):
+        # Four words, each a simulacrum, a meaning and a variant end; links
+        # run from a lower to a higher word, so no step closes a cycle.  A
+        # read asks for all four walks from every word.
+        words = [make_entity(w) for w in ("a", "b", "c", "d")]
+        g = Graph()
+        for op, i, j in steps:
+            if op == "insert" and i != j:
+                g.insert_simulation(_sim(words[i].label, words[j].label, ["greek"], "olderr"))
+            elif op == "link" and i < j:
+                g.add_variant(words[i], words[j])
+            elif op == "read":
+                for word, include_variants, repeat in itertools.product(words, (False, True), (False, True)):
+                    g.reachable_meanings(word.id, include_variants, repeat)
+            for (start, include_variants, repeat), walk in g._walks.items():
+                assert walk == _fresh_walk(g, start, include_variants, repeat)
 
     @settings(max_examples=40)
     @given(st.integers(0, 2**32 - 1))

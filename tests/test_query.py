@@ -23,6 +23,7 @@ from simkg import (
     run_cq,
     symbolic_meanings,
 )
+from simkg.analysis import color_distribution
 from simkg.model import KB
 from simkg.query import RESULT_VARIABLES
 
@@ -296,6 +297,47 @@ class TestLongVariantChain:
         for result in (closure, found):
             assert result and all(type(e) is Entity for e in result)
             assert result == {g.entities[e.id] for e in result}
+
+
+class TestKeptWalks:
+    """The path reads after a write that changes a walk they read before,
+    against the same writes on a graph that kept nothing."""
+
+    # rose -> white rose -> red rose; love, a meaning of rose, is a simulacrum too
+    BASE = [("rose", "love"), ("white rose", "purity"), ("love", "devotion"), ("red lily", "love"),
+            ("~", "rose", "white rose"), ("~", "white rose", "red rose"), ("white lily", "silence")]
+
+    @staticmethod
+    def _write(g, steps):
+        src, ctx = make_entity("olderr"), make_entity("general")
+        for step in steps:
+            if step[0] == "~":
+                g.add_variant(make_entity(step[1]), make_entity(step[2]))
+            else:
+                simulacrum, meaning = map(make_entity, step)
+                g.insert_simulation(
+                    build_simulation(SimulationKind.GENERIC, simulacrum, [(RcRelation.HAS, meaning)], [ctx], [src])
+                )
+        return g
+
+    @staticmethod
+    def _answers(g):
+        root = kb("rose")
+        rows = run_cq(g, CqId.Q3_2, {"simulacrum": root})
+        found = symbolic_meanings(g, root, include_variants=True, repeat=True)
+        dist = color_distribution(g, root)
+        return [r.values() for r in rows], {e.id for e in found}, [(row.meaning.id, row.counts) for row in dist.rows]
+
+    @pytest.mark.parametrize(
+        "write",
+        [("rose", "secrecy"), ("red rose", "passion"), ("devotion", "faith"), ("~", "red rose", "white lily")],
+        ids=["pair on the root", "pair on a closure node", "pair on a meaning reached by repeat", "variant link"],
+    )
+    def test_a_write_reaches_the_answers_read_before_it(self, write):
+        g = self._write(Graph(), self.BASE)
+        before = self._answers(g)
+        after = self._answers(self._write(g, [write]))
+        assert after == self._answers(self._write(Graph(), [*self.BASE, write])) and after != before
 
 
 class TestQueryProperties:

@@ -132,3 +132,20 @@ def test_the_three_converters_return_one_record():
     results = [convert_document("", source)[1], convert_dbpedia([], source), convert_synsets([], source)]
     assert {type(conv) for conv in results} == {Conversion}
     assert Conversion._fields == ("simulations", "variants", "skipped", "warnings")
+
+
+def test_each_converter_lists_the_input_it_skips():
+    source = make_entity("olderr")
+    parsed, conv = convert_document("!!!\n  love\nrose\n  love\n", source)
+    assert conv.skipped == [parsed.entries[0]] and [s.id.local_name for s in conv.simulations] == ["rose-love"]
+    dbr = "http://dbpedia.org/resource/"
+    station = SymbolTriple(Iri(dbr + "Atocha"), SymbolPredicate.DBP_SYMBOL, "bear", (Iri(dbr + "RailwayStation"),))
+    unmintable = SymbolTriple(Iri(dbr + "Nowhere"), SymbolPredicate.DBP_SYMBOL, "!!!")
+    empty_category = SymbolTriple(Iri(dbr + "Eagle"), SymbolPredicate.DCT_SUBJECT, Iri(dbr + "Category:Symbols_of"))
+    kept = SymbolTriple(Iri(dbr + "Truce"), SymbolPredicate.DBP_SYMBOL, "white flag")
+    conv = convert_dbpedia([station, unmintable, empty_category, kept], source)
+    assert conv.skipped == [station, unmintable, empty_category] and len(conv.simulations) == 1
+    assert len(conv.warnings) == 3
+    wordnet = convert_synsets([SynsetRecord(Iri("http://e.org/x"), "dove", "symbol of !!!, love")], source)
+    assert wordnet.skipped == [] and len(wordnet.simulations) == 1
+    assert wordnet.warnings == ["http://e.org/x: skipped meaning term '!!!' (label '!!!' has no alphanumeric characters)"]
