@@ -70,7 +70,7 @@ def color_distribution(
     target_entity = g.entity(target)
     palette = tuple(colors)
     rows = []
-    for meaning in g.reachable_meanings(target_entity.id):
+    for meaning in g._reachable_meanings(target_entity.id):
         sharers: set[Iri] = set()
         for sim_id in g.simulations_with_rc(meaning):
             sharers.update(g.simulations[sim_id].simulacra)

@@ -8,13 +8,14 @@ though a path read keeps what it walked for the next one.
 
 Two walks are kept, each as a sorted tuple: the variant closure that
 ``variant_closure`` and Q3.1 read, until the next variant link, and the
-meanings reached from an entity (:meth:`Graph.reachable_meanings`, which
-Q3.2, ``symbolic_meanings`` and the colour study read), until the next
-variant link or the next store that adds a (simulacrum, meaning) pair
-the graph lacked.  Those are the only changes that can alter either
-answer, so a merge that adds no pair keeps both.  On the seed-5
-benchmark graph, with every walk those reads ask for kept, the closures
-take about 1 MiB and the meaning walks about 3.6 MiB.
+meanings reached from an entity through its variants or repeated hops
+(what Q3.2 and ``symbolic_meanings`` with either flag read), until the
+next variant link or the next store that adds a (simulacrum, meaning)
+pair the graph lacked.  Those are the only changes that can alter either
+answer, so a merge that adds no pair keeps both.  A single hop, which
+the colour study reads, is one index lookup and is not kept.  On the
+seed-5 benchmark graph, with every walk those reads ask for kept, the
+closures take about 1 MiB and the meaning walks about 3.4 MiB.
 """
 
 from __future__ import annotations
@@ -195,9 +196,10 @@ class Graph:
         # Each variant closure a read asked for, as a sorted tuple; a new
         # variant link empties it, and nothing else changes a closure.
         self._closures: dict[Iri, tuple[Iri, ...]] = {}
-        # Each meaning walk a read asked for, by (start, include_variants,
-        # repeat), as a sorted tuple; it reads only the variant and meaning
-        # indexes, so a new variant link or meaning pair empties it.
+        # Each meaning walk a read asked for through variants or repeated
+        # hops, by (start, include_variants, repeat), as a sorted tuple; it
+        # reads only the variant and meaning indexes, so a new variant link
+        # or meaning pair empties it.
         self._walks: dict[tuple[Iri, bool, bool], tuple[Iri, ...]] = {}
         # The membership and meaning indexes are ordered sets: dicts whose
         # keys keep store order.  import_turtle stores simulations in IRI
@@ -379,14 +381,17 @@ class Graph:
         found.discard(root)  # reached again only through a cycle in an imported file
         return found
 
-    def reachable_meanings(self, start: Iri, include_variants: bool = False, repeat: bool = False) -> tuple[Iri, ...]:
+    def _reachable_meanings(self, start: Iri, include_variants: bool = False, repeat: bool = False) -> tuple[Iri, ...]:
         """The IRIs of the meanings reached from ``start`` through its
         simulations, sorted: what ``query.symbolic_meanings`` returns as
         entities, and Q3.2 and ``analysis.color_distribution`` read.
 
         ``include_variants`` starts from the variant closure too, and
-        ``repeat`` goes on through meanings that are simulacra in turn.  A
-        walk is kept until a variant link or a new meaning pair."""
+        ``repeat`` goes on through meanings that are simulacra in turn.
+        Such a walk is kept until a variant link or a new meaning pair; a
+        single hop is one index lookup and is not kept."""
+        if not (include_variants or repeat):
+            return tuple(sorted(self._meanings_of.get(start, ())))
         key = (start, include_variants, repeat)
         found = self._walks.get(key)
         if found is None:

@@ -184,7 +184,7 @@ def _variants_of_entity(g: Graph, b) -> Iterable[Iri]:
 
 @_cq(CqId.Q3_2, bind=("simulacrum",), columns=("rc",))
 def _meanings_with_variants(g: Graph, b) -> Iterable[Iri]:
-    return g.reachable_meanings(b["simulacrum"], include_variants=True)
+    return g._reachable_meanings(b["simulacrum"], include_variants=True)
 
 
 @_cq(CqId.Q3_3, bind=(), columns=("simulation", "rc"))
@@ -241,4 +241,4 @@ def symbolic_meanings(
     are themselves simulacra of further simulations (off by default: a
     single hop).
     """
-    return {g.entities[i] for i in g.reachable_meanings(g.entity(entity).id, include_variants, repeat)}
+    return {g.entities[i] for i in g._reachable_meanings(g.entity(entity).id, include_variants, repeat)}

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import re
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple
 
 from .model import (
     Conversion,
@@ -78,15 +78,13 @@ def select_synsets(records: Iterable[SynsetRecord]) -> list[SynsetRecord]:
     return [r for r in records if r.is_symbol_hyponym or _TRIGGER.search(r.gloss)]
 
 
-def convert_synset(
-    record: SynsetRecord, source: Entity, warnings: Optional[list[str]] = None
-) -> list[Simulation[Entity]]:
+def convert_synset(record: SynsetRecord, source: Entity, warnings: list[str]) -> list[Simulation[Entity]]:
     """One simulation per extracted meaning term.
 
     The record's label becomes the simulacrum, linked back to the synset
     IRI; a leading parenthesized phrase in the gloss becomes the context.
-    A meaning term that cannot be minted is skipped, with a line in
-    ``warnings`` when one is given.  Raises :class:`NoTriggerError` when the
+    A meaning term that cannot be minted is skipped, with a line appended
+    to ``warnings``.  Raises :class:`NoTriggerError` when the
     gloss has no trigger phrase, and :class:`EmptyLabelError` when the
     label or the context cannot be minted.
     """
@@ -114,8 +112,7 @@ def convert_synset(
         try:
             rc = make_entity(term)
         except EmptyLabelError as err:  # the record's other terms still convert
-            if warnings is not None:
-                warnings.append(f"{record.synset_iri}: skipped meaning term {term!r} ({err})")
+            warnings.append(f"{record.synset_iri}: skipped meaning term {term!r} ({err})")
             continue
         simulations.append(
             build_simulation(SimulationKind.GENERIC, simulacrum, [(RcRelation.HAS, rc)], [context], [source])

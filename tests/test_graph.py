@@ -365,24 +365,31 @@ class TestVariants:
         g = Graph()
         g.insert_simulation(_sim("b", "faith", ["greek"], "olderr"))
         a, b = make_entity("a"), make_entity("b")
-        assert g.reachable_meanings(a.id, include_variants=True) == ()
+        assert g._reachable_meanings(a.id, include_variants=True) == ()
         g.add_variant(a, b)
-        assert g._walks == {} and g.reachable_meanings(a.id, include_variants=True) == (Iri(KB + "faith"),)
+        assert g._walks == {} and g._reachable_meanings(a.id, include_variants=True) == (Iri(KB + "faith"),)
 
     def test_a_new_meaning_pair_empties_the_kept_walks(self):
         g = Graph()
         g.insert_simulation(_sim("a", "faith", ["greek"], "olderr"))
         a = Iri(KB + "a")
-        assert g.reachable_meanings(a) == (Iri(KB + "faith"),)
+        assert g._reachable_meanings(a, repeat=True) == (Iri(KB + "faith"),)
         g.insert_simulation(_sim("a", "charm", ["greek"], "olderr"))
         assert g._walks == {}
-        assert g.reachable_meanings(a) == (Iri(KB + "charm"), Iri(KB + "faith"))
+        assert g._reachable_meanings(a, repeat=True) == (Iri(KB + "charm"), Iri(KB + "faith"))
+
+    def test_a_single_hop_is_not_kept(self):
+        g = Graph()
+        g.insert_simulation(_sim("a", "faith", ["greek"], "olderr"))
+        assert g._reachable_meanings(Iri(KB + "a")) == (Iri(KB + "faith"),)
+        assert g._reachable_meanings(Iri(KB + "ghost")) == ()
+        assert g._walks == {}
 
     def test_a_merge_that_adds_no_meaning_pair_keeps_the_walks(self):
         g = Graph()
         g.insert_simulation(_sim("a", "faith", ["greek"], "olderr"))
         a = Iri(KB + "a")
-        walks = {(a, False, False): g.reachable_meanings(a), (a, True, True): g.reachable_meanings(a, True, True)}
+        walks = {(a, True, False): g._reachable_meanings(a, True), (a, True, True): g._reachable_meanings(a, True, True)}
         g.insert_simulation(_sim("a", "faith", ["greek"], "olderr"))  # a re-insert
         g.insert_simulation(_sim("a", "faith", ["roman"], "cirlot"))  # new members, no new pair
         other = build_simulation(
@@ -546,7 +553,7 @@ class TestIndexViews:
 
 
 def _fresh_walk(g, start, include_variants, repeat):
-    """:meth:`Graph.reachable_meanings` by a breadth-first walk over the
+    """:meth:`Graph._reachable_meanings` by a breadth-first walk over the
     graph's variant edges and ``meanings_of``, kept nowhere."""
     children: dict = {}
     for base, variant in g.variant_edges:
@@ -623,7 +630,8 @@ class TestProperties:
                 g.add_variant(words[i], words[j])
             elif op == "read":
                 for word, include_variants, repeat in itertools.product(words, (False, True), (False, True)):
-                    g.reachable_meanings(word.id, include_variants, repeat)
+                    walk = g._reachable_meanings(word.id, include_variants, repeat)
+                    assert walk == _fresh_walk(g, word.id, include_variants, repeat)
             for (start, include_variants, repeat), walk in g._walks.items():
                 assert walk == _fresh_walk(g, start, include_variants, repeat)
 

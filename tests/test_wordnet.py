@@ -59,7 +59,7 @@ class TestSelect:
 
 class TestConvert:
     def test_penelope_two_simulations(self, source):
-        sims = convert_synset(PENELOPE, source)
+        sims = convert_synset(PENELOPE, source, [])
         assert {s.id.local_name for s in sims} == {"penelope-devotion", "penelope-fidelity"}
         for sim in sims:
             assert sim.contexts[0].id.local_name == "greekMythology"
@@ -67,13 +67,13 @@ class TestConvert:
             assert sim.kind is SimulationKind.GENERIC
 
     def test_dollar_sign_or_split(self, source):
-        sims = convert_synset(DOLLAR, source)
+        sims = convert_synset(DOLLAR, source, [])
         assert {s.id.local_name for s in sims} == {"dollarSign-commercialism", "dollarSign-greed"}
         assert all(s.contexts[0].id.local_name == "generalOrUnknown" for s in sims)
 
     def test_no_trigger_raises(self, source):
         with pytest.raises(NoTriggerError):
-            convert_synset(LION, source)
+            convert_synset(LION, source, [])
 
     def test_boundary_stops_at_relative_clause(self, source):
         record = SynsetRecord(
@@ -81,8 +81,15 @@ class TestConvert:
             "kingfisher",
             "a symbol of calm and serenity who appears in Greek legend",
         )
-        sims = convert_synset(record, source)
+        sims = convert_synset(record, source, [])
         assert {s.id.local_name for s in sims} == {"kingfisher-calm", "kingfisher-serenity"}
+
+    def test_unmintable_meaning_term_is_reported(self, source):
+        record = SynsetRecord(Iri("http://example.org/dove"), "dove", "a symbol of !!!, peace")
+        warnings = []
+        sims = convert_synset(record, source, warnings)
+        assert [s.id.local_name for s in sims] == ["dove-peace"]
+        assert warnings == ["http://example.org/dove: skipped meaning term '!!!' (label '!!!' has no alphanumeric characters)"]
 
     def test_figurative_marker_becomes_context(self, source):
         record = SynsetRecord(
@@ -90,12 +97,12 @@ class TestConvert:
             "albatross",
             "(figurative) a symbol of burden",
         )
-        sims = convert_synset(record, source)
+        sims = convert_synset(record, source, [])
         assert sims[0].contexts[0].id.local_name == "figurative"
 
     def test_every_simulacrum_links_to_its_synset(self, source):
         for record in (PENELOPE, DOLLAR):
-            for sim in convert_synset(record, source):
+            for sim in convert_synset(record, source, []):
                 assert sim.simulacrum.external_links == {record.synset_iri}
 
     def test_output_count_matches_string_scan(self, source):
@@ -109,7 +116,7 @@ class TestConvert:
             tail = re.split(r"symbol of|emblem of|symbolizes", gloss, maxsplit=1)[1]
             tail = re.split(r";|\.", tail)[0]
             expected += len([t for t in re.split(r",|\band\b|\bor\b", tail) if t.strip()])
-        produced = sum(len(convert_synset(r, source)) for r in records)
+        produced = sum(len(convert_synset(r, source, [])) for r in records)
         assert produced == expected
 
 
@@ -145,7 +152,7 @@ class TestBatch:
         assert out.skipped == [record]
         assert {s.id.local_name for s in out.simulations} == {"penelope-devotion", "penelope-fidelity"}
         with pytest.raises(EmptyLabelError):
-            convert_synset(record, source)
+            convert_synset(record, source, [])
 
     def test_quote_in_gloss_keeps_later_records(self, source, tmp_path):
         # a gloss that starts with '"' is text, not the start of a quoted field
