@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Optional
 
 from .graph import Graph, UnknownEntityError
-from .model import Conversion, CycleError, Iri, ParseError, RcRelation, Role, SimulationKind, make_entity
+from .model import Conversion, CycleError, EmptyLabelError, Iri, ParseError, RcRelation, Role, SimulationKind, make_entity
 from .serialize import (
     PREFIXES,
     GraphViolationsError,
@@ -78,6 +78,22 @@ def expand_iri(value: str) -> Iri:
         raise _UsageError(str(err)) from None
 
 
+def _utf8(value: str, what: str) -> str:
+    """``value``, a label from argv, where bytes that are not UTF-8 arrive as lone surrogates."""
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise _UsageError(f"{what} must be valid UTF-8, got {value!r}") from None
+    return value
+
+
+def _source(label: str):
+    try:
+        return make_entity(_utf8(label, "source label"))
+    except EmptyLabelError as err:
+        raise _UsageError(f"source label: {err}") from None
+
+
 def _read(reader, path, syntax_error: type[Exception] = TurtleSyntaxError):
     """``reader(path)``, with the file named in a syntax or encoding error;
     ``syntax_error`` is the one ``reader`` raises."""
@@ -88,7 +104,7 @@ def _read(reader, path, syntax_error: type[Exception] = TurtleSyntaxError):
 
 
 def _read_text(path) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    return Path(path).read_text(encoding="utf-8-sig")
 
 
 def _build_parser() -> _Parser:
@@ -296,10 +312,10 @@ def _load_phrase_table(path: Optional[str]):
 def _cmd_ingest_dict(args) -> int:
     from .dictionary import convert_document
 
+    sources = [_source(args.source_label or Path(name).stem) for name in args.files]
     g = _load(args)
     table = _load_phrase_table(args.phrase_table)
-    for name in args.files:
-        source = make_entity(args.source_label or Path(name).stem)
+    for name, source in zip(args.files, sources):
         parsed, conv = convert_document(_read(_read_text, name), source, table)
         links = _insert_all(g, conv, name)
         print(
@@ -322,6 +338,7 @@ def _cmd_ingest_dbpedia(args) -> int:
         read_triples_file,
     )
 
+    source = _source(args.source_label)
     g = _load(args)
     if args.triples:
         triples = _read(read_triples_file, args.triples, MalformedResponseError)
@@ -331,7 +348,6 @@ def _cmd_ingest_dbpedia(args) -> int:
         except (MalformedResponseError, NetworkError) as err:
             raise _InputError(str(err)) from None
     excluded = set(DEFAULT_EXCLUDED_TYPES) | set(args.exclude_type)
-    source = make_entity(args.source_label)
     conv = convert_dbpedia(triples, source, excluded_types=excluded)
     _insert_all(g, conv, "warning")
     print(f"{len(triples)} triples -> {len(conv.simulations)} simulations", file=sys.stderr)
@@ -342,8 +358,8 @@ def _cmd_ingest_dbpedia(args) -> int:
 def _cmd_ingest_wordnet(args) -> int:
     from .wordnet import convert_synsets, read_synset_file
 
+    source = _source(args.source_label)
     g = _load(args)
-    source = make_entity(args.source_label)
     for name in args.files:
         records = _read(read_synset_file, name, ParseError)
         conv = convert_synsets(records, source)
@@ -420,8 +436,9 @@ def _cmd_export(args) -> int:
 def _cmd_casestudy(args) -> int:
     from .analysis import DEFAULT_COLOR_LEXICON, color_distribution, distribution_csv, distribution_svg
 
+    colors = [_utf8(color, "--colors") for color in args.colors] if args.colors else DEFAULT_COLOR_LEXICON
     g = _load(args)
-    dist = color_distribution(g, expand_iri(args.target), colors=args.colors or DEFAULT_COLOR_LEXICON)
+    dist = color_distribution(g, expand_iri(args.target), colors=colors)
     _write_output(args, distribution_csv(dist))
     if args.svg:
         write_atomic(args.svg, distribution_svg(dist))

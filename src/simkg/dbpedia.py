@@ -223,7 +223,7 @@ def read_triples_file(path) -> list[SymbolTriple]:
     symbols: list[tuple[Iri, Union[Iri, str]]] = []
     types: dict[Iri, set[Iri]] = {}
     categories: list[tuple[Iri, Iri]] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

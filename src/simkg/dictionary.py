@@ -73,7 +73,7 @@ class DictEntry(NamedTuple):
 
 
 class ParsedDictionary(NamedTuple):
-    """Built with fresh lists, which the parser fills."""
+    """Each parse returns lists of its own."""
 
     entries: list[DictEntry]
     errors: list[ParseError]
@@ -81,66 +81,47 @@ class ParsedDictionary(NamedTuple):
 
 def parse_dictionary(text: str) -> ParsedDictionary:
     """Parse a whole document; entries and collected errors."""
-    result = ParsedDictionary([], [])
-    lemma: Optional[str] = None
-    lemma_line = 0
-    clauses: list[Clause] = []
-    variants: list[tuple[str, tuple[Clause, ...], int]] = []
-    variant_label: Optional[str] = None
-    variant_line = variant_indent = 0
-    variant_clauses: list[Clause] = []
-
-    def close_variant() -> None:
-        nonlocal variant_label, variant_clauses
-        if variant_label is not None:
-            variants.append((variant_label, tuple(variant_clauses), variant_line))
-            variant_label = None
-            variant_clauses = []
-
-    def close_entry() -> None:
-        nonlocal lemma, clauses, variants
-        close_variant()
-        if lemma is not None:
-            result.entries.append(
-                DictEntry(lemma=lemma, clauses=tuple(clauses), variant_blocks=tuple(variants), line=lemma_line)
-            )
-            lemma = None
-            clauses = []
-            variants = []
-
+    errors: list[ParseError] = []
+    # each entry as lemma, line, clauses, blocks; each block as label, clauses, line, indent
+    entries: list[tuple[str, int, list[Clause], list[tuple[str, list[Clause], int, int]]]] = []
+    block: Optional[tuple[str, list[Clause], int, int]] = None  # the open variant block
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip():
+        stripped = raw.strip()
+        if not stripped:
             continue
         indent = len(raw) - len(raw.lstrip())
-        stripped = raw.strip()
         if indent == 0:
-            close_entry()
-            lemma = stripped
-            lemma_line = lineno
+            entries.append((stripped, lineno, [], []))
+            block = None
             continue
-        if lemma is None:
-            result.errors.append(ParseError("indented clause before any lemma", lineno))
+        if not entries:
+            errors.append(ParseError("indented clause before any lemma", lineno))
             continue
+        _, _, clauses, blocks = entries[-1]
         try:
             if stripped.startswith("~"):
-                close_variant()
+                block = None  # a malformed header closes the open block too
                 header = stripped[1:].strip()
                 if not header.endswith(":") or not header[:-1].strip():
                     raise ParseError("variant block must look like '~ <label>:'", lineno)
-                variant_label = header[:-1].strip()
-                variant_line, variant_indent = lineno, indent
+                block = (header[:-1].strip(), [], lineno, indent)
+                blocks.append(block)
                 continue
             clause = _parse_clause(stripped, lineno)
-            if variant_label is not None and indent > variant_indent:
-                variant_clauses.append(clause)
+            if block is not None and indent > block[3]:
+                block[1].append(clause)
             else:
-                close_variant()
+                block = None
                 clauses.append(clause)
         except ParseError as err:
-            result.errors.append(err)
-
-    close_entry()
-    return result
+            errors.append(err)
+    return ParsedDictionary(
+        [
+            DictEntry(lemma, tuple(clauses), tuple((label, tuple(b), at) for label, b, at, _ in blocks), line)
+            for lemma, line, clauses, blocks in entries
+        ],
+        errors,
+    )
 
 
 def _parse_clause(text: str, lineno: int) -> Clause:

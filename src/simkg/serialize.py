@@ -319,9 +319,9 @@ def import_turtle(text: str) -> Graph:
     g = Graph()
     entities, extras = g.entities, g.extra_triples
 
-    def objects(subject: Iri, preds: dict, pred: Iri, keep: type, warn: bool = False) -> list:
-        """Takes ``pred``'s objects off ``preds``; those not of type ``keep``
-        are kept as extra triples.  One C-level pass clears the usual list."""
+    def objects(subject: Iri, preds: dict, pred: Iri, keep: type) -> list:
+        """Takes ``pred``'s objects off ``preds``; one not of type ``keep`` is an
+        extra triple, and a literal for an IRI warns.  One C-level pass clears the usual list."""
         found = preds.pop(pred, ())
         if all(map(isinstance, found, repeat(keep))):
             return found
@@ -330,7 +330,7 @@ def import_turtle(text: str) -> Graph:
             if isinstance(o, keep):
                 kept.append(o)
                 continue
-            if warn:
+            if keep is Iri:
                 print(f"ignoring literal object {o.text!r} of {pred} on {subject}", file=sys.stderr)
             extras.add((subject, pred, o))
         return kept
@@ -358,7 +358,7 @@ def import_turtle(text: str) -> Graph:
                 # the entity holds one untagged label; the others are extra triples
                 extras.update((subject, RDFS_LABEL, o) for o in labels if o.lang or o.text != label)
             entities[subject] = Entity(subject, label, frozenset(objects(subject, preds, OWL_SAME_AS, Iri)))
-            variant_edges += zip(repeat(subject), objects(subject, preds, SIM_HAS_VARIANT, Iri, warn=True))
+            variant_edges += zip(repeat(subject), objects(subject, preds, SIM_HAS_VARIANT, Iri))
         else:
             if len(kinds) < len(types):
                 unknown_types = [t for t in types if t not in KIND_BY_CLASS]
@@ -370,7 +370,7 @@ def import_turtle(text: str) -> Graph:
             groups: tuple[list, ...] = ([], [], [], [])  # simulacra, counterparts, contexts, sources
             for pred in [p for p in preds if p in _MEMBER_SLOT]:
                 index, rel = _MEMBER_SLOT[pred]
-                iris = objects(subject, preds, pred, Iri, warn=True)
+                iris = objects(subject, preds, pred, Iri)
                 groups[index].extend(iris if rel is None else zip(repeat(rel), iris))
             for kind in kinds or (SimulationKind.GENERIC,):
                 g._store(Simulation(subject, kind, *map(tuple, groups)))

@@ -51,7 +51,7 @@ class SynsetRecord(NamedTuple):
 
 def read_synset_file(path) -> list[SynsetRecord]:
     records = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh, delimiter="\t", quoting=csv.QUOTE_NONE), start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue

@@ -1,3 +1,4 @@
+import codecs
 import gc
 import stat
 import subprocess
@@ -182,6 +183,26 @@ class TestIngestCommands:
         assert rc == 0
         g = load_graph(out_file)
         assert "https://w3id.org/simulation/data/penelope-devotion" in g.simulations
+
+    @pytest.mark.parametrize(
+        "command, fixture",
+        [
+            ("ingest-dict", "birds.dict"),  # not hook.dict, whose source label "hook" would hide the lemma's
+            ("ingest-wordnet", "penelope.tsv"),
+            ("ingest-dbpedia", "eagle.nt"),
+        ],
+    )
+    def test_a_byte_order_mark_is_ignored(self, command, fixture, tmp_path, capsys):
+        results = []
+        for bom in (b"", codecs.BOM_UTF8):
+            src = tmp_path / str(len(bom)) / fixture  # one name, so the default source label is the same
+            src.parent.mkdir()
+            src.write_bytes(bom + (FIXTURES / fixture).read_bytes())
+            out = tmp_path / f"{len(bom)}.ttl"
+            args = ["--triples", str(src)] if command == "ingest-dbpedia" else [str(src)]
+            code = main([command, *args, "--out", str(out)])
+            results.append((code, capsys.readouterr().err.replace(str(src), "SRC"), out.read_bytes()))
+        assert results[0] == results[1] and results[0][0] == 0
 
     def test_pipelining_identity(self, tmp_path, capsys):
         # running query on a saved file equals running against the in-process graph
@@ -485,6 +506,12 @@ class TestReaderErrors:
         assert main(argv) == 3
         assert capsys.readouterr().err == f"error: {bad}: line 1, col 11: unexpected character '\"'\n"
 
+    def test_turtle_stays_strict_about_a_byte_order_mark(self, tmp_path, capsys):
+        bom = tmp_path / "bom.ttl"
+        bom.write_bytes(codecs.BOM_UTF8 + (FIXTURES / "golden" / "hook.ttl").read_bytes())
+        assert main(["export", "--graph", str(bom)]) == 3
+        assert capsys.readouterr().err == f"error: {bom}: line 1, col 1: unexpected character '\\ufeff'\n"
+
 
 class TestExportCommand:
     def test_export_stdout(self, toy_file, capsys):
@@ -551,6 +578,15 @@ class TestAnalysisCommands:
         assert main(["eval", "--gold", str(gold), "--converted", str(toy_file)]) == 1
         assert capsys.readouterr().err == "usage error: line 1: unknown category 'Banana'\n"
 
+    def test_gold_file_byte_order_mark_is_ignored(self, tmp_path, toy_file, capsys):
+        reports = []
+        for bom in (b"", codecs.BOM_UTF8):
+            gold = tmp_path / f"gold{len(bom)}.tsv"
+            gold.write_bytes(bom + b"Simulation\thttps://w3id.org/simulation/data/owl-death\n")
+            assert main(["eval", "--gold", str(gold), "--converted", str(toy_file)]) == 0
+            reports.append(capsys.readouterr())
+        assert reports[0] == reports[1]
+
 
 class TestUsage:
     def test_no_command(self):
@@ -604,6 +640,30 @@ class TestUsage:
         assert main(argv + ["--graph", str(toy_file)]) == 1
         full = message.replace("kb:", str(KB))
         assert capsys.readouterr().err == f"usage error: {full}\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["ingest-dict", "hook.dict", "--source-label", "ol\udcffderr"], "source label must be valid UTF-8, got 'ol\\udcffderr'"),
+            (["ingest-dict", "ol\udcff.dict"], "source label must be valid UTF-8, got 'ol\\udcff'"),
+            (["ingest-dict", "hook.dict", "--source-label", " "], "source label: label is empty or whitespace-only"),
+            (["ingest-dbpedia", "--triples", "eagle.nt", "--source-label", "ol\udcff"], "source label must be valid UTF-8, got 'ol\\udcff'"),
+            (["ingest-dbpedia", "--triples", "eagle.nt", "--source-label", "!!!"], "source label: label '!!!' has no alphanumeric characters"),
+            (["ingest-wordnet", "penelope.tsv", "--source-label", "ol\udcff"], "source label must be valid UTF-8, got 'ol\\udcff'"),
+            (["casestudy", "--target", "kb:hook", "--colors", "gold", "r\udcffed"], "--colors must be valid UTF-8, got 'r\\udcffed'"),
+        ],
+        ids=["dict", "dict-stem", "dict-blank", "dbpedia", "dbpedia-no-alnum", "wordnet", "casestudy"],
+    )
+    def test_unusable_label_argument_is_usage_error(self, argv, message, tmp_path, capsys):
+        # the inputs exist but --graph does not: the label is refused before any is read
+        stem = tmp_path / "ol\udcff.dict"  # a file name that is not UTF-8, as argv decodes it
+        stem.write_bytes((FIXTURES / "hook.dict").read_bytes())
+        files = {"ol\udcff.dict": stem, **{f.name: f for f in FIXTURES.iterdir()}}
+        out = tmp_path / "out"
+        argv = [str(files.get(a, a)) for a in argv]
+        assert main([*argv, "--graph", str(tmp_path / "missing.ttl"), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not out.exists()
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -97,6 +97,30 @@ class TestParse:
         ]
         assert [str(e) for e in parsed.errors] == ["line 2: unclosed context bracket"]
 
+    @staticmethod
+    def _terms_by_owner(text):
+        parsed = parse_dictionary(text)
+        (entry,) = parsed.entries
+        owners = {entry.lemma: entry.clauses, **{label: clauses for label, clauses, _ in entry.variant_blocks}}
+        return {owner: [c.meaning_terms for c in clauses] for owner, clauses in owners.items()}, [
+            str(e) for e in parsed.errors
+        ]
+
+    def test_malformed_variant_header_closes_the_open_block(self):
+        owners, errors = self._terms_by_owner("rose\n  ~ white rose:\n    purity\n  ~ bad\n    love\n")
+        assert owners == {"rose": [("love",)], "white rose": [("purity",)]}
+        assert errors == ["line 4: variant block must look like '~ <label>:'"]
+
+    def test_bad_clause_at_block_indent_leaves_the_block_open(self):
+        owners, errors = self._terms_by_owner("rose\n  ~ white rose:\n    purity\n  [unclosed x\n    love\n")
+        assert owners == {"rose": [], "white rose": [("purity",), ("love",)]}
+        assert errors == ["line 4: unclosed context bracket"]
+
+    def test_bad_clause_inside_a_block_does_not_carry_the_next_line_into_it(self):
+        owners, errors = self._terms_by_owner("rose\n  ~ white rose:\n    purity\n    [unclosed x\n  love\n")
+        assert owners == {"rose": [("love",)], "white rose": [("purity",)]}
+        assert errors == ["line 4: unclosed context bracket"]
+
     @given(st.text(max_size=300))
     @settings(max_examples=60)
     def test_parser_never_raises(self, doc):

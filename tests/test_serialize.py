@@ -590,11 +590,19 @@ def test_redeclared_prefix_applies_to_later_names():
     }
 
 
+def test_semicolon_directly_before_the_full_stop():
+    # Turtle lets a ';' end a predicate list with no predicate after it
+    head = _KB_PREFIX + "@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n"
+    dangling = import_turtle(head + 'kb:x rdfs:label "x" ; .\nkb:y rdfs:label "y" .\n')
+    assert dangling == import_turtle(head + 'kb:x rdfs:label "x" .\nkb:y rdfs:label "y" .\n')
+    assert dangling.entities[Iri(KB + "x")].label == "x"
+
+
 @pytest.mark.parametrize(
     "doc, line",
     [
         (
-            '@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n<http://e.org/a> a "x" ; rdfs:label "a" .\n',
+            '@prefix rdfs:<http://www.w3.org/2000/01/rdf-schema#> .\n<http://e.org/a> a "x" ; rdfs:label "a" .\n',
             '<http://e.org/a> a "x" ;',
         ),
         (
@@ -725,6 +733,7 @@ def test_every_lenient_import_branch(capsys):
         "on https://w3id.org/simulation/data/olive-peace",
         "unknown class http://example.org/Mystery on https://w3id.org/simulation/data/owl-death, "
         "defaulting to the generic simulation",
+        "ignoring literal object 'rose' of http://www.w3.org/2002/07/owl#sameAs on https://w3id.org/simulation/data/rose",
         "ignoring literal object 'pink rose' of https://w3id.org/simulation/ontology/hasVariant "
         "on https://w3id.org/simulation/data/rose",
         'unknown class "z" on https://w3id.org/simulation/data/x-y, defaulting to the generic simulation',
