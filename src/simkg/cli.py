@@ -266,7 +266,7 @@ def _insert_all(g: Graph, conv: Conversion, where: str) -> int:
     for v in kind_conflict_violations(g):
         if v not in before:
             print(f"warning: kind-conflict: {v.subject} {v.detail}", file=sys.stderr)
-    for link in conv.variants:
+    for link in g._top_down(conv.variants):
         try:
             g.add_variant(link.base, link.variant)
         except CycleError as err:
@@ -292,7 +292,7 @@ def _load_phrase_table(path: Optional[str]):
 
     table = dict(PHRASE_TABLE)
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(_read_text(path))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise _UsageError(f"phrase table: {path}: {err}") from None
     if not isinstance(raw, dict):
@@ -437,6 +437,8 @@ def _cmd_casestudy(args) -> int:
     from .analysis import DEFAULT_COLOR_LEXICON, color_distribution, distribution_csv, distribution_svg
 
     colors = [_utf8(color, "--colors") for color in args.colors] if args.colors else DEFAULT_COLOR_LEXICON
+    if "" in colors or len(set(colors)) < len(colors):
+        raise _UsageError(f"--colors must name distinct, non-empty colours, got {' '.join(map(repr, colors))}")
     g = _load(args)
     dist = color_distribution(g, expand_iri(args.target), colors=colors)
     _write_output(args, distribution_csv(dist))

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from operator import lt
-from typing import Iterable, Iterator, KeysView, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, KeysView, Mapping, NamedTuple, Sequence, Union
 
 from .model import (
     OWL,
@@ -54,21 +54,12 @@ SIM_HAS_CONTEXT = Iri(SIM + "hasContext")
 SIM_HAS_VARIANT = Iri(SIM + "hasVariant")
 KIND_BY_CLASS = {kind.schema_iri: kind for kind in SimulationKind}
 
-_PREDICATE_RANK: dict[Iri, int] = {
-    RDF_TYPE: 0,
-    RDFS_LABEL: 1,
-    SIM_HAS_SIMULACRUM: 2,
-    RcRelation.HAS.schema_iri: 3,
-    RcRelation.PREVENTED.schema_iri: 4,
-    RcRelation.HEALED.schema_iri: 5,
-    RcRelation.RESTORED.schema_iri: 6,
-    RcRelation.EASED.schema_iri: 7,
-    RcRelation.ELICITED.schema_iri: 8,
-    SIM_HAS_CONTEXT: 9,
-    PROV_WAS_DERIVED_FROM: 10,
-    SIM_HAS_VARIANT: 11,
-    OWL_SAME_AS: 12,
-}
+# the export's predicates in the order it writes them; any other comes last
+_PREDICATE_ORDER = (
+    RDF_TYPE, RDFS_LABEL, SIM_HAS_SIMULACRUM, *[rel.schema_iri for rel in RcRelation],
+    SIM_HAS_CONTEXT, PROV_WAS_DERIVED_FROM, SIM_HAS_VARIANT, OWL_SAME_AS,
+)
+_PREDICATE_RANK: dict[Iri, int] = {p: rank for rank, p in enumerate(_PREDICATE_ORDER)}
 
 
 class UnknownEntityError(KeyError):
@@ -162,8 +153,50 @@ def statement_block(
         merged = dict(preds)
         for p, objects in extra.items():
             merged[p] = sorted(objects.union(merged.get(p, ())), key=_object_sort_key)
-        preds = sorted(merged.items(), key=lambda po: (_PREDICATE_RANK.get(po[0], 13), po[0]))
+        preds = sorted(merged.items(), key=lambda po: (_PREDICATE_RANK.get(po[0], len(_PREDICATE_ORDER)), po[0]))
     return preds
+
+
+def strongly_connected_components(children: Mapping[Iri, Iterable[Iri]]) -> list[list[Iri]]:
+    """The strongly connected components of the links ``base -> children[base]``,
+    each one after every component it reaches, by one iterative pass of
+    Tarjan's algorithm (Tarjan 1972).  A component is a cycle when it has
+    more than one node or its node links to itself."""
+    index: dict[Iri, int] = {}
+    low: dict[Iri, int] = {}
+    stack: list[Iri] = []
+    on_stack: set[Iri] = set()
+    components: list[list[Iri]] = []
+    for root in children:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(children[root]))]
+        while work:
+            node, pending = work[-1]
+            for child in pending:
+                if child not in index:
+                    index[child] = low[child] = len(index)
+                    stack.append(child)
+                    on_stack.add(child)
+                    work.append((child, iter(children.get(child, ()))))
+                    break
+                if child in on_stack:
+                    low[node] = min(low[node], index[child])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    component = [stack.pop()]
+                    while component[-1] != node:
+                        component.append(stack.pop())
+                    on_stack.difference_update(component)
+                    components.append(component)
+    return components
 
 
 def _object_sort_key(o: Union[Iri, Literal]):
@@ -348,6 +381,21 @@ class Graph:
         self.upsert_entity(variant)
         self._add_variant_edge(base.id, variant.id)
         return link
+
+    def _top_down(self, links: list[VariantLink]) -> list[VariantLink]:
+        """``links`` with each base before every base below it, when they and
+        the stored links close no cycle, so that no order refuses a link;
+        otherwise as given, and their order decides which link is refused."""
+        if not links:
+            return links
+        children = {base: set(variants) for base, variants in self._variant_children.items()}
+        for base, variant in links:
+            children.setdefault(base.id, set()).add(variant.id)
+        components = strongly_connected_components(children)
+        if any(len(c) > 1 or c[0] in children.get(c[0], ()) for c in components):
+            return links
+        height = {c[0]: i for i, c in enumerate(components)}  # above everything it reaches
+        return sorted(links, key=lambda link: -height[link.base.id])
 
     def _add_variant_edge(self, base: Iri, variant: Iri) -> None:
         self._variant_children[base].add(variant)

@@ -27,6 +27,11 @@ RDF = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 RDFS = "http://www.w3.org/2000/01/rdf-schema#"
 OWL = "http://www.w3.org/2002/07/owl#"
 PROV = "http://www.w3.org/ns/prov#"
+# The vocabulary's namespaces, in the order the export declares them.  No
+# namespace starts another, so at most one of them prefixes an IRI.
+PREFIXES: tuple[tuple[str, str], ...] = (
+    ("rdf", RDF), ("rdfs", RDFS), ("owl", OWL), ("prov", PROV), ("sim", SIM), ("kb", KB),
+)
 
 GENERAL_OR_UNKNOWN_LABEL = "General or Unknown"
 
@@ -124,20 +129,15 @@ class Iri(str):
 
     @property
     def local_name(self) -> str:
-        for ns in (KB, SIM, PROV, OWL, RDF, RDFS):
+        for _, ns in PREFIXES:
             if self.startswith(ns):
                 return self[len(ns):]
         cut = max(self.rfind("/"), self.rfind("#"))
         return self[cut + 1:]
 
 
-class Role(Enum):
-    """Positions an entity can occupy around simulations."""
-
-    SIMULACRUM = "Simulacrum"
-    REALITY_COUNTERPART = "RealityCounterpart"
-    CONTEXT = "Context"
-    SOURCE = "Source"
+class _Term(Enum):
+    """A term of the Simulation Ontology: its IRI is ``SIM`` + its value."""
 
     # Members are singletons and equal only to themselves, so the identity
     # hash agrees with equality and skips Enum.__hash__, a Python-level call.
@@ -148,7 +148,16 @@ class Role(Enum):
         return Iri(SIM + self.value)
 
 
-class SimulationKind(Enum):
+class Role(_Term):
+    """Positions an entity can occupy around simulations."""
+
+    SIMULACRUM = "Simulacrum"
+    REALITY_COUNTERPART = "RealityCounterpart"
+    CONTEXT = "Context"
+    SOURCE = "Source"
+
+
+class SimulationKind(_Term):
     """The generic simulation plus the nine specialized categories."""
 
     GENERIC = "Generic"
@@ -162,16 +171,14 @@ class SimulationKind(Enum):
     EMBLEMATIC = "Emblematic"
     HEALING = "Healing"
 
-    __hash__ = object.__hash__
-
-    @cached_property
+    @cached_property  # its classes end in "Simulation", and GENERIC is sim:Simulation
     def schema_iri(self) -> Iri:
         if self is SimulationKind.GENERIC:
             return Iri(SIM + "Simulation")
         return Iri(SIM + self.value + "Simulation")
 
 
-class RcRelation(Enum):
+class RcRelation(_Term):
     """How a reality counterpart is tied to its simulation.
 
     Every non-``HAS`` value is a sub-relation of ``HAS``: wherever the plain
@@ -184,12 +191,6 @@ class RcRelation(Enum):
     RESTORED = "restoredRealityCounterpart"
     EASED = "easedRealityCounterpart"
     ELICITED = "elicitedRealityCounterpart"
-
-    __hash__ = object.__hash__
-
-    @cached_property
-    def schema_iri(self) -> Iri:
-        return Iri(SIM + self.value)
 
 
 # Token separators for IRI minting: runs of anything that is neither a word

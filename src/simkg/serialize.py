@@ -37,12 +37,7 @@ from .graph import (
 )
 from .model import (
     IRI_CHAR,
-    KB,
-    OWL,
-    PROV,
-    RDF,
-    RDFS,
-    SIM,
+    PREFIXES,
     Entity,
     Iri,
     Literal,
@@ -52,15 +47,6 @@ from .model import (
     SimulationKind,
 )
 from .validate import check_axioms
-
-PREFIXES: tuple[tuple[str, str], ...] = (
-    ("rdf", RDF),
-    ("rdfs", RDFS),
-    ("owl", OWL),
-    ("prov", PROV),
-    ("sim", SIM),
-    ("kb", KB),
-)
 
 _ROLE_BY_CLASS = {role.schema_iri: role for role in Role}
 # member predicate -> (position of its group in Simulation, relation)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .graph import Graph
+from .graph import Graph, strongly_connected_components
 from .model import Axiom, Iri, Role, cardinality_violations
 
 
@@ -50,8 +50,11 @@ def check_axioms(g: Graph) -> list[Violation]:
                     Violation(Axiom.DANGLING_ENTITY, end, f"variant link {base} -> {variant} references it")
                 )
 
-    for node in _nodes_on_variant_cycles(g):
-        found.append(Violation(Axiom.VARIANT_CYCLE, node, "entity lies on a cycle of the variant relation"))
+    children = g._variant_children
+    for component in strongly_connected_components(children):
+        if len(component) > 1 or component[0] in children.get(component[0], ()):
+            for node in component:
+                found.append(Violation(Axiom.VARIANT_CYCLE, node, "entity lies on a cycle of the variant relation"))
 
     # only a stated role can sit on an entity with no membership
     symbol_roles = {Role.SIMULACRUM, Role.REALITY_COUNTERPART}
@@ -73,53 +76,6 @@ def kind_conflict_violations(g: Graph) -> list[Violation]:
         Violation(Axiom.KIND_CONFLICT, sim_id, f"typed both {kept.value} and {other.value}")
         for sim_id, (kept, other) in g.kind_conflicts.items()
     ]
-
-
-def _nodes_on_variant_cycles(g: Graph) -> list[Iri]:
-    """Nodes that can reach themselves through variant edges (includes
-    self-loops, which only foreign data can contain), sorted.
-
-    One iterative pass of Tarjan's strongly-connected-components algorithm
-    (Tarjan 1972): a node is on a cycle when its component has more than
-    one node or it links to itself.
-    """
-    children = g._variant_children
-    index: dict[Iri, int] = {}
-    low: dict[Iri, int] = {}
-    stack: list[Iri] = []
-    on_stack: set[Iri] = set()
-    on_cycle: list[Iri] = []
-    for root in sorted(children):
-        if root in index:
-            continue
-        index[root] = low[root] = len(index)
-        stack.append(root)
-        on_stack.add(root)
-        work = [(root, iter(children[root]))]
-        while work:
-            node, pending = work[-1]
-            for child in pending:
-                if child not in index:
-                    index[child] = low[child] = len(index)
-                    stack.append(child)
-                    on_stack.add(child)
-                    work.append((child, iter(children.get(child, ()))))
-                    break
-                if child in on_stack:
-                    low[node] = min(low[node], index[child])
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] == index[node]:
-                    component = [stack.pop()]
-                    while component[-1] != node:
-                        component.append(stack.pop())
-                    on_stack.difference_update(component)
-                    if len(component) > 1 or node in children.get(node, ()):
-                        on_cycle.extend(component)
-    return sorted(on_cycle)
 
 
 def report_text(violations: list[Violation]) -> str:

@@ -1,15 +1,21 @@
 import codecs
+import contextlib
 import gc
+import io
 import stat
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES
 from simkg import Iri, Role, compact_iri, export_turtle, import_turtle, load_graph, run_cq
-from simkg.cli import main
-from simkg.model import KB
+from simkg.cli import _insert_all, main
+from simkg.graph import Graph
+from simkg.model import KB, Conversion, CycleError, VariantLink, make_entity
 from simkg.query import RESULT_VARIABLES, CqId
 
 HEADER = """\
@@ -289,6 +295,19 @@ class TestIngestCommands:
         assert err.startswith("usage error: phrase table: ")
         assert len(err.splitlines()) == 1
 
+    def test_phrase_table_byte_order_mark_is_ignored(self, tmp_path, capsys):
+        doc = tmp_path / "doc.dict"
+        doc.write_text("hook\n  reminiscent of: barbs\n", encoding="utf-8")
+        results = []
+        for bom in (b"", codecs.BOM_UTF8):
+            table = tmp_path / f"table{len(bom)}.json"
+            table.write_bytes(bom + b'{"reminiscent of": ["Allusion", "Has"]}')
+            out = tmp_path / f"{len(bom)}.ttl"
+            code = main(["ingest-dict", str(doc), "--out", str(out), "--phrase-table", str(table)])
+            results.append((code, capsys.readouterr(), out.read_bytes()))
+        assert results[0] == results[1] and results[0][0] == 0
+        assert b"sim:AllusionSimulation" in results[0][2]
+
     def test_exclude_type_flag(self, tmp_path, capsys):
         out = tmp_path / "dbp.ttl"
         rc = main([
@@ -389,6 +408,23 @@ class TestIngestCommands:
         assert {e.id.local_name for e in g.variant_closure(Iri(KB + "a"))} == {"b"}
         assert g.variant_closure(Iri(KB + "b")) == set()
 
+    def test_links_closing_a_cycle_with_stored_links_keep_file_order(self, tmp_path, capsys):
+        # pre.ttl holds b -> c and d -> a: in file order a -> b goes in and
+        # c -> d closes the cycle a b c d; no order of the batch alone sees it
+        pre, post = tmp_path / "pre.dict", tmp_path / "post.dict"
+        pre.write_text("b\n  x\n  ~ c:\n    y\nd\n  x\n  ~ a:\n    y\n", encoding="utf-8")
+        post.write_text("a\n  x\n  ~ b:\n    y\nc\n  x\n  ~ d:\n    y\n", encoding="utf-8")
+        assert main(["ingest-dict", str(pre), "--out", str(tmp_path / "pre.ttl")]) == 0
+        capsys.readouterr()
+        out = tmp_path / "post.ttl"
+        assert main(["ingest-dict", str(post), "--graph", str(tmp_path / "pre.ttl"), "--out", str(out)]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: variant link https://w3id.org/simulation/data/c -> https://w3id.org/simulation/data/d "
+            "closes a cycle",
+            f"{post}: 2 entries -> 4 simulations, 1 variant links",
+        ]
+        assert load_graph(out).variant_edges == {(Iri(KB + b), Iri(KB + v)) for b, v in ("bc", "da", "ab")}
+
     def test_variant_only_simulacra_keep_their_type(self, tmp_path):
         # hook has only a variant, and night owl's only term is skipped: no
         # simulation of their own says they are simulacra
@@ -419,6 +455,64 @@ class TestIngestCommands:
         assert [line for line in out.splitlines() if line.startswith("KindConflict")] == [
             "KindConflict\thttps://w3id.org/simulation/data/hook-attraction\ttyped both Generic and Relatedness"
         ]
+
+
+def _links(pairs):
+    return [VariantLink(make_entity(base), make_entity(variant)) for base, variant in pairs]
+
+
+def _insert_in_file_order(g, links):
+    """What ``_insert_all`` does with a batch of links, taken in file order."""
+    stored = 0
+    for link in links:
+        try:
+            g.add_variant(link.base, link.variant)
+        except CycleError as err:
+            print(f"warning: {err}", file=sys.stderr)
+            continue
+        stored += 1
+        for end in (link.base, link.variant):
+            g.state_role(end.id, Role.SIMULACRUM)
+    return stored
+
+
+class TestVariantLinkOrder:
+    """``_insert_all`` adds a batch of variant links top-down when they close
+    no cycle, so a chain that arrives deep end first costs linear time."""
+
+    def test_a_reversed_chain_costs_what_a_chain_in_order_costs(self):
+        links = _links((f"n{i}", f"n{i + 1}") for i in range(4000))
+
+        def best(batch):
+            times = []
+            for _ in range(3):
+                g = Graph()
+                start = time.perf_counter()
+                assert _insert_all(g, Conversion([], batch, [], []), "chain") == len(batch)
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        assert best(links[::-1]) < 4 * best(links)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        stored=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=8),
+        batch=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(lambda p: p[0] != p[1]), max_size=10),
+    )
+    def test_same_result_as_file_order(self, stored, batch):
+        # stored links as an imported file may hold them: cycles and self-links too
+        results = []
+        for insert in (lambda g, links: _insert_all(g, Conversion([], links, [], []), "x"), _insert_in_file_order):
+            g = Graph()
+            for base, variant in stored:
+                for end in (base, variant):
+                    g.upsert_entity(make_entity(f"n{end}"))
+                g._add_variant_edge(make_entity(f"n{base}").id, make_entity(f"n{variant}").id)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                count = insert(g, _links((f"n{b}", f"n{v}") for b, v in batch))
+            results.append((count, err.getvalue(), g.variant_edges, g._stated_roles, g.entities))
+        assert results[0] == results[1]
 
 
 class TestReaderErrors:
@@ -651,18 +745,20 @@ class TestUsage:
             (["ingest-dbpedia", "--triples", "eagle.nt", "--source-label", "!!!"], "source label: label '!!!' has no alphanumeric characters"),
             (["ingest-wordnet", "penelope.tsv", "--source-label", "ol\udcff"], "source label must be valid UTF-8, got 'ol\\udcff'"),
             (["casestudy", "--target", "kb:hook", "--colors", "gold", "r\udcffed"], "--colors must be valid UTF-8, got 'r\\udcffed'"),
+            (["casestudy", "--target", "kb:hook", "--colors", "red", "red"], "--colors must name distinct, non-empty colours, got 'red' 'red'"),
+            (["casestudy", "--target", "kb:hook", "--colors", ""], "--colors must name distinct, non-empty colours, got ''"),
         ],
-        ids=["dict", "dict-stem", "dict-blank", "dbpedia", "dbpedia-no-alnum", "wordnet", "casestudy"],
+        ids=["dict", "dict-stem", "dict-blank", "dbpedia", "dbpedia-no-alnum", "wordnet", "casestudy", "palette-repeated", "palette-empty"],
     )
     def test_unusable_label_argument_is_usage_error(self, argv, message, tmp_path, capsys):
-        # the inputs exist but --graph does not: the label is refused before any is read
+        # the inputs exist but --graph does not: the argument is refused before any is read
         stem = tmp_path / "ol\udcff.dict"  # a file name that is not UTF-8, as argv decodes it
         stem.write_bytes((FIXTURES / "hook.dict").read_bytes())
         files = {"ol\udcff.dict": stem, **{f.name: f for f in FIXTURES.iterdir()}}
         out = tmp_path / "out"
         argv = [str(files.get(a, a)) for a in argv]
         assert main([*argv, "--graph", str(tmp_path / "missing.ttl"), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert capsys.readouterr() == ("", f"usage error: {message}\n")
         assert not out.exists()
 
     def test_help_exits_zero(self, capsys):

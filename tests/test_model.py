@@ -109,6 +109,76 @@ def test_schema_iris_are_exhaustive():
     }
 
 
+class TestVocabularyPinned:
+    """The ontology terms as the exporter writes them, pinned literally."""
+
+    def test_every_schema_iri(self):
+        assert {r.name: r.schema_iri for r in Role} == {
+            "SIMULACRUM": SIM + "Simulacrum",
+            "REALITY_COUNTERPART": SIM + "RealityCounterpart",
+            "CONTEXT": SIM + "Context",
+            "SOURCE": SIM + "Source",
+        }
+        assert {r.name: r.schema_iri for r in RcRelation} == {
+            "HAS": SIM + "hasRealityCounterpart",
+            "PREVENTED": SIM + "preventedRealityCounterpart",
+            "HEALED": SIM + "healedRealityCounterpart",
+            "RESTORED": SIM + "restoredRealityCounterpart",
+            "EASED": SIM + "easedRealityCounterpart",
+            "ELICITED": SIM + "elicitedRealityCounterpart",
+        }
+        assert {k.name: k.schema_iri for k in SimulationKind} == {
+            "GENERIC": SIM + "Simulation",
+            "ASSOCIATION": SIM + "AssociationSimulation",
+            "CORRESPONDENCE": SIM + "CorrespondenceSimulation",
+            "MANIFESTATION": SIM + "ManifestationSimulation",
+            "RELATEDNESS": SIM + "RelatednessSimulation",
+            "ATTRIBUTE": SIM + "AttributeSimulation",
+            "ALLUSION": SIM + "AllusionSimulation",
+            "PROTECTION": SIM + "ProtectionSimulation",
+            "EMBLEMATIC": SIM + "EmblematicSimulation",
+            "HEALING": SIM + "HealingSimulation",
+        }
+        for enum in (Role, RcRelation, SimulationKind):
+            assert all(type(m.schema_iri) is Iri for m in enum)
+
+    @pytest.mark.parametrize("enum", [Role, RcRelation, SimulationKind])
+    def test_identity_hash(self, enum):
+        member = next(iter(enum))
+        assert type(member).__hash__ is object.__hash__
+        assert hash(member) == object.__hash__(member)
+
+    def test_predicate_order(self):
+        from simkg.graph import _PREDICATE_RANK
+
+        rdf, rdfs = "http://www.w3.org/1999/02/22-rdf-syntax-ns#", "http://www.w3.org/2000/01/rdf-schema#"
+        owl, prov = "http://www.w3.org/2002/07/owl#", "http://www.w3.org/ns/prov#"
+        assert _PREDICATE_RANK == {
+            rdf + "type": 0,
+            rdfs + "label": 1,
+            SIM + "hasSimulacrum": 2,
+            SIM + "hasRealityCounterpart": 3,
+            SIM + "preventedRealityCounterpart": 4,
+            SIM + "healedRealityCounterpart": 5,
+            SIM + "restoredRealityCounterpart": 6,
+            SIM + "easedRealityCounterpart": 7,
+            SIM + "elicitedRealityCounterpart": 8,
+            SIM + "hasContext": 9,
+            prov + "wasDerivedFrom": 10,
+            SIM + "hasVariant": 11,
+            owl + "sameAs": 12,
+        }
+        assert list(_PREDICATE_RANK) == sorted(_PREDICATE_RANK, key=_PREDICATE_RANK.get)
+
+    def test_local_name_strips_each_namespace(self):
+        from simkg.model import OWL, PROV, RDF, RDFS
+
+        for ns in (KB, SIM, PROV, OWL, RDF, RDFS):
+            assert Iri(ns + "a/b#c").local_name == "a/b#c"
+        assert Iri("https://example.org/x/y#z").local_name == "z"
+        assert Iri("https://example.org/x/y").local_name == "y"
+
+
 class TestBuildSimulation:
     def setup_method(self):
         self.source = make_entity("olderr")
