@@ -157,16 +157,16 @@ def statement_block(
     return preds
 
 
-def strongly_connected_components(children: Mapping[Iri, Iterable[Iri]]) -> list[list[Iri]]:
+def strongly_connected_components(children: Mapping[Iri, Iterable[Iri]]) -> list[tuple[list[Iri], bool]]:
     """The strongly connected components of the links ``base -> children[base]``,
     each one after every component it reaches, by one iterative pass of
-    Tarjan's algorithm (Tarjan 1972).  A component is a cycle when it has
-    more than one node or its node links to itself."""
+    Tarjan's algorithm (Tarjan 1972).  Each comes with whether it is a
+    cycle: it has more than one node, or its node links to itself."""
     index: dict[Iri, int] = {}
     low: dict[Iri, int] = {}
     stack: list[Iri] = []
     on_stack: set[Iri] = set()
-    components: list[list[Iri]] = []
+    components: list[tuple[list[Iri], bool]] = []
     for root in children:
         if root in index:
             continue
@@ -195,7 +195,7 @@ def strongly_connected_components(children: Mapping[Iri, Iterable[Iri]]) -> list
                     while component[-1] != node:
                         component.append(stack.pop())
                     on_stack.difference_update(component)
-                    components.append(component)
+                    components.append((component, len(component) > 1 or node in children.get(node, ())))
     return components
 
 
@@ -392,9 +392,9 @@ class Graph:
         for base, variant in links:
             children.setdefault(base.id, set()).add(variant.id)
         components = strongly_connected_components(children)
-        if any(len(c) > 1 or c[0] in children.get(c[0], ()) for c in components):
+        if any(cycle for _, cycle in components):
             return links
-        height = {c[0]: i for i, c in enumerate(components)}  # above everything it reaches
+        height = {c[0]: i for i, (c, _) in enumerate(components)}  # above everything it reaches
         return sorted(links, key=lambda link: -height[link.base.id])
 
     def _add_variant_edge(self, base: Iri, variant: Iri) -> None:

@@ -50,11 +50,10 @@ def check_axioms(g: Graph) -> list[Violation]:
                     Violation(Axiom.DANGLING_ENTITY, end, f"variant link {base} -> {variant} references it")
                 )
 
-    children = g._variant_children
-    for component in strongly_connected_components(children):
-        if len(component) > 1 or component[0] in children.get(component[0], ()):
-            for node in component:
-                found.append(Violation(Axiom.VARIANT_CYCLE, node, "entity lies on a cycle of the variant relation"))
+    for component, cycle in strongly_connected_components(g._variant_children):
+        if cycle:
+            detail = "entity lies on a cycle of the variant relation"
+            found.extend(Violation(Axiom.VARIANT_CYCLE, node, detail) for node in component)
 
     # only a stated role can sit on an entity with no membership
     symbol_roles = {Role.SIMULACRUM, Role.REALITY_COUNTERPART}
