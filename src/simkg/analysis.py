@@ -12,7 +12,7 @@ import csv
 import io
 import re
 from enum import Enum
-from typing import Iterable, NamedTuple, Union
+from typing import AbstractSet, Iterable, NamedTuple, Union
 
 from .graph import Graph
 from .model import Entity, Iri
@@ -47,7 +47,11 @@ class ColorDistribution(NamedTuple):
 def label_colors(label: str, colors: Iterable[str]) -> set[str]:
     """Colour tokens present in a label, on word boundaries; COLOR_ALIASES
     fold variants onto their canonical colour ("golden" counts as gold)."""
-    lexicon = set(colors)
+    return _colors_in(label, set(colors))
+
+
+def _colors_in(label: str, lexicon: AbstractSet[str]) -> set[str]:
+    """:func:`label_colors` with the palette already a set."""
     found = set()
     for word in _WORDS.findall(label.lower()):
         word = COLOR_ALIASES.get(word, word)
@@ -69,6 +73,7 @@ def color_distribution(
     """
     target_entity = g.entity(target)
     palette = tuple(colors)
+    lexicon = set(palette)
     rows = []
     for meaning in g._reachable_meanings(target_entity.id):
         sharers: set[Iri] = set()
@@ -77,7 +82,7 @@ def color_distribution(
         sharers.discard(target_entity.id)
         counts = {color: 0 for color in palette}
         for iri in sharers:
-            for color in label_colors(g.entities[iri].label, palette):
+            for color in _colors_in(g.entities[iri].label, lexicon):
                 counts[color] += 1
         rows.append(
             MeaningRow(

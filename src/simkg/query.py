@@ -2,18 +2,20 @@
 
 Each question is declared once, on its evaluator: the bindings it needs
 and the columns of its rows.  ``run_cq`` checks every binding against the
-graph, then deduplicates the evaluator's values in arrival order and
-sorts them, so results are stable across insertion orders.  Evaluators
-read the graph's indexes in store order, which on a loaded graph is IRI
-order, so their values mostly arrive sorted and sort in linear time.  A
-row is the tuple of its values; its question's row class holds the
-column names.
+graph, then sorts the evaluator's values and drops repeats, so results
+are stable across insertion orders.  Evaluators read the graph's indexes
+in store order, which on a loaded graph is IRI order, so their values
+mostly arrive strictly increasing and are then taken as they are.  A row
+is the tuple of its values; its question's row class holds the column
+names.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable, Iterable, Mapping, Optional, Union
+from itertools import islice
+from operator import lt
+from typing import Callable, Collection, Iterable, Mapping, Optional, Union
 
 from .graph import Graph, UnknownEntityError
 from .model import Entity, Iri, RcRelation, SimulationKind
@@ -70,9 +72,11 @@ class ResultRow(tuple):
             raise KeyError(key) from None
 
 
-# Each question's required bindings, row class and evaluator, which yields
+# Each question's required bindings, row class and evaluator, which returns
 # values that may repeat, in any order: bare IRIs for one column, else tuples.
-_QUESTIONS: dict[CqId, tuple[tuple[str, ...], type[ResultRow], Callable[..., Iterable]]] = {}
+# It returns a sequence or an index view, never an iterator: run_cq walks the
+# values more than once.
+_QUESTIONS: dict[CqId, tuple[tuple[str, ...], type[ResultRow], Callable[..., Collection]]] = {}
 
 
 def _cq(cq: CqId, bind: tuple[str, ...], columns: tuple[str, ...]):
@@ -105,7 +109,10 @@ def run_cq(g: Graph, cq: CqId, bindings: Optional[Mapping[str, Union[Iri, str]]]
                 raise UnknownEntityError(bound[name], "simulation")
         elif bound[name] not in g.entities:
             raise UnknownEntityError(bound[name])
-    values = sorted(dict.fromkeys(evaluate(g, bound)))
+    values = evaluate(g, bound)
+    # strictly increasing values are sorted and distinct already; one C-level pass tells
+    if not all(map(lt, values, islice(values, 1, None))):
+        values = sorted(dict.fromkeys(values))
     return list(map(row, zip(values) if len(row.variables) == 1 else values))
 
 

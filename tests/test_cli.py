@@ -796,8 +796,10 @@ class TestCollectorPause:
         bad = tmp_path / "bad.ttl"
         bad.write_text(HEADER + "kb:x-y sim:hasSimulacrum kb:x .\n", encoding="utf-8")
         paths = {"toy": toy_file, "bad": bad, "missing": tmp_path / "missing.ttl"}
+        frozen = gc.get_freeze_count()
         assert main([arg.format(**paths) for arg in argv]) == code
         assert gc.isenabled() is caller_state
+        assert gc.get_freeze_count() == frozen  # main never freezes the caller's heap
 
     def test_command_runs_paused_and_an_exception_propagates(self, caller_state, toy_file, monkeypatch):
         seen = []
@@ -850,3 +852,69 @@ def test_module_entrypoint_subprocess(tmp_path):
     result = subprocess.run([sys.executable, "-m", "simkg", "--help"], capture_output=True, text=True)
     assert result.returncode == 0
     assert "simkg" in result.stdout
+
+
+# The process entry as ``python -m simkg`` runs it, and as the installed
+# console script calls it.
+ENTRIES = {
+    "module": ["-m", "simkg"],
+    "console-script": ["-c", "import sys; from simkg.__main__ import run; sys.exit(run())"],
+}
+
+
+@pytest.mark.parametrize("entry", ENTRIES.values(), ids=ENTRIES.keys())
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["query", "--graph", "{hook}", "--cq", "Q3.2", "--bind", "simulacrum=kb:hook"], 0),
+        (["ingest-dict", "{dict}", "--source-label", "olderr"], 0),
+        (["--help"], 0),
+        (["query", "--graph", "{hook}", "--cq", "Q1.1"], 1),
+        (["export", "--graph", "{bad}"], 2),
+        (["validate", "--graph", "{missing}"], 3),
+    ],
+    ids=["query", "ingest-dict", "help", "missing-bind", "violations", "missing-graph"],
+)
+def test_process_entry_matches_main(entry, argv, code, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps --help to, in both processes
+    bad = tmp_path / "bad.ttl"
+    bad.write_text(HEADER + "kb:x-y sim:hasSimulacrum kb:x .\n", encoding="utf-8")
+    paths = {"hook": FIXTURES / "golden" / "hook.ttl", "dict": FIXTURES / "hook.dict", "bad": bad,
+             "missing": tmp_path / "missing.ttl"}
+    argv = [arg.format(**paths) for arg in argv]
+    assert main(argv) == code
+    expected = capsys.readouterr()
+    result = subprocess.run([sys.executable, *entry, *argv], capture_output=True, text=True)
+    assert (result.returncode, result.stdout, result.stderr) == (code, expected.out, expected.err)
+
+
+@pytest.mark.parametrize("golden", sorted((FIXTURES / "golden").glob("*.ttl")), ids=lambda p: p.name)
+def test_process_export_through_a_pipe_gives_the_golden_bytes(golden):
+    result = subprocess.run([sys.executable, "-m", "simkg", "export", "--graph", str(golden)], capture_output=True)
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert result.stdout == golden.read_bytes()
+
+
+class TestExitFreeze:
+    """``run``, the process entry, freezes the heap once ``main`` returns,
+    so that the interpreter's exit skips its collections over it; ``main``
+    never freezes, so an in-process caller's heap stays collectable."""
+
+    @pytest.fixture
+    def unfreeze(self):
+        yield
+        gc.unfreeze()
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["validate", "--graph", "{toy}"], 0), (["validate", "--graph", "{missing}"], 3)],
+        ids=["exit-0", "exit-3"],
+    )
+    def test_run_returns_the_code_of_main_and_freezes(self, argv, code, unfreeze, toy_file, tmp_path, monkeypatch):
+        from simkg.__main__ import run
+
+        paths = {"toy": toy_file, "missing": tmp_path / "missing.ttl"}
+        monkeypatch.setattr(sys, "argv", ["simkg", *(arg.format(**paths) for arg in argv)])
+        assert gc.get_freeze_count() == 0
+        assert run() == code
+        assert gc.get_freeze_count() > 0

@@ -1,11 +1,14 @@
 import pickle
 import random
 from collections import deque
+from collections.abc import Collection, Iterator
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES
-from graphgen import random_graph
+from graphgen import build_graph, random_graph, random_parts
 from simkg import (
     CqId,
     Entity,
@@ -25,7 +28,7 @@ from simkg import (
 )
 from simkg.analysis import color_distribution
 from simkg.model import KB
-from simkg.query import RESULT_VARIABLES
+from simkg.query import _QUESTIONS, RESULT_VARIABLES
 
 
 def kb(local):
@@ -360,9 +363,6 @@ class TestQueryProperties:
     def test_results_stable_under_insertion_order(self, seed):
         # Indexes keep store order, so each way of building the graph hands
         # the evaluators their values in another order.
-        from graphgen import build_graph, random_parts
-        from simkg.query import _QUESTIONS
-
         rng = random.Random(seed)
         sims, variants = random_parts(rng, max_sims=10)
         g = build_graph(sims, variants)
@@ -370,14 +370,43 @@ class TestQueryProperties:
         rng.shuffle(shuffled)
         rng.shuffle(shuffled_variants)
         others = build_graph(shuffled, shuffled_variants), import_turtle(export_turtle(g))
-        for cq, (needs, _, _) in _QUESTIONS.items():
-            if not needs:
-                candidates = [{}]
-            else:
-                (name,) = needs
-                candidates = [{name: iri} for iri in sorted(g.simulations if name == "simulation" else g.entities)]
-            for bindings in candidates:
-                rows = run_cq(g, cq, bindings)
-                assert rows == sorted(set(rows)), f"seed {seed}: {cq.value} {bindings}"
-                for other in others:
-                    assert run_cq(other, cq, bindings) == rows, f"seed {seed}: {cq.value} {bindings}"
+        for cq, bindings in _every_binding(g):
+            rows = run_cq(g, cq, bindings)
+            assert rows == sorted(set(rows)), f"seed {seed}: {cq.value} {bindings}"
+            for other in others:
+                assert run_cq(other, cq, bindings) == rows, f"seed {seed}: {cq.value} {bindings}"
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_rows_sorted_and_distinct_when_store_order_is_not_iri_order(self, seed):
+        # run_cq takes values that arrive strictly increasing as they are;
+        # inserted in reverse IRI order, the indexes hand most values over
+        # out of order, and those must still come back sorted
+        sims, variants = random_parts(random.Random(seed), max_sims=12)
+        g = build_graph(sorted(sims, key=lambda s: s.id, reverse=True), variants)
+        assert len(g.simulations) < 2 or list(g.simulations) != sorted(g.simulations)
+        forward = build_graph(sorted(sims, key=lambda s: s.id), variants)
+        for cq, bindings in _every_binding(g):
+            rows = run_cq(g, cq, bindings)
+            assert rows == sorted(set(rows)), f"{cq.value} {bindings}"
+            assert rows == run_cq(forward, cq, bindings), f"{cq.value} {bindings}"
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_evaluators_return_collections_not_iterators(self, seed):
+        # run_cq walks an evaluator's values more than once, which an
+        # iterator would not survive
+        g = random_graph(random.Random(seed), max_sims=12)
+        for cq, bindings in _every_binding(g):
+            values = _QUESTIONS[cq][2](g, bindings)
+            assert isinstance(values, Collection) and not isinstance(values, Iterator), cq.value
+
+
+def _every_binding(g: Graph):
+    """Each question with each binding the graph allows, as (cq, bindings)."""
+    for cq, (needs, _, _) in _QUESTIONS.items():
+        if not needs:
+            yield cq, {}
+            continue
+        (name,) = needs
+        for iri in sorted(g.simulations if name == "simulation" else g.entities):
+            yield cq, {name: iri}
