@@ -463,7 +463,3 @@ def _cmd_eval(args) -> int:
     ]
     _emit_table(args, header, rows)
     return EXIT_OK
-
-
-if __name__ == "__main__":
-    sys.exit(main())
