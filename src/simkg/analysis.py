@@ -12,7 +12,7 @@ import csv
 import io
 import re
 from enum import Enum
-from typing import AbstractSet, Iterable, NamedTuple, Union
+from typing import Collection, Iterable, NamedTuple, Union
 
 from .graph import Graph
 from .model import Entity, Iri
@@ -44,18 +44,13 @@ class ColorDistribution(NamedTuple):
     rows: tuple[MeaningRow, ...]
 
 
-def label_colors(label: str, colors: Iterable[str]) -> set[str]:
+def label_colors(label: str, colors: Collection[str]) -> set[str]:
     """Colour tokens present in a label, on word boundaries; COLOR_ALIASES
     fold variants onto their canonical colour ("golden" counts as gold)."""
-    return _colors_in(label, set(colors))
-
-
-def _colors_in(label: str, lexicon: AbstractSet[str]) -> set[str]:
-    """:func:`label_colors` with the palette already a set."""
     found = set()
     for word in _WORDS.findall(label.lower()):
         word = COLOR_ALIASES.get(word, word)
-        if word in lexicon:
+        if word in colors:
             found.add(word)
     return found
 
@@ -82,7 +77,7 @@ def color_distribution(
         sharers.discard(target_entity.id)
         counts = {color: 0 for color in palette}
         for iri in sharers:
-            for color in _colors_in(g.entities[iri].label, lexicon):
+            for color in label_colors(g.entities[iri].label, lexicon):
                 counts[color] += 1
         rows.append(
             MeaningRow(

@@ -213,10 +213,13 @@ def _run(argv: Optional[list[str]]) -> int:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except GraphViolationsError as err:
-        print(f"error: {err}", file=sys.stderr)
+        print(f"error: graph has {len(err.violations)} axiom violations; pass --force to export anyway", file=sys.stderr)
         return EXIT_VIOLATIONS
-    except (_InputError, OSError) as err:
+    except _InputError as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_IO
+    except OSError as err:  # named by the path as given, without the errno
+        print(f"error: {err.filename}: {err.strerror}" if err.filename else f"error: {err}", file=sys.stderr)
         return EXIT_IO
 
 
@@ -313,8 +316,8 @@ def _cmd_ingest_dict(args) -> int:
     from .dictionary import convert_document
 
     sources = [_source(args.source_label or Path(name).stem) for name in args.files]
-    g = _load(args)
     table = _load_phrase_table(args.phrase_table)
+    g = _load(args)
     for name, source in zip(args.files, sources):
         parsed, conv = convert_document(_read(_read_text, name), source, table)
         links = _insert_all(g, conv, name)
@@ -390,7 +393,6 @@ def _cmd_validate(args) -> int:
 def _cmd_query(args) -> int:
     from .query import RESULT_VARIABLES, CqId, MissingBindingError, run_cq
 
-    g = _load(args)
     try:
         cq = CqId(args.cq)
     except ValueError:
@@ -402,6 +404,7 @@ def _cmd_query(args) -> int:
         if not sep or not name or not value:
             raise _UsageError(f"--bind expects NAME=IRI, got {item!r}")
         bindings[name] = expand_iri(value)
+    g = _load(args)
     try:
         rows = run_cq(g, cq, bindings)
     except MissingBindingError as err:
@@ -439,8 +442,9 @@ def _cmd_casestudy(args) -> int:
     colors = [_utf8(color, "--colors") for color in args.colors] if args.colors else DEFAULT_COLOR_LEXICON
     if "" in colors or len(set(colors)) < len(colors):
         raise _UsageError(f"--colors must name distinct, non-empty colours, got {' '.join(map(repr, colors))}")
+    target = expand_iri(args.target)
     g = _load(args)
-    dist = color_distribution(g, expand_iri(args.target), colors=colors)
+    dist = color_distribution(g, target, colors=colors)
     _write_output(args, distribution_csv(dist))
     if args.svg:
         write_atomic(args.svg, distribution_svg(dist))

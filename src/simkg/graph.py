@@ -90,11 +90,6 @@ class CorpusStats(NamedTuple):
     total: SourceStats
 
 
-def _min_label(a: str, b: str) -> str:
-    # Label choice must not depend on insertion order.
-    return a if a <= b else b
-
-
 _RC_RANK = {rel: i for i, rel in enumerate(RcRelation)}
 
 _NO_MEMBERS: dict[Iri, None] = {}  # what an index lookup misses with; never filled
@@ -252,19 +247,6 @@ class Graph:
         """Every base -> variant link, read from the variant index."""
         return {(base, v) for base, variants in self._variant_children.items() for v in variants}
 
-    @property
-    def kind_conflicts(self) -> dict[Iri, tuple[SimulationKind, SimulationKind]]:
-        """Simulations typed with more than one kind: the stored kind and
-        the lowest other one, read from the extra ``rdf:type`` triples."""
-        others: dict[Iri, SimulationKind] = {}
-        for s, p, o in self.extra_triples:
-            kind = KIND_BY_CLASS.get(o) if p == RDF_TYPE and s in self.simulations else None
-            if kind is None or kind is self.simulations[s].kind:
-                continue
-            if s not in others or kind.value < others[s].value:
-                others[s] = kind
-        return {s: (self.simulations[s].kind, others[s]) for s in sorted(others)}
-
     # -- entities ---------------------------------------------------------
 
     def upsert_entity(self, e: Entity) -> Entity:
@@ -274,7 +256,7 @@ class Graph:
         current = self.entities.setdefault(e.id, e)
         if current is e or (e.external_links <= current.external_links and current.label <= e.label):
             return current
-        label = _min_label(current.label, e.label)
+        label = min(current.label, e.label)  # independent of arrival order
         merged = self.entities[e.id] = Entity(e.id, label, current.external_links | e.external_links)
         return merged
 
@@ -309,7 +291,7 @@ class Graph:
         reality counterparts and sources.  When the kinds differ, the kind
         lowest by ``SimulationKind.value`` is stored and the other one is
         kept as an extra ``rdf:type`` triple, so the result does not depend
-        on arrival order; :attr:`kind_conflicts` reports it.
+        on arrival order; ``validate.kind_conflict_violations`` reports it.
         """
         for e in s.members():
             self.upsert_entity(e)

@@ -387,20 +387,23 @@ def write_atomic(path, text: str) -> None:
 
     The text goes to a new file in the same directory, which takes the
     permission bits of the file it replaces and is then renamed over
-    ``path``; if anything fails, ``path`` is left as it was and the new
-    file is removed.
+    ``path``; if anything fails, ``path`` is left as it was, the new file
+    is removed and the ``OSError`` names ``path``.
     """
     head, tail = os.path.split(os.fspath(path))
     tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
-    fh = open(tmp, "x", encoding="utf-8", newline="\n")
     try:
-        with fh:
-            fh.write(text)
+        fh = open(tmp, "x", encoding="utf-8", newline="\n")
         try:
-            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
-        except FileNotFoundError:  # a new file keeps the mode the umask gives
-            pass
-        os.replace(tmp, path)
-    except BaseException:
-        os.remove(tmp)
-        raise
+            with fh:
+                fh.write(text)
+            try:
+                os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+            except FileNotFoundError:  # a new file keeps the mode the umask gives
+                pass
+            os.replace(tmp, path)
+        except BaseException:
+            os.remove(tmp)
+            raise
+    except OSError as err:  # the temporary name would differ from run to run
+        raise OSError(err.errno, err.strerror, os.fspath(path)) from None

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .graph import Graph, strongly_connected_components
+from .graph import KIND_BY_CLASS, RDF_TYPE, Graph, strongly_connected_components
 from .model import Axiom, Iri, Role, cardinality_violations
 
 
@@ -32,33 +32,17 @@ def check_axioms(g: Graph) -> list[Violation]:
         for axiom, detail in cardinality_violations(sim):
             found.append(Violation(axiom, sim.id, detail))
 
-    # the membership indexes hold every member; only a missing one needs
-    # the walk that names each reference to it
-    participating: set[Iri] = set().union(*g._index_of_role.values())
-    if dangling := participating.difference(g.entities):
-        for sim in g.simulations.values():
-            for e in sim.members():
-                if e in dangling:
-                    found.append(Violation(Axiom.DANGLING_ENTITY, e, f"referenced by {sim.id} but not in the graph"))
-
-    for base, variant in sorted(g.variant_edges):
-        participating.add(base)
-        participating.add(variant)
-        for end in (base, variant):
-            if end not in g.entities:
-                found.append(
-                    Violation(Axiom.DANGLING_ENTITY, end, f"variant link {base} -> {variant} references it")
-                )
-
     for component, cycle in strongly_connected_components(g._variant_children):
         if cycle:
             detail = "entity lies on a cycle of the variant relation"
             found.extend(Violation(Axiom.VARIANT_CYCLE, node, detail) for node in component)
 
-    # only a stated role can sit on an entity with no membership
+    # Each path that stores a member or a variant end also makes its entity;
+    # only a stated role can sit on an entity no simulation or link backs.
+    linked = set().union(*g._index_of_role.values(), g._variant_children, *g._variant_children.values())
     symbol_roles = {Role.SIMULACRUM, Role.REALITY_COUNTERPART}
     for iri, roles in g._stated_roles.items():
-        if roles & symbol_roles and iri not in participating:
+        if roles & symbol_roles and iri not in linked:
             found.append(
                 Violation(Axiom.DANGLING_ENTITY, iri, "simulacrum/reality-counterpart not linked to any simulation or variant")
             )
@@ -70,10 +54,17 @@ def check_axioms(g: Graph) -> list[Violation]:
 
 
 def kind_conflict_violations(g: Graph) -> list[Violation]:
-    """One violation per simulation typed with more than one kind."""
+    """One violation per simulation typed with more than one kind, in IRI
+    order: the stored kind and the lowest other one, read from the extra
+    ``rdf:type`` triples."""
+    others: dict[Iri, list[str]] = {}  # simulation -> the names of its other kinds
+    for s, p, o in g.extra_triples:
+        kind = KIND_BY_CLASS.get(o) if p == RDF_TYPE and s in g.simulations else None
+        if kind is not None and kind is not g.simulations[s].kind:
+            others.setdefault(s, []).append(kind.value)
     return [
-        Violation(Axiom.KIND_CONFLICT, sim_id, f"typed both {kept.value} and {other.value}")
-        for sim_id, (kept, other) in g.kind_conflicts.items()
+        Violation(Axiom.KIND_CONFLICT, s, f"typed both {g.simulations[s].kind.value} and {min(names)}")
+        for s, names in sorted(others.items())
     ]
 
 

@@ -23,6 +23,7 @@ HEADER = """\
 @prefix prov: <http://www.w3.org/ns/prov#> .
 @prefix kb: <https://w3id.org/simulation/data/> .
 """
+NOT_AN_IRI = '(empty, or has whitespace, a control character or one of <>"{}|^`\\)'  # why Iri() refuses a value
 
 
 @pytest.fixture
@@ -674,14 +675,24 @@ class TestUsage:
             (["casestudy", "--target", "kb:hook", "--colors", "gold", "r\udcffed"], "--colors must be valid UTF-8, got 'r\\udcffed'"),
             (["casestudy", "--target", "kb:hook", "--colors", "red", "red"], "--colors must name distinct, non-empty colours, got 'red' 'red'"),
             (["casestudy", "--target", "kb:hook", "--colors", ""], "--colors must name distinct, non-empty colours, got ''"),
+            (["query", "--cq", "Q9.9"], "unknown competency question 'Q9.9'; expected one of " + ", ".join(c.value for c in CqId)),
+            (["query", "--cq", "Q1.1", "--bind", "simulacrum"], "--bind expects NAME=IRI, got 'simulacrum'"),
+            (["query", "--cq", "Q1.1", "--bind", "simulacrum=a b"], f"not an IRI: 'a b' {NOT_AN_IRI}"),
+            (["casestudy", "--target", "kb:a b"], f"not an IRI: '{KB}a b' {NOT_AN_IRI}"),
+            (["ingest-dict", "hook.dict", "--phrase-table", "list.json"], "phrase table: expected a JSON object, got list"),
         ],
-        ids=["dict", "dict-stem", "dict-blank", "dbpedia", "dbpedia-no-alnum", "wordnet", "casestudy", "palette-repeated", "palette-empty"],
+        ids=[
+            "dict", "dict-stem", "dict-blank", "dbpedia", "dbpedia-no-alnum", "wordnet", "casestudy", "palette-repeated",
+            "palette-empty", "cq-id", "bind-syntax", "bind-iri", "casestudy-target", "phrase-table",
+        ],
     )
     def test_unusable_label_argument_is_usage_error(self, argv, message, tmp_path, capsys):
         # the inputs exist but --graph does not: the argument is refused before any is read
         stem = tmp_path / "ol\udcff.dict"  # a file name that is not UTF-8, as argv decodes it
         stem.write_bytes((FIXTURES / "hook.dict").read_bytes())
-        files = {"ol\udcff.dict": stem, **{f.name: f for f in FIXTURES.iterdir()}}
+        table = tmp_path / "list.json"
+        table.write_text("[]", encoding="utf-8")
+        files = {"ol\udcff.dict": stem, "list.json": table, **{f.name: f for f in FIXTURES.iterdir()}}
         out = tmp_path / "out"
         argv = [str(files.get(a, a)) for a in argv]
         assert main([*argv, "--graph", str(tmp_path / "missing.ttl"), "--out", str(out)]) == 1

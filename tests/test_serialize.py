@@ -104,6 +104,19 @@ def test_failed_replace_leaves_no_temporary_file(tmp_path):
     assert sorted(p.name for p in target.iterdir()) == ["inner"]
 
 
+@pytest.mark.parametrize("make_dir", [False, True], ids=["missing-directory", "target-is-a-directory"])
+def test_failed_write_names_the_target(tmp_path, make_dir):
+    # the temporary file's name is random, so an error naming it would differ from run to run
+    target = tmp_path / "taken" if make_dir else tmp_path / "nodir" / "out.ttl"
+    if make_dir:
+        target.mkdir()
+    with pytest.raises(OSError) as caught:
+        write_atomic(target, "text\n")
+    assert caught.value.filename == str(target) and caught.value.filename2 is None
+    assert str(caught.value).endswith(f": {str(target)!r}")
+    assert [p.name for p in tmp_path.rglob("*")] == (["taken"] if make_dir else [])
+
+
 @pytest.mark.parametrize("mode", [0o600, 0o664], ids=oct)
 def test_replaced_file_keeps_its_mode(tmp_path, mode):
     target = tmp_path / "out.ttl"
