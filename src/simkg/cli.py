@@ -454,10 +454,7 @@ def _cmd_casestudy(args) -> int:
 def _cmd_eval(args) -> int:
     from .analysis import GoldFormatError, eval_conversion, parse_gold
 
-    try:
-        gold = parse_gold(_read(_read_text, args.gold))
-    except GoldFormatError as err:
-        raise _UsageError(str(err)) from None
+    gold = _read(lambda path: parse_gold(_read_text(path)), args.gold, GoldFormatError)
     predicted = _read(load_graph, args.converted)
     report = eval_conversion(gold, predicted)
     header = ["element", "tp", "fp", "fn", "precision", "recall", "f1"]

@@ -53,12 +53,17 @@ SIM_HAS_SIMULACRUM = Iri(SIM + "hasSimulacrum")
 SIM_HAS_CONTEXT = Iri(SIM + "hasContext")
 SIM_HAS_VARIANT = Iri(SIM + "hasVariant")
 KIND_BY_CLASS = {kind.schema_iri: kind for kind in SimulationKind}
+ROLE_BY_CLASS = {role.schema_iri: role for role in Role}
+# member predicate -> (position of its group in Simulation, relation), in export order
+MEMBER_SLOT = {
+    SIM_HAS_SIMULACRUM: (0, None),
+    **{rel.schema_iri: (1, rel) for rel in RcRelation},
+    SIM_HAS_CONTEXT: (2, None),
+    PROV_WAS_DERIVED_FROM: (3, None),
+}
 
 # the export's predicates in the order it writes them; any other comes last
-_PREDICATE_ORDER = (
-    RDF_TYPE, RDFS_LABEL, SIM_HAS_SIMULACRUM, *[rel.schema_iri for rel in RcRelation],
-    SIM_HAS_CONTEXT, PROV_WAS_DERIVED_FROM, SIM_HAS_VARIANT, OWL_SAME_AS,
-)
+_PREDICATE_ORDER = (RDF_TYPE, RDFS_LABEL, *MEMBER_SLOT, SIM_HAS_VARIANT, OWL_SAME_AS)
 _PREDICATE_RANK: dict[Iri, int] = {p: rank for rank, p in enumerate(_PREDICATE_ORDER)}
 
 
@@ -365,18 +370,19 @@ class Graph:
         return link
 
     def _top_down(self, links: list[VariantLink]) -> list[VariantLink]:
-        """``links`` with each base before every base below it, when they and
-        the stored links close no cycle, so that no order refuses a link;
-        otherwise as given, and their order decides which link is refused."""
+        """``links`` in the one order that adds them: each link whose base is on
+        a cycle of these and the stored links first, as given, then the rest
+        top-down.  Only a link with both ends on one cycle can be refused, and
+        any path back from its variant runs through the first part, so the
+        same links are refused as in file order, while each walk stays short."""
         if not links:
             return links
         children = {base: set(variants) for base, variants in self._variant_children.items()}
         for base, variant in links:
             children.setdefault(base.id, set()).add(variant.id)
         components = strongly_connected_components(children)
-        if any(cycle for _, cycle in components):
-            return links
-        height = {c[0]: i for i, (c, _) in enumerate(components)}  # above everything it reaches
+        # above everything it reaches; a node on a cycle, above every component
+        height = {node: len(components) if cycle else i for i, (c, cycle) in enumerate(components) for node in c}
         return sorted(links, key=lambda link: -height[link.base.id])
 
     def _add_variant_edge(self, base: Iri, variant: Iri) -> None:

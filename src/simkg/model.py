@@ -19,7 +19,8 @@ from __future__ import annotations
 import re
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Iterable, NamedTuple, Optional, TypeVar, Union
+from operator import attrgetter
+from typing import Callable, Hashable, Iterable, NamedTuple, Optional, TypeVar, Union
 
 KB = "https://w3id.org/simulation/data/"
 SIM = "https://w3id.org/simulation/ontology/"
@@ -332,34 +333,25 @@ class Conversion(NamedTuple):
     warnings: list[str]
 
 
-def _dedupe_entities(entities: Iterable[Entity]) -> tuple[Entity, ...]:
-    seen: dict[Iri, Entity] = {}
-    for e in entities:
-        seen.setdefault(e.id, e)
-    return tuple(seen.values())
+_T = TypeVar("_T")
 
 
-def _dedupe_rcs(pairs: Iterable[RcPair]) -> tuple[RcPair, ...]:
-    seen: set[tuple[RcRelation, Iri]] = set()
-    out: list[RcPair] = []
-    for rel, e in pairs:
-        key = (rel, e.id)
-        if key not in seen:
-            seen.add(key)
-            out.append((rel, e))
-    return tuple(out)
+def _first_per_key(items: Iterable[_T], key: Callable[[_T], Hashable]) -> tuple[_T, ...]:
+    """The first item of each key, in order of first appearance."""
+    items = tuple(items)
+    if len(items) < 2:  # what the converters pass, as a rule
+        return items
+    first: dict[Hashable, _T] = {}
+    for item in items:
+        first.setdefault(key(item), item)
+    return tuple(first.values())
 
 
 def simulation_local_name(simulacrum: Entity, rcs: Iterable[RcPair]) -> str:
     """Hyphen-join rule: camelCased simulacrum label, then each distinct
     reality-counterpart label in order of first appearance."""
-    parts = [camel_case(simulacrum.label)]
-    seen: set[Iri] = set()
-    for _, rc in rcs:
-        if rc.id not in seen:
-            seen.add(rc.id)
-            parts.append(camel_case(rc.label))
-    return "-".join(parts)
+    distinct = _first_per_key(rcs, lambda pair: pair[1].id)
+    return "-".join([camel_case(simulacrum.label), *[camel_case(rc.label) for _, rc in distinct]])
 
 
 def build_simulation(
@@ -376,14 +368,14 @@ def build_simulation(
     """
     if simulacrum is None:
         raise CardinalityError(Axiom.SIMULACRUM_CARDINALITY, "expected exactly 1 simulacrum, found 0")
-    rc_pairs = _dedupe_rcs(rcs)
+    rc_pairs = _first_per_key(rcs, lambda pair: (pair[0], pair[1].id))
     sim = Simulation(
         id=Iri(KB + simulation_local_name(simulacrum, rc_pairs)),
         kind=kind,
         simulacra=(simulacrum,),
         reality_counterparts=rc_pairs,
-        contexts=_dedupe_entities(contexts),
-        sources=_dedupe_entities(sources),
+        contexts=_first_per_key(contexts, attrgetter("id")),
+        sources=_first_per_key(sources, attrgetter("id")),
     )
     broken = cardinality_violations(sim)
     if broken:

@@ -25,37 +25,17 @@ from typing import Union
 
 from .graph import (
     KIND_BY_CLASS,
+    MEMBER_SLOT,
     OWL_SAME_AS,
-    PROV_WAS_DERIVED_FROM,
     RDF_TYPE,
     RDFS_LABEL,
-    SIM_HAS_CONTEXT,
-    SIM_HAS_SIMULACRUM,
+    ROLE_BY_CLASS,
     SIM_HAS_VARIANT,
     Graph,
     Triple,
 )
-from .model import (
-    IRI_CHAR,
-    PREFIXES,
-    Entity,
-    Iri,
-    Literal,
-    RcRelation,
-    Role,
-    Simulation,
-    SimulationKind,
-)
+from .model import IRI_CHAR, PREFIXES, Entity, Iri, Literal, Role, Simulation, SimulationKind
 from .validate import check_axioms
-
-_ROLE_BY_CLASS = {role.schema_iri: role for role in Role}
-# member predicate -> (position of its group in Simulation, relation)
-_MEMBER_SLOT = {
-    SIM_HAS_SIMULACRUM: (0, None),
-    **{rel.schema_iri: (1, rel) for rel in RcRelation},
-    SIM_HAS_CONTEXT: (2, None),
-    PROV_WAS_DERIVED_FROM: (3, None),
-}
 
 
 class GraphViolationsError(ValueError):
@@ -332,9 +312,9 @@ def import_turtle(text: str) -> Graph:
         preds = statements[subject]
         types = preds.pop(RDF_TYPE, ())  # a literal here is kept as an extra triple
         kinds = [*filter(None, map(KIND_BY_CLASS.get, types))]
-        if not kinds and _MEMBER_SLOT.keys().isdisjoint(preds):
+        if not kinds and MEMBER_SLOT.keys().isdisjoint(preds):
             for t in types:
-                if role := _ROLE_BY_CLASS.get(t):
+                if role := ROLE_BY_CLASS.get(t):
                     stated.append((subject, role))
                 else:
                     extras.add((subject, RDF_TYPE, t))
@@ -348,14 +328,16 @@ def import_turtle(text: str) -> Graph:
         else:
             if len(kinds) < len(types):
                 unknown_types = [t for t in types if t not in KIND_BY_CLASS]
-                if not kinds:
-                    first = unknown_types[0]
-                    first = _render_literal(first) if isinstance(first, Literal) else first
-                    print(f"unknown class {first} on {subject}, defaulting to the generic simulation", file=sys.stderr)
+                # beside a kind, a role class is what a simulation that is also a member carries
+                odd = [t for t in unknown_types if t not in ROLE_BY_CLASS] if kinds else unknown_types
+                if odd:
+                    first = _render_literal(odd[0]) if isinstance(odd[0], Literal) else odd[0]
+                    fate = "kept as an extra triple" if kinds else "defaulting to the generic simulation"
+                    print(f"unknown class {first} on {subject}, {fate}", file=sys.stderr)
                 extras.update(zip(repeat(subject), repeat(RDF_TYPE), unknown_types))
             groups: tuple[list, ...] = ([], [], [], [])  # simulacra, counterparts, contexts, sources
-            for pred in [p for p in preds if p in _MEMBER_SLOT]:
-                index, rel = _MEMBER_SLOT[pred]
+            for pred in [p for p in preds if p in MEMBER_SLOT]:
+                index, rel = MEMBER_SLOT[pred]
                 iris = objects(subject, preds, pred, Iri)
                 groups[index].extend(iris if rel is None else zip(repeat(rel), iris))
             for kind in kinds or (SimulationKind.GENERIC,):

@@ -431,22 +431,26 @@ def _insert_in_file_order(g, links):
 
 
 class TestVariantLinkOrder:
-    """``_insert_all`` adds a batch of variant links top-down when they close
-    no cycle, so a chain that arrives deep end first costs linear time."""
+    """``_insert_all`` adds a batch of variant links whose base lies on a
+    cycle first, in file order, and every other link top-down, so a chain
+    that arrives deep end first costs linear time."""
 
-    def test_a_reversed_chain_costs_what_a_chain_in_order_costs(self):
+    @pytest.mark.parametrize("cycle", [[], [("c0", "c1"), ("c1", "c0")]], ids=["acyclic", "unrelated-2-cycle"])
+    def test_a_reversed_chain_costs_what_a_chain_in_order_costs(self, cycle):
         links = _links((f"n{i}", f"n{i + 1}") for i in range(4000))
+        refused = len(cycle) // 2  # the link that closes the cycle
 
         def best(batch):
             times = []
             for _ in range(3):
                 g = Graph()
                 start = time.perf_counter()
-                assert _insert_all(g, Conversion([], batch, [], []), "chain") == len(batch)
+                with contextlib.redirect_stderr(io.StringIO()):
+                    assert _insert_all(g, Conversion([], batch, [], []), "chain") == len(batch) - refused
                 times.append(time.perf_counter() - start)
             return min(times)
 
-        assert best(links[::-1]) < 4 * best(links)
+        assert best(links[::-1] + _links(cycle)) < 4 * best(links + _links(cycle))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -594,11 +598,11 @@ class TestAnalysisCommands:
         assert lines[0] == "meaning,blue,gold"
         assert "faith,1,0" in lines  # blue candle shares faith; custom lexicon drops white
 
-    def test_bad_gold_is_usage_error(self, tmp_path, toy_file, capsys):
+    def test_bad_gold_is_an_input_error_that_names_the_file(self, tmp_path, toy_file, capsys):
         gold = tmp_path / "gold.tsv"
         gold.write_text("Banana\thttps://example.org/x\n", encoding="utf-8")
-        assert main(["eval", "--gold", str(gold), "--converted", str(toy_file)]) == 1
-        assert capsys.readouterr().err == "usage error: line 1: unknown category 'Banana'\n"
+        assert main(["eval", "--gold", str(gold), "--converted", str(toy_file)]) == 3
+        assert capsys.readouterr().err == f"error: {gold}: line 1: unknown category 'Banana'\n"
 
     def test_gold_file_byte_order_mark_is_ignored(self, tmp_path, toy_file, capsys):
         reports = []

@@ -25,7 +25,7 @@ from simkg import (
     make_entity,
     save_graph,
 )
-from simkg.model import KB
+from simkg.model import KB, SIM
 from simkg.graph import (
     _PREDICATE_RANK,
     OWL_SAME_AS,
@@ -480,6 +480,27 @@ kb:owl-death a ex:Mystery ;
     )
 
 
+def test_unknown_class_beside_a_kind_warns(capsys):
+    # a misspelt kind next to a known one is kept, and named once; a role
+    # class is what a simulation that is also a member carries, so it is not
+    doc = """\
+@prefix sim: <https://w3id.org/simulation/ontology/> .
+@prefix kb: <https://w3id.org/simulation/data/> .
+
+kb:a-b a sim:Simulacrum, sim:Simulation, sim:Association, sim:Healing ;
+    sim:hasSimulacrum kb:a .
+"""
+    g = import_turtle(doc)
+    subject = Iri(KB + "a-b")
+    assert g.simulations[subject].kind is SimulationKind.GENERIC
+    assert (subject, RDF_TYPE, Iri(SIM + "Association")) in g.extra_triples
+    assert (subject, RDF_TYPE, Iri(SIM + "Healing")) in g.extra_triples
+    assert capsys.readouterr().err == (
+        "unknown class https://w3id.org/simulation/ontology/Association on https://w3id.org/simulation/data/a-b, "
+        "kept as an extra triple\n"
+    )
+
+
 @pytest.mark.parametrize("name", ["eagle", "hook", "penelope"])
 def test_golden_files_state_no_role(name):
     # every role type in a golden file is implied by a membership
@@ -742,6 +763,7 @@ def test_every_lenient_import_branch(capsys):
     # literal sameAs and variant, IRI and tagged labels, an unknown predicate
     g = import_turtle(_LENIENT_DOC)
     assert capsys.readouterr().err.splitlines() == [
+        'unknown class "y" on https://w3id.org/simulation/data/olive-peace, kept as an extra triple',
         "ignoring literal object 'roman' of https://w3id.org/simulation/ontology/hasContext "
         "on https://w3id.org/simulation/data/olive-peace",
         "unknown class http://example.org/Mystery on https://w3id.org/simulation/data/owl-death, "
