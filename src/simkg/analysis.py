@@ -8,11 +8,9 @@ gold file with micro precision/recall/F1 per element category.
 
 from __future__ import annotations
 
-import csv
-import io
 import re
 from enum import Enum
-from typing import Collection, Iterable, NamedTuple, Union
+from typing import Collection, Iterable, NamedTuple, Optional, Union
 
 from .graph import Graph
 from .model import Entity, Iri
@@ -55,6 +53,14 @@ def label_colors(label: str, colors: Collection[str]) -> set[str]:
     return found
 
 
+def palette_word(color: str) -> Optional[str]:
+    """The label word palette name ``color`` stands for, lower-cased and
+    COLOR_ALIASES folded ("Golden" is gold), or None when that is not one
+    word.  ``label_colors`` matches a name only when it is this word."""
+    word = COLOR_ALIASES.get(color.lower(), color.lower())
+    return word if _WORDS.fullmatch(word) else None
+
+
 def color_distribution(
     g: Graph,
     target: Union[Entity, Iri, str],
@@ -64,7 +70,8 @@ def color_distribution(
 
     A simulacrum sharing several meanings contributes to every matching
     row; within one row each simulacrum counts once per colour; the target
-    itself is never counted.
+    itself is never counted.  A colour that is not its own ``palette_word``
+    (upper case, an alias, two words) matches no label word and counts 0.
     """
     target_entity = g.entity(target)
     palette = tuple(colors)
@@ -86,14 +93,6 @@ def color_distribution(
             )
         )
     return ColorDistribution(target=target_entity, colors=palette, rows=tuple(rows))
-
-
-def distribution_csv(dist: ColorDistribution) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["meaning", *dist.colors])
-    writer.writerows([row.meaning.label, *(row.count(c) for c in dist.colors)] for row in dist.rows)
-    return out.getvalue()
 
 
 _SVG_BAR_HEIGHT = 22

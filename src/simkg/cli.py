@@ -30,7 +30,7 @@ from .serialize import (
     save_graph,
     write_atomic,
 )
-from .validate import check_axioms, kind_conflict_violations, report_text
+from .validate import check_axioms, kind_conflict_violations
 
 # json and the analysis, dbpedia, dictionary, query and wordnet modules are
 # imported by the commands that use them, so that validate and export never
@@ -242,15 +242,17 @@ def _text_table(rows: list[list[str]]) -> str:
     return "".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() + "\n" for row in rows)
 
 
+def _csv(header: list[str], rows: list[list]) -> str:
+    """The header, then the rows, as CSV lines that end in a bare newline."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def _emit_table(args, header: list[str], rows: list[list[str]]) -> None:
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        _write_output(args, buf.getvalue())
-        return
-    _write_output(args, _text_table([header, *rows]))
+    _write_output(args, _csv(header, rows) if args.format == "csv" else _text_table([header, *rows]))
 
 
 # -- ingest commands ---------------------------------------------------------
@@ -381,13 +383,13 @@ def _cmd_ingest_wordnet(args) -> int:
 
 def _cmd_validate(args) -> int:
     g = _load(args)
-    violations = check_axioms(g)
+    rows = [[v.axiom.value, str(v.subject), v.detail] for v in check_axioms(g)]
     if args.format == "csv":
-        rows = [[v.axiom.value, str(v.subject), v.detail] for v in violations]
         _emit_table(args, ["axiom", "subject", "detail"], rows)
     else:
-        _write_output(args, report_text(violations) + "\n")
-    return EXIT_VIOLATIONS if violations else EXIT_OK
+        summary = f"{len(rows)} violations" if len(rows) != 1 else "1 violation"
+        _write_output(args, "".join("\t".join(row) + "\n" for row in rows) + summary + "\n")
+    return EXIT_VIOLATIONS if rows else EXIT_OK
 
 
 def _cmd_query(args) -> int:
@@ -403,6 +405,8 @@ def _cmd_query(args) -> int:
         name, sep, value = item.partition("=")
         if not sep or not name or not value:
             raise _UsageError(f"--bind expects NAME=IRI, got {item!r}")
+        if name in bindings:
+            raise _UsageError(f"--bind names {name!r} more than once")
         bindings[name] = expand_iri(value)
     g = _load(args)
     try:
@@ -437,15 +441,20 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_casestudy(args) -> int:
-    from .analysis import DEFAULT_COLOR_LEXICON, color_distribution, distribution_csv, distribution_svg
+    from .analysis import DEFAULT_COLOR_LEXICON, color_distribution, distribution_svg, palette_word
 
     colors = [_utf8(color, "--colors") for color in args.colors] if args.colors else DEFAULT_COLOR_LEXICON
     if "" in colors or len(set(colors)) < len(colors):
         raise _UsageError(f"--colors must name distinct, non-empty colours, got {' '.join(map(repr, colors))}")
+    for color in colors:
+        if (word := palette_word(color)) != color:
+            advice = f"write {word!r}" if word else "name one word per colour"
+            raise _UsageError(f"--colors {color!r} matches no label word; {advice}")
     target = expand_iri(args.target)
     g = _load(args)
     dist = color_distribution(g, target, colors=colors)
-    _write_output(args, distribution_csv(dist))
+    rows = [[row.meaning.label, *(row.count(c) for c in dist.colors)] for row in dist.rows]
+    _write_output(args, _csv(["meaning", *dist.colors], rows))
     if args.svg:
         write_atomic(args.svg, distribution_svg(dist))
     return EXIT_OK

@@ -20,9 +20,6 @@ class Violation(NamedTuple):
     subject: Iri
     detail: str
 
-    def as_text(self) -> str:
-        return f"{self.axiom.value}\t{self.subject}\t{self.detail}"
-
 
 def check_axioms(g: Graph) -> list[Violation]:
     """Run every structural check; returns violations sorted by subject
@@ -66,10 +63,3 @@ def kind_conflict_violations(g: Graph) -> list[Violation]:
         Violation(Axiom.KIND_CONFLICT, s, f"typed both {g.simulations[s].kind.value} and {min(names)}")
         for s, names in sorted(others.items())
     ]
-
-
-def report_text(violations: list[Violation]) -> str:
-    """Line-oriented rendering, one violation per line plus a summary."""
-    lines = [v.as_text() for v in violations]
-    lines.append(f"{len(violations)} violations" if len(violations) != 1 else "1 violation")
-    return "\n".join(lines)

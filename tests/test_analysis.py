@@ -16,8 +16,10 @@ from simkg import (
     eval_conversion,
     make_entity,
     parse_gold,
+    save_graph,
 )
-from simkg.analysis import distribution_csv, distribution_svg, label_colors, predicted_items
+from simkg.analysis import distribution_svg, label_colors, predicted_items
+from simkg.cli import main
 from simkg.model import KB, SIM
 
 
@@ -32,6 +34,16 @@ def _add(g, simulacrum, meanings, source="olderr"):
                 [make_entity(source)],
             )
         )
+
+
+def _casestudy_csv(g, tmp_path, capsys):
+    """What ``simkg casestudy`` prints for the white rose of graph ``g``."""
+    path = tmp_path / "rose.ttl"
+    save_graph(g, path)
+    assert main(["casestudy", "--graph", str(path), "--target", "kb:whiteRose"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    return out
 
 
 @pytest.fixture
@@ -129,19 +141,19 @@ class TestColorDistribution:
                 ("charm", ()), ("faith", ()), ("innocence", ()), ("purity", (("gold", 1),)),
             ]
 
-    def test_csv_and_svg_render(self, rose_graph):
+    def test_csv_and_svg_render(self, rose_graph, tmp_path, capsys):
         dist = color_distribution(rose_graph, Iri(KB + "whiteRose"))
-        csv_text = distribution_csv(dist)
+        csv_text = _casestudy_csv(rose_graph, tmp_path, capsys)
         assert csv_text.splitlines()[0] == "meaning,white,red,green,black,gold,blue,purple"
         assert any(line.startswith("purity,2") for line in csv_text.splitlines())
         svg = distribution_svg(dist)
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
         assert 'fill="gold"' in svg
 
-    def test_csv_quotes_a_label_with_a_comma_or_quote(self, rose_graph):
+    def test_csv_quotes_a_label_with_a_comma_or_quote(self, rose_graph, tmp_path, capsys):
         _add(rose_graph, "white rose", ['peace, "love"'])
         _add(rose_graph, "white lily", ['peace, "love"'])
-        csv_text = distribution_csv(color_distribution(rose_graph, Iri(KB + "whiteRose")))
+        csv_text = _casestudy_csv(rose_graph, tmp_path, capsys)
         rows = list(csv.reader(io.StringIO(csv_text)))
         assert {len(row) for row in rows} == {8}
         assert ['peace, "love"', "1", "0", "0", "0", "0", "0", "0"] in rows

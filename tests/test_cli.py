@@ -679,15 +679,20 @@ class TestUsage:
             (["casestudy", "--target", "kb:hook", "--colors", "gold", "r\udcffed"], "--colors must be valid UTF-8, got 'r\\udcffed'"),
             (["casestudy", "--target", "kb:hook", "--colors", "red", "red"], "--colors must name distinct, non-empty colours, got 'red' 'red'"),
             (["casestudy", "--target", "kb:hook", "--colors", ""], "--colors must name distinct, non-empty colours, got ''"),
+            (["casestudy", "--target", "kb:hook", "--colors", "Red", "gold"], "--colors 'Red' matches no label word; write 'red'"),
+            (["casestudy", "--target", "kb:hook", "--colors", "white", "Golden"], "--colors 'Golden' matches no label word; write 'gold'"),
+            (["casestudy", "--target", "kb:hook", "--colors", "light blue"], "--colors 'light blue' matches no label word; name one word per colour"),
             (["query", "--cq", "Q9.9"], "unknown competency question 'Q9.9'; expected one of " + ", ".join(c.value for c in CqId)),
             (["query", "--cq", "Q1.1", "--bind", "simulacrum"], "--bind expects NAME=IRI, got 'simulacrum'"),
+            (["query", "--cq", "Q1.1", "--bind", "simulacrum=kb:nope", "--bind", "simulacrum=kb:hook"], "--bind names 'simulacrum' more than once"),
             (["query", "--cq", "Q1.1", "--bind", "simulacrum=a b"], f"not an IRI: 'a b' {NOT_AN_IRI}"),
             (["casestudy", "--target", "kb:a b"], f"not an IRI: '{KB}a b' {NOT_AN_IRI}"),
             (["ingest-dict", "hook.dict", "--phrase-table", "list.json"], "phrase table: expected a JSON object, got list"),
         ],
         ids=[
             "dict", "dict-stem", "dict-blank", "dbpedia", "dbpedia-no-alnum", "wordnet", "casestudy", "palette-repeated",
-            "palette-empty", "cq-id", "bind-syntax", "bind-iri", "casestudy-target", "phrase-table",
+            "palette-empty", "palette-upper-case", "palette-alias", "palette-two-words", "cq-id", "bind-syntax",
+            "bind-repeated", "bind-iri", "casestudy-target", "phrase-table",
         ],
     )
     def test_unusable_label_argument_is_usage_error(self, argv, message, tmp_path, capsys):

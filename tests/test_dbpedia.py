@@ -589,7 +589,8 @@ def _local_endpoint(failures=0, row_cap=None, **rows):
     ``symbol_rows`` and ``category_rows`` replace the fixture rows."""
     handler = type("Handler", (_SparqlHandler,), {"failures": {"remaining": failures}, "row_cap": row_cap, **rows})
     server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll, as shutdown() waits out one: the default 0.5 s would dominate each test
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     try:
         yield f"http://127.0.0.1:{server.server_port}/sparql"

@@ -103,8 +103,8 @@ class TestInsert:
         text = export_turtle(g, force=True)
         assert text == export_turtle(reference, force=True)
         assert import_turtle(text) == g
-        assert [v.as_text() for v in check_axioms(g)] == [
-            f"KindConflict\t{KB}owl-death\ttyped both Association and Correspondence"
+        assert [(v.axiom.value, v.subject, v.detail) for v in check_axioms(g)] == [
+            ("KindConflict", f"{KB}owl-death", "typed both Association and Correspondence")
         ]
 
     def test_repeated_kind_is_no_conflict(self):
