@@ -334,26 +334,24 @@ def _cmd_ingest_dict(args) -> int:
 def _cmd_ingest_dbpedia(args) -> int:
     if args.page_size < 1:
         raise _UsageError(f"--page-size must be at least 1, got {args.page_size}")
-    from .dbpedia import (
-        DEFAULT_EXCLUDED_TYPES,
-        MalformedResponseError,
-        NetworkError,
-        convert_dbpedia,
-        fetch_symbol_data,
-        read_triples_file,
-    )
+    from . import dbpedia
 
+    if args.endpoint is not None:
+        try:
+            dbpedia.check_endpoint(args.endpoint)
+        except ValueError as err:
+            raise _UsageError(f"--{err}") from None
     source = _source(args.source_label)
     g = _load(args)
-    if args.triples:
-        triples = _read(read_triples_file, args.triples, MalformedResponseError)
+    if args.endpoint is None:
+        triples = _read(dbpedia.read_triples_file, args.triples, dbpedia.MalformedResponseError)
     else:
         try:
-            triples = fetch_symbol_data(args.endpoint, page_size=args.page_size)
-        except (MalformedResponseError, NetworkError) as err:
+            triples = dbpedia.fetch_symbol_data(args.endpoint, page_size=args.page_size)
+        except (dbpedia.MalformedResponseError, dbpedia.NetworkError) as err:
             raise _InputError(str(err)) from None
-    excluded = set(DEFAULT_EXCLUDED_TYPES) | set(args.exclude_type)
-    conv = convert_dbpedia(triples, source, excluded_types=excluded)
+    excluded = set(dbpedia.DEFAULT_EXCLUDED_TYPES) | set(args.exclude_type)
+    conv = dbpedia.convert_dbpedia(triples, source, excluded_types=excluded)
     _insert_all(g, conv, "warning")
     print(f"{len(triples)} triples -> {len(conv.simulations)} simulations", file=sys.stderr)
     _save_graph_output(g, args)

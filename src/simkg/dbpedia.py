@@ -20,7 +20,8 @@ import re
 import sys
 import time
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
+from urllib.parse import urlencode, urlsplit  # pathlib loads urllib.parse for every command
 
 from .graph import RDF_TYPE
 from .model import (
@@ -37,9 +38,6 @@ from .model import (
     make_entity,
 )
 from .serialize import _unescape
-
-if TYPE_CHECKING:
-    import requests
 
 DBP_SYMBOL = Iri("http://dbpedia.org/property/symbol")
 DCT_SUBJECT = Iri("http://purl.org/dc/terms/subject")
@@ -89,6 +87,8 @@ class SymbolTriple(NamedTuple):
     subject_types: tuple[Iri, ...] = ()
 
 
+_SPARQL_JSON = "application/sparql-results+json"
+
 _SYMBOL_QUERY = """\
 SELECT ?s ?o ?type WHERE {{
   ?s <{dbp_symbol}> ?o .
@@ -104,29 +104,20 @@ SELECT ?s ?o WHERE {{
 }} ORDER BY ?s ?o LIMIT {limit} OFFSET {offset}"""
 
 
-def fetch_symbol_data(
-    endpoint: str,
-    page_size: int = 10000,
-    session: Optional[requests.Session] = None,
-) -> list[SymbolTriple]:
+def fetch_symbol_data(endpoint: str, page_size: int = 10000) -> list[SymbolTriple]:
     """Fetch every symbol-bearing triple from a SPARQL endpoint.
 
     Pages with LIMIT/OFFSET and retries each page with exponential backoff
     (:data:`MAX_ATTEMPTS`, :data:`RETRY_WAIT`, :data:`TIMEOUT`); either the
     whole result arrives or the failing page is reported.  No partial result
-    is ever returned silently.  A ``session`` passed in is left open.
+    is ever returned silently.  A ``page_size`` below 1, or an ``endpoint``
+    that :func:`check_endpoint` refuses, raises ``ValueError`` at once.
     """
     if page_size < 1:
         raise ValueError(f"page_size must be at least 1, got {page_size}")
-    import requests  # only the endpoint path needs the HTTP stack
-
-    http = session or requests.Session()
-    try:
-        symbol_rows = _fetch_all_pages(http, endpoint, _SYMBOL_QUERY.replace("{dbp_symbol}", DBP_SYMBOL), page_size)
-        category_rows = _fetch_all_pages(http, endpoint, _CATEGORY_QUERY.replace("{dct_subject}", DCT_SUBJECT), page_size)
-    finally:
-        if session is None:
-            http.close()
+    check_endpoint(endpoint)
+    symbol_rows = _fetch_all_pages(endpoint, _SYMBOL_QUERY.replace("{dbp_symbol}", DBP_SYMBOL), page_size)
+    category_rows = _fetch_all_pages(endpoint, _CATEGORY_QUERY.replace("{dct_subject}", DCT_SUBJECT), page_size)
 
     # the query's OPTIONAL gives every row of a subject the same types
     symbols: list[tuple[Iri, Union[Iri, str]]] = []
@@ -140,59 +131,73 @@ def fetch_symbol_data(
     return _symbol_triples(symbols, types, categories)
 
 
-def _fetch_all_pages(http, endpoint, query_template, page_size):
+def check_endpoint(endpoint: str) -> None:
+    """Raise ``ValueError`` unless ``endpoint`` is an http or https URL with a
+    host and a numeric port if any, in visible ASCII: no space, no control."""
+    try:
+        parts = urlsplit(endpoint)
+        host, _ = parts.hostname, parts.port  # .port raises ValueError unless it is a number
+    except ValueError:  # or for an unclosed '[' in the host
+        host = None
+    if not (host and parts.scheme in ("http", "https") and re.fullmatch("[!-~]+", endpoint)):
+        raise ValueError(f"endpoint must be an http or https URL with a host, in visible ASCII, got {endpoint!r}")
+
+
+def _fetch_all_pages(endpoint, query_template, page_size):
     """Every row of the query.  A server may answer fewer rows than asked
     for (Virtuoso caps each response at its ResultSetMaxRows), so a short
     page is not the last: the next page starts after the rows received,
     and only an empty page ends the result."""
     rows = []
-    while page := _fetch_page(http, endpoint, query_template.format(limit=page_size, offset=len(rows)), len(rows)):
+    while page := _fetch_page(endpoint, query_template.format(limit=page_size, offset=len(rows)), len(rows)):
         rows.extend(page)
     return rows
 
 
-def _fetch_page(http, endpoint, query, offset):
-    import requests
+def _fetch_page(endpoint, query, offset):
+    # only the endpoint path loads the HTTP stack
+    import gzip
+    import json
+    import urllib.request
+    import zlib
+    from http.client import HTTPException
+    from urllib.error import HTTPError
 
+    parts = urlsplit(endpoint)  # its own query string is kept
+    params = "&".join(filter(None, [parts.query, urlencode({"query": query, "format": _SPARQL_JSON})]))
+    url = parts._replace(query=params).geturl()
+    request = urllib.request.Request(url, headers={"Accept": _SPARQL_JSON, "Accept-Encoding": "gzip"})
     last_error = retry_after = None
     for attempt in range(MAX_ATTEMPTS):
         if attempt:
             time.sleep(RETRY_WAIT * 2 ** (attempt - 1) if retry_after is None else retry_after)
             retry_after = None  # it replaces one wait only
         try:
-            response = http.get(
-                endpoint,
-                params={"query": query, "format": "application/sparql-results+json"},
-                headers={"Accept": "application/sparql-results+json"},
-                timeout=TIMEOUT,
-            )
-        except requests.RequestException as err:
+            with urllib.request.urlopen(request, timeout=TIMEOUT) as response:
+                status, headers, body = response.status, response.headers, response.read()
+        except HTTPError as err:  # the answer to a status urlopen does not return
+            err.close()
+            status, headers, body = err.code, err.headers, b""
+        except (OSError, HTTPException) as err:
             last_error = err
             print(f"page at offset {offset}, attempt {attempt + 1}/{MAX_ATTEMPTS} failed: {err}", file=sys.stderr)
             continue
-        if response.status_code >= 500 or response.status_code == 429:
-            last_error = RuntimeError(f"HTTP {response.status_code}")
-            retry_after = _retry_after(response)
-            print(f"page at offset {offset}, attempt {attempt + 1}/{MAX_ATTEMPTS}: HTTP {response.status_code}", file=sys.stderr)
+        if status >= 500 or status == 429:
+            last_error = RuntimeError(f"HTTP {status}")
+            # a 429 or 503 may give the wait in delta-seconds (not an HTTP-date); at most TIMEOUT
+            wait = headers.get("Retry-After", "").strip()
+            retry_after = min(int(wait), TIMEOUT) if status in (429, 503) and re.fullmatch("[0-9]+", wait) else None
+            print(f"page at offset {offset}, attempt {attempt + 1}/{MAX_ATTEMPTS}: HTTP {status}", file=sys.stderr)
             continue
-        if response.status_code != 200:
-            raise NetworkError(f"page at offset {offset}: HTTP {response.status_code} from {endpoint}")
+        if status != 200:
+            raise NetworkError(f"page at offset {offset}: HTTP {status} from {endpoint}")
         try:
-            payload = response.json()
-            return payload["results"]["bindings"]
-        except (ValueError, KeyError, TypeError) as err:
+            if headers.get("Content-Encoding", "").strip().lower() == "gzip":
+                body = gzip.decompress(body)
+            return json.loads(body)["results"]["bindings"]
+        except (OSError, EOFError, zlib.error, ValueError, KeyError, TypeError) as err:
             raise MalformedResponseError(f"page at offset {offset}: not a SPARQL JSON result ({err})") from err
     raise NetworkError(f"page at offset {offset} failed after {MAX_ATTEMPTS} attempts: {last_error}")
-
-
-def _retry_after(response) -> Optional[float]:
-    """The wait a 429 or 503 asks for in delta-seconds, at most
-    :data:`TIMEOUT`; None for any other answer, or a ``Retry-After`` that
-    is missing, an HTTP-date or unreadable."""
-    value = response.headers.get("Retry-After", "").strip()
-    if response.status_code not in (429, 503) or not (value.isascii() and value.isdecimal()):
-        return None
-    return min(int(value), TIMEOUT)
 
 
 def _binding(row: dict, var: str, literal_ok: bool = False) -> Union[Iri, str]:
@@ -310,10 +315,6 @@ def _category_label(iri: Iri) -> str:
     return label
 
 
-def _object_label(obj: Union[Iri, str]) -> str:
-    return _resource_label(obj) if isinstance(obj, Iri) else obj
-
-
 def convert_dbpedia(
     triples: Iterable[SymbolTriple],
     source: Entity,
@@ -337,6 +338,7 @@ def convert_dbpedia(
         else:
             out.simulations.append(sim)
     out.simulations.sort(key=lambda s: s.id)
+    out.warnings[:] = dict.fromkeys(out.warnings)  # rows of one subject give its warning once
     return out
 
 
@@ -346,7 +348,7 @@ def _convert_symbol_row(triple, source, excluded, out) -> Optional[Simulation[En
         out.warnings.append(f"{triple.subject}: excluded subject type {dropped[0].local_name}")
         return None
     rc = make_entity(_resource_label(triple.subject))
-    simulacrum = make_entity(_object_label(triple.object))
+    simulacrum = make_entity(_resource_label(triple.object) if isinstance(triple.object, Iri) else triple.object)
     if triple.subject_types:
         contexts = [make_entity(_resource_label(t)) for t in triple.subject_types]
     else:

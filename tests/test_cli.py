@@ -681,6 +681,7 @@ class TestUsage:
             (["casestudy", "--target", "kb:hook", "--colors", ""], "--colors must name distinct, non-empty colours, got ''"),
             (["casestudy", "--target", "kb:hook", "--colors", "Red", "gold"], "--colors 'Red' matches no label word; write 'red'"),
             (["casestudy", "--target", "kb:hook", "--colors", "white", "Golden"], "--colors 'Golden' matches no label word; write 'gold'"),
+            (["casestudy", "--target", "kb:hook", "--colors", "golden", "white"], "--colors 'golden' matches no label word; write 'gold'"),
             (["casestudy", "--target", "kb:hook", "--colors", "light blue"], "--colors 'light blue' matches no label word; name one word per colour"),
             (["query", "--cq", "Q9.9"], "unknown competency question 'Q9.9'; expected one of " + ", ".join(c.value for c in CqId)),
             (["query", "--cq", "Q1.1", "--bind", "simulacrum"], "--bind expects NAME=IRI, got 'simulacrum'"),
@@ -691,8 +692,8 @@ class TestUsage:
         ],
         ids=[
             "dict", "dict-stem", "dict-blank", "dbpedia", "dbpedia-no-alnum", "wordnet", "casestudy", "palette-repeated",
-            "palette-empty", "palette-upper-case", "palette-alias", "palette-two-words", "cq-id", "bind-syntax",
-            "bind-repeated", "bind-iri", "casestudy-target", "phrase-table",
+            "palette-empty", "palette-upper-case", "palette-alias", "palette-fixture-name", "palette-two-words", "cq-id",
+            "bind-syntax", "bind-repeated", "bind-iri", "casestudy-target", "phrase-table",
         ],
     )
     def test_unusable_label_argument_is_usage_error(self, argv, message, tmp_path, capsys):
@@ -703,7 +704,10 @@ class TestUsage:
         table.write_text("[]", encoding="utf-8")
         files = {"ol\udcff.dict": stem, "list.json": table, **{f.name: f for f in FIXTURES.iterdir()}}
         out = tmp_path / "out"
-        argv = [str(files.get(a, a)) for a in argv]
+        # a word names a file only where a file goes: after a command that
+        # takes files, or after an option whose value is one
+        file_positions = {"ingest-dict", "ingest-wordnet", "--triples", "--phrase-table"}
+        argv = [str(files[a]) if before in file_positions else a for before, a in zip(["", *argv], argv)]
         assert main([*argv, "--graph", str(tmp_path / "missing.ttl"), "--out", str(out)]) == 1
         assert capsys.readouterr() == ("", f"usage error: {message}\n")
         assert not out.exists()

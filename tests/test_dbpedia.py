@@ -1,17 +1,20 @@
 import contextlib
+import gzip
 import json
 import os
 import re
+import socket
 import subprocess
 import sys
 import threading
 import time
+import urllib.error
+import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from urllib.parse import parse_qs, urlparse
+from urllib.parse import parse_qs, urlsplit
 
 import pytest
-import requests
 
 import simkg
 from conftest import FIXTURES
@@ -231,6 +234,22 @@ class TestConvert:
         assert out.simulations == []
         assert any("RailwayStation" in w for w in out.warnings)
 
+    def test_excluded_subject_is_warned_about_once(self, source, tmp_path, capsys):
+        nt = tmp_path / "station.nt"
+        nt.write_text(
+            'dbr:Atocha dbp:symbol "metro" .\n'
+            "dbr:Atocha dbp:symbol dbr:Clock .\n"
+            "dbr:Atocha rdf:type dbo:RailwayStation .\n",
+            encoding="utf-8",
+        )
+        out = convert_dbpedia(read_triples_file(nt), source)
+        assert len(out.skipped) == 2  # every row is still listed
+        assert main(["ingest-dbpedia", "--triples", str(nt)]) == 0
+        assert capsys.readouterr().err == (
+            "warning: http://dbpedia.org/resource/Atocha: excluded subject type RailwayStation\n"
+            "2 triples -> 0 simulations\n"
+        )
+
     def test_rule_b_context_always_general(self, source):
         out = convert_dbpedia(read_triples_file(FIXTURES / "eagle.nt"), source)
         rule_b = [s for s in out.simulations if s.id.local_name == "eagle-liechtenstein"]
@@ -292,93 +311,147 @@ class TestConvert:
         assert a == b
 
 
-class _StubResponse:
-    def __init__(self, status_code=200, payload=None, text="", headers=None):
-        self.status_code = status_code
-        self._payload = payload
-        self._text = text
-        self.headers = headers or {}
+# -- a loopback SPARQL endpoint ------------------------------------------------
 
-    def json(self):
-        if self._payload is None:
-            raise ValueError("not json")
-        return self._payload
-
-
-class _StubSession:
-    """Replays canned responses; one per request, in order."""
-
-    def __init__(self, responses):
-        self.responses = list(responses)
-        self.requests = []
-
-    def get(self, url, params=None, headers=None, timeout=None):
-        self.requests.append(params["query"])
-        response = self.responses.pop(0)
-        if isinstance(response, Exception):
-            raise response
-        return response
-
-
-class _CountingSession:
-    """Answers every request with an empty page and counts the requests;
-    fails the test instead of letting a fetch loop run on."""
-
-    def __init__(self, limit=10):
-        self.calls = 0
-        self.limit = limit
-
-    def get(self, url, params=None, headers=None, timeout=None):
-        self.calls += 1
-        assert self.calls <= self.limit, f"still fetching after {self.limit} requests"
-        return _StubResponse(payload=_page([]))
-
-    def close(self):
-        pass
-
-
-def _page(bindings):
-    return {"head": {"vars": ["s", "o", "type"]}, "results": {"bindings": bindings}}
+DROP = "drop"  # a script step: close the connection without an answer
+STALL = "stall"  # a script step, or the body of one: send nothing more for STALL_S
+STALL_S = 1.0  # well over the TIMEOUT of the tests that stall
 
 
 def _load_fixture(name):
     return json.loads((FIXTURES / "dbpedia" / name).read_text(encoding="utf-8"))
 
 
+def _offsets(log):
+    """The OFFSET of each request in a ``_local_endpoint`` log."""
+    return [re.search(r"OFFSET (\d+)", parse_qs(urlsplit(path).query)["query"][0]).group(1) for path in log]
+
+
+class _SparqlHandler(BaseHTTPRequestHandler):
+    """Miniature SPARQL endpoint.  Each request's path is appended to
+    ``log``.  While ``script`` has steps, a request takes the next one:
+    DROP, STALL, or a ``(status, headers, body)`` answer whose body is
+    bytes, a JSON value or STALL.  After that it serves the fixture rows with
+    LIMIT/OFFSET pagination, at most ``row_cap`` rows a request when that
+    is set, as a Virtuoso server capped by its ResultSetMaxRows setting
+    does, and gzip-encoded when ``gzip`` is set.  A request that does not
+    accept SPARQL JSON, or gzip where the pages are gzip-encoded, gets a
+    406."""
+
+    script: list = []
+    log: list = []
+    row_cap = None
+    gzip = False
+    symbol_rows = _load_fixture("symbol_page.json")["results"]["bindings"]
+    category_rows = _load_fixture("category_page.json")["results"]["bindings"]
+
+    def do_GET(self):
+        self.log.append(self.path)
+        step = self.script.pop(0) if self.script else self._fixture_page()
+        if step == STALL:
+            time.sleep(STALL_S)
+        if step in (DROP, STALL):
+            return
+        status, headers, body = step
+        if isinstance(body, (dict, list)):
+            body = json.dumps(body).encode()
+        self.send_response(status)
+        for name, value in {"Content-Length": str(len(body)), **headers}.items():
+            self.send_header(name, value)
+        self.end_headers()
+        if body == STALL:
+            self.wfile.flush()
+            time.sleep(STALL_S)
+        else:
+            self.wfile.write(body)
+
+    def _fixture_page(self):
+        accept, encoding = self.headers.get("Accept", ""), self.headers.get("Accept-Encoding", "")
+        if "application/sparql-results+json" not in accept or (self.gzip and "gzip" not in encoding):
+            return 406, {}, b""
+        query = parse_qs(urlsplit(self.path).query)["query"][0]
+        rows = self.symbol_rows if "symbol>" in query else self.category_rows
+        limit = int(re.search(r"LIMIT (\d+)", query).group(1))
+        if self.row_cap is not None:
+            limit = min(limit, self.row_cap)
+        offset = int(re.search(r"OFFSET (\d+)", query).group(1))
+        body = json.dumps({"results": {"bindings": rows[offset : offset + limit]}}).encode()
+        headers = {"Content-Type": "application/sparql-results+json"}
+        if self.gzip:
+            body, headers["Content-Encoding"] = gzip.compress(body), "gzip"
+        return 200, headers, body
+
+    def log_message(self, *args):
+        pass
+
+
+@contextlib.contextmanager
+def _local_endpoint(script=(), log=None, row_cap=None, gzip=False, **rows):
+    """The URL of a :class:`_SparqlHandler` served on a loopback port, which
+    appends each request's path to ``log`` when that is given;
+    ``symbol_rows`` and ``category_rows`` replace the fixture rows."""
+    attrs = {"script": list(script), "log": [] if log is None else log, "row_cap": row_cap, "gzip": gzip, **rows}
+    server = ThreadingHTTPServer(("127.0.0.1", 0), type("Handler", (_SparqlHandler,), attrs))
+    # a short poll, as shutdown() waits out one: the default 0.5 s would dominate each test
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}/sparql"
+    finally:
+        server.shutdown()
+        thread.join()
+        server.server_close()
+
+
+def _fetch(script=(), log=None, **kwargs):
+    """``fetch_symbol_data`` on a loopback endpoint that has no fixture rows."""
+    with _local_endpoint(script, log, symbol_rows=[], category_rows=[]) as endpoint:
+        return fetch_symbol_data(endpoint, **kwargs)
+
+
+UNUSABLE_ENDPOINTS = {
+    "no-scheme": "nonsense",
+    "no-host": "http://",
+    "empty-host": "http:///sparql",
+    "space": "http://exa mple.org/sparql",
+    "open-bracket": "https://[::1/x",
+    "ftp": "ftp://example.org/sparql",
+    "file": "file:///etc/hosts",
+    "data": "data:,hello",
+    "port-not-a-number": "http://example.org:port/sparql",
+    "control-character": "http://example.org/\x7fsparql",
+    "newline": "http://example.org/sparql\n",
+    "leading-space": " http://example.org/sparql",
+    "non-ascii-path": "http://example.org/spärql",
+    "non-ascii-host": "http://exämple.org/sparql",
+    "empty": "",
+}
+
+
 class TestFetch:
     def test_recorded_responses_three_rows(self):
-        session = _StubSession([
-            _StubResponse(payload=_load_fixture("symbol_page.json")),
-            _StubResponse(payload=_page([])),  # only an empty page ends a query
-            _StubResponse(payload=_load_fixture("category_page.json")),
-            _StubResponse(payload=_page([])),
-        ])
-        triples = fetch_symbol_data("http://example.org/sparql", page_size=100, session=session)
+        log = []
+        with _local_endpoint(log=log) as endpoint:
+            triples = fetch_symbol_data(endpoint, page_size=100)
         assert len(triples) == 3
-        assert [re.search(r"OFFSET (\d+)", q).group(1) for q in session.requests] == ["0", "2", "0", "1"]
+        # only an empty page ends a query
+        assert _offsets(log) == ["0", "2", "0", "1"]
         predicates = sorted(t.predicate.value for t in triples)
         assert predicates == ["dbp_symbol", "dbp_symbol", "dct_subject"]
         zeus = next(t for t in triples if t.subject.local_name == "Zeus")
         assert zeus.subject_types == (Iri("http://dbpedia.org/ontology/Deity"),)
 
     def test_zero_rows(self):
-        session = _StubSession([
-            _StubResponse(payload=_page([])),
-            _StubResponse(payload=_page([])),
-        ])
-        assert fetch_symbol_data("http://example.org/sparql", session=session) == []
+        log = []
+        assert _fetch(log=log) == []
+        assert len(log) == 2
 
     @pytest.mark.parametrize("status", [503, 429])
-    def test_retry_then_success(self, status):
-        ok = _page([])
-        session = _StubSession([
-            _StubResponse(status_code=status),
-            _StubResponse(payload=ok),
-            _StubResponse(payload=ok),
-        ])
-        triples = fetch_symbol_data("http://example.org/sparql", session=session)
-        assert triples == []
-        assert len(session.requests) == 3
+    def test_retry_then_success(self, status, capsys):
+        log = []
+        assert _fetch([(status, {}, b"")], log) == []
+        assert len(log) == 3
+        assert capsys.readouterr().err == f"page at offset 0, attempt 1/5: HTTP {status}\n"
 
     @pytest.mark.parametrize(
         "status, retry_after, waits",
@@ -398,70 +471,141 @@ class TestFetch:
         slept = []
         monkeypatch.setattr(time, "sleep", slept.append)
         headers = {"Retry-After": retry_after} if retry_after is not None else {}
-        ok = _StubResponse(payload=_page([]))
-        session = _StubSession([_StubResponse(status_code=status, headers=headers), ok, ok])
-        assert fetch_symbol_data("http://example.org/sparql", session=session) == []
+        assert _fetch([(status, headers, b"")]) == []
         assert slept == waits
 
     def test_retry_after_is_not_kept_for_later_waits(self, monkeypatch):
         slept = []
         monkeypatch.setattr(time, "sleep", slept.append)
-        ok = _StubResponse(payload=_page([]))
-        session = _StubSession([
-            _StubResponse(status_code=429, headers={"Retry-After": "3"}),
-            requests.ConnectionError("refused"),
-            _StubResponse(status_code=503),
-            ok,
-            ok,
-        ])
-        assert fetch_symbol_data("http://example.org/sparql", session=session) == []
+        assert _fetch([(429, {"Retry-After": "3"}, b""), DROP, (503, {}, b"")]) == []
         assert slept == [3, 0.002, 0.004]
 
-    def test_gives_up_after_max_attempts_naming_page(self):
-        session = _StubSession([_StubResponse(status_code=500)] * 5)
+    def test_gives_up_after_max_attempts_naming_page(self, capsys):
         with pytest.raises(NetworkError) as err:
-            fetch_symbol_data("http://example.org/sparql", session=session)
-        assert "offset 0" in str(err.value)
+            _fetch([(500, {}, b"")] * 5)
+        assert str(err.value) == "page at offset 0 failed after 5 attempts: HTTP 500"
+        assert capsys.readouterr().err == "".join(f"page at offset 0, attempt {a}/5: HTTP 500\n" for a in range(1, 6))
 
-    def test_malformed_response(self):
-        session = _StubSession([_StubResponse(payload={"unexpected": True})])
-        with pytest.raises(MalformedResponseError):
-            fetch_symbol_data("http://example.org/sparql", session=session)
+    def test_unreachable_endpoint_fails_after_max_attempts(self, capsys):
+        with socket.socket() as sock:  # a loopback port that nothing listens on
+            sock.bind(("127.0.0.1", 0))
+            endpoint = f"http://127.0.0.1:{sock.getsockname()[1]}/sparql"
+        with pytest.raises(NetworkError, match=r"^page at offset 0 failed after 5 attempts: "):
+            fetch_symbol_data(endpoint)
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split(" failed: ")[0] for line in lines] == [f"page at offset 0, attempt {a}/5" for a in range(1, 6)]
+
+    @pytest.mark.parametrize(
+        "body",
+        [{"unexpected": True}, b"<html>busy</html>", b"", [], {"results": []}],
+        ids=["no-results", "html", "empty", "list", "no-bindings"],
+    )
+    def test_malformed_response(self, body):
+        with pytest.raises(MalformedResponseError, match=r"^page at offset 0: not a SPARQL JSON result \("):
+            _fetch([(200, {}, body)])
 
     @pytest.mark.parametrize("binding", [{"type": "uri"}, "http://dbpedia.org/resource/Zeus"])
     def test_binding_without_value_is_a_malformed_response(self, binding):
         row = {"s": binding, "o": {"type": "literal", "value": "x"}}
-        session = _StubSession([_StubResponse(payload=_page([row])), *[_StubResponse(payload=_page([]))] * 2])
-        with pytest.raises(MalformedResponseError, match="binding 's'"):
-            fetch_symbol_data("http://example.org/sparql", session=session)
+        with _local_endpoint(symbol_rows=[row], category_rows=[]) as endpoint:
+            with pytest.raises(MalformedResponseError, match="binding 's'"):
+                fetch_symbol_data(endpoint)
 
-    def test_connection_error_is_retried(self):
-        ok = _page([])
-        session = _StubSession([requests.ConnectionError("refused"), _StubResponse(payload=ok), _StubResponse(payload=ok)])
-        assert fetch_symbol_data("http://example.org/sparql", session=session) == []
-        assert len(session.requests) == 3
+    @pytest.mark.parametrize(
+        "fault", [DROP, (200, {"Content-Length": "1000"}, b'{"results"')], ids=["dropped-connection", "cut-body"]
+    )
+    def test_connection_error_is_retried(self, fault, capsys):
+        log = []
+        assert _fetch([fault], log) == []
+        assert len(log) == 3
+        assert capsys.readouterr().err.startswith("page at offset 0, attempt 1/5 failed: ")
+
+    @pytest.mark.parametrize("stall", [STALL, (200, {"Content-Length": "100"}, STALL)], ids=["headers", "body"])
+    def test_response_slower_than_the_timeout_is_retried(self, stall, monkeypatch, capsys):
+        monkeypatch.setattr("simkg.dbpedia.TIMEOUT", 0.2)
+        log = []
+        with _local_endpoint([stall], log) as endpoint:
+            assert len(fetch_symbol_data(endpoint)) == 3
+        assert _offsets(log) == ["0", "0", "2", "0", "1"]
+        assert capsys.readouterr().err == "page at offset 0, attempt 1/5 failed: timed out\n"
+
+    def test_gzip_encoded_pages_give_the_same_triples(self):
+        with _local_endpoint(gzip=True) as endpoint:
+            gzipped = fetch_symbol_data(endpoint, page_size=1)
+        with _local_endpoint() as endpoint:
+            assert gzipped == fetch_symbol_data(endpoint, page_size=1)
+        assert len(gzipped) == 3
+
+    @pytest.mark.parametrize(
+        "body",
+        [gzip.compress(b'{"results": {}}')[:-4], gzip.compress(b"{}")[:10] + b"garbage!!!", b'{"results": {}}'],
+        ids=["truncated", "corrupt", "not-gzip"],
+    )
+    def test_bad_gzip_body_is_a_malformed_response(self, body):
+        with pytest.raises(MalformedResponseError, match="not a SPARQL JSON result"):
+            _fetch([(200, {"Content-Encoding": "gzip"}, body)])
+
+    def test_every_response_is_closed(self, monkeypatch):
+        answers = []  # each response urlopen returned, and each HTTPError it raised
+        urlopen = urllib.request.urlopen
+
+        def recording_urlopen(*args, **kwargs):
+            try:
+                answers.append(urlopen(*args, **kwargs))
+            except urllib.error.HTTPError as err:
+                answers.append(err)
+                raise
+            return answers[-1]
+
+        monkeypatch.setattr(urllib.request, "urlopen", recording_urlopen)
+        assert _fetch([(503, {}, b"")]) == []
+        with pytest.raises(NetworkError):
+            _fetch([(404, {}, b"")])
+        assert [a.status for a in answers] == [503, 200, 200, 404]
+        assert all((a.fp if isinstance(a, urllib.error.HTTPError) else a).closed for a in answers)
+
+    @pytest.mark.parametrize("suffix", ["?default-graph-uri=http%3A%2F%2Fdbpedia.org", "#fragment"])
+    def test_endpoint_query_string_is_kept(self, suffix):
+        log = []
+        with _local_endpoint(log=log) as endpoint:
+            assert len(fetch_symbol_data(endpoint + suffix)) == 3
+        own = parse_qs(urlsplit(suffix.split("#")[0]).query)
+        assert all(parse_qs(urlsplit(path).query).items() >= own.items() for path in log)
+        assert len(_offsets(log)) == len(log) == 4
+
+    @pytest.mark.parametrize("endpoint", UNUSABLE_ENDPOINTS.values(), ids=UNUSABLE_ENDPOINTS.keys())
+    def test_unusable_endpoint_is_refused_at_once(self, endpoint, monkeypatch, capsys):
+        monkeypatch.setattr(time, "sleep", lambda s: pytest.fail("an unusable endpoint was retried"))
+        with pytest.raises(ValueError) as err:
+            fetch_symbol_data(endpoint)
+        message = f"endpoint must be an http or https URL with a host, in visible ASCII, got {endpoint!r}"
+        assert str(err.value) == message
+        # refused before the graph is read: reading the missing graph would exit 3
+        assert main(["ingest-dbpedia", "--endpoint", endpoint, "--graph", "missing.ttl"]) == 1
+        assert capsys.readouterr() == ("", f"usage error: --{message}\n")
 
     @pytest.mark.parametrize("page_size", [0, -1])
     def test_page_size_below_one_is_rejected(self, page_size):
-        session = _CountingSession()
-        with pytest.raises(ValueError, match="page_size"):
-            fetch_symbol_data("http://example.org/sparql", page_size=page_size, session=session)
-        assert session.calls == 0
+        log = []
+        with _local_endpoint(log=log) as endpoint:
+            with pytest.raises(ValueError, match="page_size"):
+                fetch_symbol_data(endpoint, page_size=page_size)
+        assert log == []
 
     @pytest.mark.parametrize("page_size", ["0", "-3"])
-    def test_page_size_below_one_is_a_usage_error(self, page_size, monkeypatch, capsys):
-        session = _CountingSession()
-        monkeypatch.setattr(requests, "Session", lambda: session)
-        code = main(["ingest-dbpedia", "--endpoint", "http://example.org/sparql", "--page-size", page_size])
+    def test_page_size_below_one_is_a_usage_error(self, page_size, capsys):
+        log = []
+        with _local_endpoint(log=log) as endpoint:
+            code = main(["ingest-dbpedia", "--endpoint", endpoint, "--page-size", page_size])
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("usage error: ") and len(err.splitlines()) == 1
-        assert session.calls == 0
+        assert log == []
 
     def test_page_size_one_pages_until_a_short_page(self):
-        session = _CountingSession()
-        assert fetch_symbol_data("http://example.org/sparql", page_size=1, session=session) == []
-        assert session.calls == 2  # one empty page per query
+        log = []
+        assert _fetch(log=log, page_size=1) == []
+        assert len(log) == 2  # one empty page per query
 
     @pytest.mark.parametrize("var", ["s", "o", "type"])
     def test_bad_endpoint_iri_is_a_malformed_response(self, var):
@@ -471,16 +615,14 @@ class TestFetch:
             "type": {"type": "uri", "value": "http://dbpedia.org/ontology/Deity"},
         }
         row[var] = {"type": "uri", "value": "http://dbpedia.org/resource/a>b"}
-        session = _StubSession([_StubResponse(payload=_page([row])), *[_StubResponse(payload=_page([]))] * 2])
-        with pytest.raises(MalformedResponseError, match="a>b"):
-            fetch_symbol_data("http://example.org/sparql", session=session)
+        with _local_endpoint(symbol_rows=[row], category_rows=[]) as endpoint:
+            with pytest.raises(MalformedResponseError, match="a>b"):
+                fetch_symbol_data(endpoint)
 
-    def test_bad_endpoint_iri_exits_3_with_one_line(self, monkeypatch, tmp_path, capsys):
+    def test_bad_endpoint_iri_exits_3_with_one_line(self, tmp_path, capsys):
         row = {"s": {"type": "uri", "value": "http://dbpedia.org/resource/a b"}, "o": {"type": "literal", "value": "x"}}
-        session = _StubSession([_StubResponse(payload=_page([row])), *[_StubResponse(payload=_page([]))] * 2])
-        session.close = lambda: None
-        monkeypatch.setattr(requests, "Session", lambda: session)
-        code = main(["ingest-dbpedia", "--endpoint", "http://example.org/sparql", "--out", str(tmp_path / "out.ttl")])
+        with _local_endpoint(symbol_rows=[row], category_rows=[]) as endpoint:
+            code = main(["ingest-dbpedia", "--endpoint", endpoint, "--out", str(tmp_path / "out.ttl")])
         err = capsys.readouterr().err
         assert code == 3
         assert err == (
@@ -489,21 +631,26 @@ class TestFetch:
         )
         assert not (tmp_path / "out.ttl").exists()
 
-    def test_endpoint_refusal_exits_3_with_one_line(self, monkeypatch, capsys):
-        session = _StubSession([_StubResponse(status_code=404)])
-        session.close = lambda: None
-        monkeypatch.setattr(requests, "Session", lambda: session)
-        assert main(["ingest-dbpedia", "--endpoint", "http://example.org/sparql"]) == 3
-        assert capsys.readouterr().err == "error: page at offset 0: HTTP 404 from http://example.org/sparql\n"
-
-
-def test_cli_import_leaves_out_the_http_stack():
-    env = {**os.environ, "PYTHONPATH": str(Path(simkg.__file__).parents[1])}
-    code = "import sys, simkg.cli; sys.exit('requests' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    def test_endpoint_refusal_exits_3_with_one_line(self, capsys):
+        with _local_endpoint([(404, {}, b"")]) as endpoint:
+            assert main(["ingest-dbpedia", "--endpoint", endpoint]) == 3
+        assert capsys.readouterr().err == f"error: page at offset 0: HTTP 404 from {endpoint}\n"
 
 
 _COMMAND_MODULES = {"simkg.analysis", "simkg.dbpedia", "simkg.dictionary", "simkg.wordnet", "simkg.query"}
+_HTTP_STACK = {"urllib.request", "http.client"}
+
+
+def _loaded_modules(argv):
+    """The modules ``python -X importtime *argv`` loads, with simkg on the path."""
+    env = {**os.environ, "PYTHONPATH": str(Path(simkg.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-X", "importtime", *argv], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines() if line.startswith("import time:")}
+
+
+def test_cli_import_leaves_out_the_http_stack():
+    assert _loaded_modules(["-c", "import simkg.cli"]).isdisjoint(_HTTP_STACK)
 
 
 @pytest.mark.parametrize(
@@ -514,18 +661,25 @@ _COMMAND_MODULES = {"simkg.analysis", "simkg.dbpedia", "simkg.dictionary", "simk
         (["-m", "simkg", "ingest-dict", str(FIXTURES / "hook.dict"), "--source-label", "olderr"], {"simkg.dictionary"}),
         (["-m", "simkg", "ingest-wordnet", str(FIXTURES / "penelope.tsv")], {"simkg.wordnet"}),
         (["-m", "simkg", "ingest-dbpedia", "--triples", str(FIXTURES / "eagle.nt")], {"simkg.dbpedia"}),
+        (["-m", "simkg", "ingest-dbpedia", "--endpoint", "ENDPOINT"], {"simkg.dbpedia"}),
     ],
-    ids=["import", "validate", "ingest-dict", "ingest-wordnet", "ingest-dbpedia"],
+    ids=["import", "validate", "ingest-dict", "ingest-wordnet", "ingest-dbpedia", "ingest-dbpedia-endpoint"],
 )
 def test_cli_start_up_leaves_out_the_modules_it_does_not_run(argv, runs):
-    env = {**os.environ, "PYTHONPATH": str(Path(simkg.__file__).parents[1])}
-    result = subprocess.run([sys.executable, "-X", "importtime", *argv], env=env, capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
-    loaded = {line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines() if line.startswith("import time:")}
+    endpoint = _local_endpoint() if "ENDPOINT" in argv else contextlib.nullcontext()
+    with endpoint as url:
+        loaded = _loaded_modules([url if a == "ENDPOINT" else a for a in argv])
     assert "simkg.cli" in loaded
     assert loaded.isdisjoint(_COMMAND_MODULES - runs)
+    # simkg needs only the standard library; what the interpreter loads
+    # before simkg starts (site's .pth files, an editable install's finder)
+    # is left out of the count
+    outside = {name.partition(".")[0] for name in loaded - _loaded_modules(["-c", "pass"])}
+    assert outside - {"simkg"} <= set(sys.stdlib_module_names)
+    # only the endpoint path loads the HTTP stack
+    assert loaded & _HTTP_STACK == (_HTTP_STACK if "--endpoint" in argv else set())
     # records are tuples: no command pays for the dataclass machinery
-    assert loaded.isdisjoint({"dataclasses", "inspect", "requests"})
+    assert loaded.isdisjoint({"dataclasses", "inspect"})
     # warnings are plain stderr lines
     assert loaded.isdisjoint({"logging", "traceback"})
 
@@ -549,59 +703,9 @@ def test_dir_lists_the_public_names():
     assert "Graph" in dir(simkg)
 
 
-class _SparqlHandler(BaseHTTPRequestHandler):
-    """Miniature SPARQL endpoint: serves fixture rows with LIMIT/OFFSET
-    pagination, fails its first ``failures`` requests with a 500 to exercise
-    retry, and answers at most ``row_cap`` rows a request when that is set,
-    as a Virtuoso server capped by its ResultSetMaxRows setting does."""
-
-    failures = {"remaining": 0}
-    row_cap = None
-    symbol_rows = _load_fixture("symbol_page.json")["results"]["bindings"]
-    category_rows = _load_fixture("category_page.json")["results"]["bindings"]
-
-    def do_GET(self):
-        if self.failures["remaining"] > 0:
-            self.failures["remaining"] -= 1
-            self.send_response(500)
-            self.end_headers()
-            return
-        query = parse_qs(urlparse(self.path).query)["query"][0]
-        rows = self.symbol_rows if "symbol>" in query else self.category_rows
-        limit = int(re.search(r"LIMIT (\d+)", query).group(1))
-        if self.row_cap is not None:
-            limit = min(limit, self.row_cap)
-        offset = int(re.search(r"OFFSET (\d+)", query).group(1))
-        body = json.dumps({"results": {"bindings": rows[offset : offset + limit]}}).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/sparql-results+json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *args):
-        pass
-
-
-@contextlib.contextmanager
-def _local_endpoint(failures=0, row_cap=None, **rows):
-    """The URL of a :class:`_SparqlHandler` served on a loopback port;
-    ``symbol_rows`` and ``category_rows`` replace the fixture rows."""
-    handler = type("Handler", (_SparqlHandler,), {"failures": {"remaining": failures}, "row_cap": row_cap, **rows})
-    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    # a short poll, as shutdown() waits out one: the default 0.5 s would dominate each test
-    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
-    thread.start()
-    try:
-        yield f"http://127.0.0.1:{server.server_port}/sparql"
-    finally:
-        server.shutdown()
-        thread.join()
-        server.server_close()
-
 
 def test_fetch_against_local_http_endpoint():
-    with _local_endpoint(failures=1) as endpoint:
+    with _local_endpoint([(500, {}, b"")]) as endpoint:
         triples = fetch_symbol_data(endpoint, page_size=1)
     assert len(triples) == 3
 
