@@ -94,6 +94,17 @@ def _source(label: str):
         raise _UsageError(f"source label: {err}") from None
 
 
+def _path(option: str):
+    """The ``type=`` of a path option: an empty value names no file."""
+
+    def path(value: str) -> str:
+        if not value:
+            raise _UsageError(f"{option} must name a file, got ''")
+        return value
+
+    return path
+
+
 def _read(reader, path, syntax_error: type[Exception] = TurtleSyntaxError):
     """``reader(path)``, with the file named in a syntax or encoding error;
     ``syntax_error`` is the one ``reader`` raises."""
@@ -110,9 +121,9 @@ def _read_text(path) -> str:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="simkg", description="Cultural-symbolism knowledge graph toolkit")
     graph = argparse.ArgumentParser(add_help=False)
-    graph.add_argument("--graph", metavar="FILE", help="load this Turtle graph before running")
+    graph.add_argument("--graph", type=_path("--graph"), metavar="FILE", help="load this Turtle graph before running")
     out = argparse.ArgumentParser(add_help=False)
-    out.add_argument("--out", metavar="FILE", help="write the command's output here")
+    out.add_argument("--out", type=_path("--out"), metavar="FILE", help="write the command's output here")
     report = argparse.ArgumentParser(add_help=False)
     report.add_argument("--format", choices=("text", "csv"), default="text", help="report format")
     common = [graph, out]
@@ -126,15 +137,15 @@ def _build_parser() -> _Parser:
         epilog=DICT_GRAMMAR_HELP,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    p.add_argument("files", nargs="+", metavar="FILE")
+    p.add_argument("files", nargs="+", type=_path("FILE"), metavar="FILE")
     p.add_argument("--source-label", help="source entity label (default: the file stem)")
-    p.add_argument("--phrase-table", metavar="JSON", help="overlay for the relation-phrase table")
+    p.add_argument("--phrase-table", type=_path("--phrase-table"), metavar="JSON", help="overlay for the relation-phrase table")
     p.set_defaults(func=_cmd_ingest_dict)
 
     p = sub.add_parser("ingest-dbpedia", parents=common, help="convert symbol triples from DBpedia")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--endpoint", metavar="URL", help="live SPARQL endpoint")
-    group.add_argument("--triples", metavar="FILE", help="offline triple file")
+    group.add_argument("--triples", type=_path("--triples"), metavar="FILE", help="offline triple file")
     p.add_argument("--page-size", type=int, default=10000)
     p.add_argument("--source-label", default="DBpedia")
     p.add_argument(
@@ -147,7 +158,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_ingest_dbpedia)
 
     p = sub.add_parser("ingest-wordnet", parents=common, help="convert synset records (TSV)")
-    p.add_argument("files", nargs="+", metavar="FILE")
+    p.add_argument("files", nargs="+", type=_path("FILE"), metavar="FILE")
     p.add_argument("--source-label", default="Wordnet")
     p.set_defaults(func=_cmd_ingest_wordnet)
 
@@ -169,12 +180,12 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("casestudy", parents=common, help="colour distribution across shared meanings")
     p.add_argument("--target", required=True, metavar="IRI")
     p.add_argument("--colors", nargs="+")  # default: the lexicon, read when the command runs
-    p.add_argument("--svg", metavar="FILE", help="also write a stacked-bar SVG")
+    p.add_argument("--svg", type=_path("--svg"), metavar="FILE", help="also write a stacked-bar SVG")
     p.set_defaults(func=_cmd_casestudy)
 
     p = sub.add_parser("eval", parents=[out, report], help="score a converted graph against gold annotations")
-    p.add_argument("--gold", required=True, metavar="TSV")
-    p.add_argument("--converted", required=True, metavar="TTL")
+    p.add_argument("--gold", required=True, type=_path("--gold"), metavar="TSV")
+    p.add_argument("--converted", required=True, type=_path("--converted"), metavar="TTL")
     p.set_defaults(func=_cmd_eval)
 
     return parser
@@ -224,13 +235,13 @@ def _run(argv: Optional[list[str]]) -> int:
 
 
 def _load(args) -> Graph:
-    if args.graph:
+    if args.graph is not None:
         return _read(load_graph, args.graph)
     return Graph()
 
 
 def _write_output(args, text: str) -> None:
-    if args.out:
+    if args.out is not None:
         write_atomic(args.out, text)
     else:
         sys.stdout.write(text)
@@ -284,12 +295,12 @@ def _insert_all(g: Graph, conv: Conversion, where: str) -> int:
 
 
 def _save_graph_output(g: Graph, args) -> None:
-    if args.out:
+    if args.out is not None:
         save_graph(g, args.out, force=True)
 
 
 def _load_phrase_table(path: Optional[str]):
-    if not path:
+    if path is None:
         return None
     import json
 
@@ -453,7 +464,7 @@ def _cmd_casestudy(args) -> int:
     dist = color_distribution(g, target, colors=colors)
     rows = [[row.meaning.label, *(row.count(c) for c in dist.colors)] for row in dist.rows]
     _write_output(args, _csv(["meaning", *dist.colors], rows))
-    if args.svg:
+    if args.svg is not None:
         write_atomic(args.svg, distribution_svg(dist))
     return EXIT_OK
 

@@ -8,8 +8,12 @@ subjects sorted by IRI, predicates in a fixed schema order, objects sorted.
 
 Export only renders the statement blocks of ``Graph.blocks``, which
 ``graph.statement_block`` defines and puts in that order.  Import splits
-the document into plain string tokens with one regex pass and types each
-token by its text; a token's position in the document is worked out only
+the document into plain string tokens and types each token by its text.
+``_TOKEN_RE`` is the one definition of a token: the document is cut into
+tokens with string methods, each word the cut makes is checked against
+``_TOKEN_RE`` where the parser first reads it, and a document with a word
+the regex reads otherwise, or with a syntax error, is read again from the
+regex's own tokens.  A token's position in the document is worked out only
 for an error message.
 """
 
@@ -21,7 +25,7 @@ import stat
 import sys
 from functools import cache
 from itertools import chain, islice, repeat
-from typing import Union
+from typing import Optional, Union
 
 from .graph import (
     KIND_BY_CLASS,
@@ -83,15 +87,16 @@ def export_turtle(g: Graph, force: bool = False) -> str:
 
 
 _SAFE_LOCAL = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_\-]*\Z")
+_PREFIX_OF = {ns: name for name, ns in PREFIXES}  # every namespace ends in '/' or '#'
 
 
 def compact_iri(iri: Iri) -> str:
     """Prefixed rendering when the IRI sits in a declared namespace."""
-    for name, ns in PREFIXES:
-        if iri.startswith(ns):
-            local = iri[len(ns):]
-            if _SAFE_LOCAL.match(local):
-                return f"{name}:{local}"
+    # a safe local name holds neither '/' nor '#', so its namespace is the IRI up to the last of them
+    cut = max(iri.rfind("/"), iri.rfind("#")) + 1
+    name = _PREFIX_OF.get(iri[:cut])
+    if name and _SAFE_LOCAL.match(iri, cut):
+        return f"{name}:{iri[cut:]}"
     return f"<{iri}>"
 
 
@@ -130,6 +135,63 @@ _TOKEN_RE = re.compile(
 )
 
 
+def _cut_tokens(text: str, pos: int) -> Optional[list[str]]:
+    """``_TOKEN_RE.findall(text, pos)`` cut with string methods, or a list
+    with a word that ``_TOKEN_RE`` reads otherwise, or ``None`` where a
+    string or IRI has no end.
+
+    Strings, IRIs and comments are the only tokens that can hold whitespace,
+    ``,``, ``;`` or ``#``, so they are cut out first, in document order.
+    Every other stretch of text splits at whitespace, with ``,`` and ``;``
+    tokens of their own.  A word is one token only where ``_TOKEN_RE``
+    matches all of it; ``_read_statements`` checks each where it first
+    reads it.  A string holds no newline and ends at the first ``"`` unless
+    it holds a backslash, when ``_TOKEN_RE`` finds its end.
+    """
+    n = len(text)
+    find = text.find
+
+    def next_at(char: str, start: int) -> int:
+        at = find(char, start)
+        return n if at < 0 else at
+
+    quote, iri, comment = next_at('"', pos), next_at("<", pos), next_at("#", pos)
+    tokens: list[str] = []
+    while True:
+        cut = min(quote, iri, comment)
+        tokens += text[pos:cut].replace(",", " , ").replace(";", " ; ").split()
+        if cut == n:
+            tokens.append("")
+            return tokens
+        if cut == comment:
+            pos = next_at("\n", cut)
+        elif cut == iri:
+            pos = find(">", cut) + 1
+            if not pos:
+                return None
+            tokens.append(text[cut:pos])
+        else:
+            pos = find('"', cut + 1) + 1
+            tok = text[cut:pos]
+            if not pos or "\\" in tok or "\n" in tok:
+                tok = _TOKEN_RE.match(text, cut)[1]
+                if not tok:  # a stray '"'
+                    return None
+                pos = cut + len(tok)
+            tokens.append(tok)
+        # the cut token may hold the next of the other characters
+        if quote < pos:
+            quote = next_at('"', pos)
+        if iri < pos:
+            iri = next_at("<", pos)
+        if comment < pos:
+            comment = next_at("#", pos)
+
+
+class _Miscut(Exception):
+    """A word of ``_cut_tokens`` is not one token as ``_TOKEN_RE`` reads it."""
+
+
 def _syntax_error(text: str, offset: int, message: str) -> TurtleSyntaxError:
     line = text.count("\n", 0, offset) + 1
     return TurtleSyntaxError(message, line, offset - text.rfind("\n", 0, offset))
@@ -166,13 +228,32 @@ Statements = dict[Iri, dict[Iri, list[Union[Iri, Literal]]]]
 def _parse_statements(text: str) -> Statements:
     """subject -> predicate -> objects, each list in document order.
 
+    The tokens come from ``_cut_tokens``.  Where the cut has no end, a word
+    is not one token or the document has a syntax error, the document is
+    read again from ``_TOKEN_RE.findall``, so every error and its position
+    come from the regex's tokens.
+    """
+    start = _SKIP_RE.match(text).end()
+    tokens = _cut_tokens(text, start)
+    if tokens is not None:
+        try:
+            return _read_statements(text, start, tokens)
+        except (_Miscut, TurtleSyntaxError):
+            pass
+    return _read_statements(text, start, _TOKEN_RE.findall(text, start))
+
+
+def _read_statements(text: str, start: int, tokens: list[str]) -> Statements:
+    """The statements of ``tokens``, the tokens of ``text`` from ``start`` on.
+
     Tokens are plain strings, typed by their text: ``<`` starts an IRI,
     ``"`` a string, ``@prefix`` is the directive and any other ``@`` a
     language tag, ``.``/``;``/``,`` are punctuation, ``a`` is the keyword,
     the empty string is the end, and anything else is a prefixed name.
+    A token read as a name, an IRI or a language tag must be one token as
+    ``_TOKEN_RE`` reads it, or ``_Miscut`` is raised; each name is checked
+    once, where it is first resolved.
     """
-    start = _SKIP_RE.match(text).end()
-    tokens = _TOKEN_RE.findall(text, start)
     prefixes: dict[str, str] = {}
     statements: Statements = {}
     resolved: dict[str, Iri] = {}  # token -> IRI; names repeat heavily
@@ -195,6 +276,8 @@ def _parse_statements(text: str) -> Statements:
         tok = tokens[i]
         if not tok:
             raise fail(i, f"unexpected end of document, expected {expected}")
+        if _TOKEN_RE.match(tok)[1] != tok:
+            raise _Miscut(tok)
         return tok
 
     def resolve(i: int, expected: str) -> Iri:
@@ -252,6 +335,7 @@ def _parse_statements(text: str) -> Statements:
                             raise fail(i, str(err)) from None
                     lang = tokens[i + 1]
                     if lang[:1] == "@" and lang != "@prefix":
+                        lang = take(i + 1, "a language tag")
                         objects.append(Literal(body, lang[1:]))
                         i += 1
                     else:

@@ -712,6 +712,30 @@ class TestUsage:
         assert capsys.readouterr() == ("", f"usage error: {message}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["ingest-dict", "hook.dict", "--out", ""], "--out"),
+            (["stats", "--graph", ""], "--graph"),
+            (["eval", "--gold", "", "--converted", "toy.ttl"], "--gold"),
+            (["eval", "--gold", "gold.tsv", "--converted", ""], "--converted"),
+            (["ingest-dbpedia", "--triples", ""], "--triples"),
+            (["ingest-dict", ""], "FILE"),
+            (["ingest-wordnet", "penelope.tsv", ""], "FILE"),
+            (["ingest-dict", "hook.dict", "--phrase-table", ""], "--phrase-table"),
+            (["casestudy", "--graph", "toy.ttl", "--target", "kb:olive", "--svg", ""], "--svg"),
+        ],
+        ids=["out", "graph", "gold", "converted", "triples", "dict-file", "wordnet-file", "phrase-table", "svg"],
+    )
+    def test_empty_path_is_usage_error(self, argv, option, toy_file, tmp_path, capsys):
+        # an empty path names no file, so it is refused before any input is read
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("Simulation\thttps://w3id.org/simulation/data/owl-death\n", encoding="utf-8")
+        files = {"hook.dict": FIXTURES / "hook.dict", "penelope.tsv": FIXTURES / "penelope.tsv",
+                 "toy.ttl": toy_file, "gold.tsv": gold}
+        assert main([str(files.get(a, a)) for a in argv]) == 1
+        assert capsys.readouterr() == ("", f"usage error: {option} must name a file, got ''\n")
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "COMMAND" in capsys.readouterr().out

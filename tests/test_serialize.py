@@ -1,10 +1,12 @@
 import hashlib
 import os
 import random
+import re
 import stat
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES
@@ -38,9 +40,12 @@ from simkg.graph import (
 )
 from simkg.serialize import (
     PREFIXES,
+    _cut_tokens,
     _parse_statements,
+    _read_statements,
     _render_literal,
     _render_term,
+    _SKIP_RE,
     _TOKEN_RE,
     compact_iri,
     graph_triples,
@@ -335,6 +340,20 @@ def test_round_trip_of_any_accepted_iri(text):
     assert import_turtle(export_turtle(g)) == g
 
 
+def _compact_by_prefix_scan(iri: str) -> str:
+    """The first declared namespace that ``iri`` starts with and that leaves a safe local name."""
+    for name, ns in PREFIXES:
+        if iri.startswith(ns) and re.fullmatch(r"[A-Za-z0-9_][A-Za-z0-9_\-]*", iri[len(ns):]):
+            return f"{name}:{iri[len(ns):]}"
+    return f"<{iri}>"
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(["", *(ns for _, ns in PREFIXES), "http://e.org/"]), st.text(_IRI_CHARS, max_size=12))
+def test_compact_iri_is_the_prefix_scan(ns, local):
+    assert compact_iri(ns + local) == _compact_by_prefix_scan(ns + local)
+
+
 def test_empty_iri_is_a_syntax_error():
     with pytest.raises(TurtleSyntaxError) as err:
         import_turtle("<> <http://example.org/p> <http://example.org/o> .\n")
@@ -544,9 +563,94 @@ _EDITS = st.tuples(st.sampled_from(("delete", "duplicate", "swap")), _TOKEN_INDE
 
 def test_fuzz_tokens_are_the_tokens_of_hook_ttl():
     # hook.ttl has 207 tokens; the digest pins them, so a tokenizer change cannot shift them unnoticed
-    digest = hashlib.sha256("\n".join(_FUZZ_TOKENS).encode("utf-8")).hexdigest()
-    assert (len(_FUZZ_TOKENS), digest) == (207, "9bb75fc99e35900649f7f82a9bedbe02d4cebeb2c29f1f8038b210ca100188f9")
-    assert _FUZZ_TOKENS[:4] == ["@prefix", "rdf:", "<http://www.w3.org/1999/02/22-rdf-syntax-ns#>", "."]
+    text = (FIXTURES / "golden" / "hook.ttl").read_text(encoding="utf-8")
+    for tokens in (_FUZZ_TOKENS, _cut_tokens(text, _SKIP_RE.match(text).end())[:-1]):
+        digest = hashlib.sha256("\n".join(tokens).encode("utf-8")).hexdigest()
+        assert (len(tokens), digest) == (207, "9bb75fc99e35900649f7f82a9bedbe02d4cebeb2c29f1f8038b210ca100188f9")
+        assert tokens[:4] == ["@prefix", "rdf:", "<http://www.w3.org/1999/02/22-rdf-syntax-ns#>", "."]
+
+
+_KB_PREFIX = "@prefix kb: <https://w3id.org/simulation/data/> .\n"
+
+
+def _regex_tokens(text: str) -> list[str]:
+    return _TOKEN_RE.findall(text, _SKIP_RE.match(text).end())
+
+
+def _outcome(read, text: str):
+    """What reading ``text`` gives: the statements, or the syntax error's message."""
+    try:
+        return read(text)
+    except TurtleSyntaxError as err:
+        return str(err), err.line, err.col
+
+
+@pytest.mark.parametrize("name", ["eagle", "hook", "penelope"])
+def test_cut_tokens_of_the_golden_files(name):
+    text = (FIXTURES / "golden" / f"{name}.ttl").read_text(encoding="utf-8")
+    assert _cut_tokens(text, _SKIP_RE.match(text).end()) == _regex_tokens(text)
+
+
+def test_str_split_whitespace_is_the_regex_whitespace():
+    # the cut splits words with str.split(), where _TOKEN_RE skips \s: one set of characters
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert "".join(every.split()) == re.sub(r"\s", "", every)
+
+
+def _mostly(usual, odd):
+    """One of ``usual`` four times in five, else one of ``odd``."""
+    return st.one_of(*[st.sampled_from(usual)] * 4, st.sampled_from(odd))
+
+
+_CUT_PREFIXES = _mostly(
+    ("@prefix kb: <https://w3id.org/simulation/data/> .", "@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> ."),
+    ("@prefixx kb: <http://e.org/> .", "@prefix kb:<http://e.org/#> .", "@prefix kb: <http://e.org/#>."),
+)
+_NAMES = ("kb:a", "kb:b-c", "kb:d.e", "kb:", "<http://e.org/x#y>", "<http://e.org/a,b;c>")
+# edges: a word the regex reads as another token or as none, a string or an IRI with no end
+_ODD_NAMES = ("kb:a.", "aa", "kb:a:b", "<a b>", "<", "<x", "!", "a<http://e.org/>", "kb:a#c", 'kb:a"s"')
+_CUT_NAMES = _mostly(_NAMES, _ODD_NAMES)
+_CUT_VERBS = _mostly(("a", "kb:p", "rdfs:label"), ("@prefix", "a,", "kb:p;"))
+_CUT_OBJECTS = _mostly(
+    (*_NAMES, '"x"', '"a b, c; d # e <f>"', '"q\\"q"', '"\\u00e9"', '"x"@en', '"x"@en-GB'),
+    (*_ODD_NAMES, '"x"@en.', '"x"@en-', '"open', '"x\\"', '"x\nline"', '"x"@prefixx'),
+)
+_CUT_ENDS = _mostly((".", ";", ","), (";.", "", "."))
+_CUT_GAPS = _mostly(
+    (" ", "\n", "\t", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2003", "\u3000", " #c\n",
+     " # c, d; \"e\" <f>\n"),
+    ("", "#c\n", ",", ";"),
+)
+
+
+@st.composite
+def _cut_documents(draw):
+    """Documents of statements built from token fragments, glued by any gap."""
+    words = draw(st.lists(_CUT_PREFIXES, min_size=1, max_size=2))
+    for _ in range(draw(st.integers(0, 4))):
+        words.append(draw(_CUT_NAMES))
+        for _ in range(draw(st.integers(1, 2))):
+            words.append(draw(_CUT_VERBS))
+            words += draw(st.lists(_CUT_OBJECTS, min_size=1, max_size=2))
+            words.append(draw(_CUT_ENDS))
+    gaps = draw(st.lists(_CUT_GAPS, min_size=len(words), max_size=len(words)))
+    return "".join(word + gap for word, gap in zip(words, gaps))
+
+
+@given(_cut_documents())
+@example(_KB_PREFIX + 'kb:a kb:p "x\\" .\n')  # an escaped '"' does not end a string
+@example(_KB_PREFIX + 'kb:a kb:p "x\nline" .\n')  # a string holds no newline
+@example(_KB_PREFIX + 'kb:a kb:p "x"@en. , "y" .\n')  # the tag is '@en', then '.' ends the statement
+@example(_KB_PREFIX + "kb:a#c\nkb:p kb:b .\n")
+@settings(max_examples=400)
+def test_cut_tokens_are_the_regex_tokens_or_defer(doc):
+    # the cut gives _TOKEN_RE's tokens, or a word that _TOKEN_RE reads as
+    # another token or none, or None; the parser then reads the regex tokens
+    cut, tokens = _cut_tokens(doc, _SKIP_RE.match(doc).end()), _regex_tokens(doc)
+    if cut is not None and all(_TOKEN_RE.match(word)[1] == word for word in cut):
+        assert cut == tokens
+    reference = _outcome(lambda text: _read_statements(text, _SKIP_RE.match(text).end(), tokens), doc)
+    assert _outcome(_parse_statements, doc) == reference
 
 
 @given(st.lists(_EDITS, min_size=1, max_size=4))
@@ -567,9 +671,6 @@ def test_importer_on_edited_token_sequences(edits):
         assert isinstance(import_turtle(" ".join(tokens)), Graph)
     except TurtleSyntaxError:
         pass
-
-
-_KB_PREFIX = "@prefix kb: <https://w3id.org/simulation/data/> .\n"
 
 
 @pytest.mark.parametrize(
