@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import gc
 import io
 import sys
 from functools import cache
@@ -24,6 +23,7 @@ from .serialize import (
     PREFIXES,
     GraphViolationsError,
     TurtleSyntaxError,
+    collector_paused,
     compact_iri,
     export_turtle,
     load_graph,
@@ -94,15 +94,16 @@ def _source(label: str):
         raise _UsageError(f"source label: {err}") from None
 
 
-def _path(option: str):
-    """The ``type=`` of a path option: an empty value names no file."""
+def _named(option: str, what: str = "a file"):
+    """The ``type=`` of an option whose value names ``what``, by default a
+    file: an empty value names nothing."""
 
-    def path(value: str) -> str:
+    def named(value: str) -> str:
         if not value:
-            raise _UsageError(f"{option} must name a file, got ''")
+            raise _UsageError(f"{option} must name {what}, got ''")
         return value
 
-    return path
+    return named
 
 
 def _read(reader, path, syntax_error: type[Exception] = TurtleSyntaxError):
@@ -121,9 +122,9 @@ def _read_text(path) -> str:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="simkg", description="Cultural-symbolism knowledge graph toolkit")
     graph = argparse.ArgumentParser(add_help=False)
-    graph.add_argument("--graph", type=_path("--graph"), metavar="FILE", help="load this Turtle graph before running")
+    graph.add_argument("--graph", type=_named("--graph"), metavar="FILE", help="load this Turtle graph before running")
     out = argparse.ArgumentParser(add_help=False)
-    out.add_argument("--out", type=_path("--out"), metavar="FILE", help="write the command's output here")
+    out.add_argument("--out", type=_named("--out"), metavar="FILE", help="write the command's output here")
     report = argparse.ArgumentParser(add_help=False)
     report.add_argument("--format", choices=("text", "csv"), default="text", help="report format")
     common = [graph, out]
@@ -137,19 +138,20 @@ def _build_parser() -> _Parser:
         epilog=DICT_GRAMMAR_HELP,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    p.add_argument("files", nargs="+", type=_path("FILE"), metavar="FILE")
+    p.add_argument("files", nargs="+", type=_named("FILE"), metavar="FILE")
     p.add_argument("--source-label", help="source entity label (default: the file stem)")
-    p.add_argument("--phrase-table", type=_path("--phrase-table"), metavar="JSON", help="overlay for the relation-phrase table")
+    p.add_argument("--phrase-table", type=_named("--phrase-table"), metavar="JSON", help="overlay for the relation-phrase table")
     p.set_defaults(func=_cmd_ingest_dict)
 
     p = sub.add_parser("ingest-dbpedia", parents=common, help="convert symbol triples from DBpedia")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--endpoint", metavar="URL", help="live SPARQL endpoint")
-    group.add_argument("--triples", type=_path("--triples"), metavar="FILE", help="offline triple file")
+    group.add_argument("--triples", type=_named("--triples"), metavar="FILE", help="offline triple file")
     p.add_argument("--page-size", type=int, default=10000)
     p.add_argument("--source-label", default="DBpedia")
     p.add_argument(
         "--exclude-type",
+        type=_named("--exclude-type", "a class"),
         action="append",
         default=[],
         metavar="TYPE",
@@ -158,7 +160,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_ingest_dbpedia)
 
     p = sub.add_parser("ingest-wordnet", parents=common, help="convert synset records (TSV)")
-    p.add_argument("files", nargs="+", type=_path("FILE"), metavar="FILE")
+    p.add_argument("files", nargs="+", type=_named("FILE"), metavar="FILE")
     p.add_argument("--source-label", default="Wordnet")
     p.set_defaults(func=_cmd_ingest_wordnet)
 
@@ -180,35 +182,25 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("casestudy", parents=common, help="colour distribution across shared meanings")
     p.add_argument("--target", required=True, metavar="IRI")
     p.add_argument("--colors", nargs="+")  # default: the lexicon, read when the command runs
-    p.add_argument("--svg", type=_path("--svg"), metavar="FILE", help="also write a stacked-bar SVG")
+    p.add_argument("--svg", type=_named("--svg"), metavar="FILE", help="also write a stacked-bar SVG")
     p.set_defaults(func=_cmd_casestudy)
 
     p = sub.add_parser("eval", parents=[out, report], help="score a converted graph against gold annotations")
-    p.add_argument("--gold", required=True, type=_path("--gold"), metavar="TSV")
-    p.add_argument("--converted", required=True, type=_path("--converted"), metavar="TTL")
+    p.add_argument("--gold", required=True, type=_named("--gold"), metavar="TSV")
+    p.add_argument("--converted", required=True, type=_named("--converted"), metavar="TTL")
     p.set_defaults(func=_cmd_eval)
 
     return parser
 
 
+@collector_paused()
 def main(argv: Optional[list[str]] = None) -> int:
     """Run one command and return its exit code.
 
-    The command runs with the cyclic garbage collector paused: graph work
-    makes no reference cycles, so its collections would only walk the
-    growing graph again and again and find nothing.  The caller gets its
-    own collector state back however the command ends.
+    The command runs with the cyclic garbage collector paused, and the
+    caller gets its own collector state back however the command ends:
+    see ``serialize.collector_paused``, which ``import_turtle`` uses too.
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _run(argv)
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _run(argv: Optional[list[str]]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -12,17 +12,20 @@ the document into plain string tokens and types each token by its text.
 ``_TOKEN_RE`` is the one definition of a token: the document is cut into
 tokens with string methods, each word the cut makes is checked against
 ``_TOKEN_RE`` where the parser first reads it, and a document with a word
-the regex reads otherwise, or with a syntax error, is read again from the
-regex's own tokens.  A token's position in the document is worked out only
-for an error message.
+the regex reads otherwise is read again from the regex's own tokens; so is
+a document with a syntax error, unless every word of its cut is one token.
+A token's position in the document is worked out only for an error message.
+Import runs with the cyclic garbage collector paused (``collector_paused``).
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import re
 import stat
 import sys
+from contextlib import contextmanager
 from functools import cache
 from itertools import chain, islice, repeat
 from typing import Optional, Union
@@ -228,18 +231,23 @@ Statements = dict[Iri, dict[Iri, list[Union[Iri, Literal]]]]
 def _parse_statements(text: str) -> Statements:
     """subject -> predicate -> objects, each list in document order.
 
-    The tokens come from ``_cut_tokens``.  Where the cut has no end, a word
-    is not one token or the document has a syntax error, the document is
-    read again from ``_TOKEN_RE.findall``, so every error and its position
-    come from the regex's tokens.
+    The tokens come from ``_cut_tokens``.  Where the cut has no end or a
+    word is not one token, the document is read again from
+    ``_TOKEN_RE.findall``, so every error and its position come from the
+    regex's tokens.  A syntax error in a cut whose every word is one token
+    is raised as it is: those words are the regex's tokens.
     """
     start = _SKIP_RE.match(text).end()
     tokens = _cut_tokens(text, start)
     if tokens is not None:
         try:
             return _read_statements(text, start, tokens)
-        except (_Miscut, TurtleSyntaxError):
+        except _Miscut:
             pass
+        except TurtleSyntaxError:
+            # the regex read names a stray character anywhere before any other error
+            if all(_TOKEN_RE.match(word)[1] == word for word in set(tokens)):
+                raise
     return _read_statements(text, start, _TOKEN_RE.findall(text, start))
 
 
@@ -357,8 +365,28 @@ def _read_statements(text: str, start: int, tokens: list[str]) -> Statements:
     return statements
 
 
+@contextmanager
+def collector_paused():
+    """Run the body with the cyclic garbage collector off, and give the
+    caller back the collector state it had, however the body ends.
+
+    Graph work makes no reference cycles (``tests/test_cyclic_garbage.py``
+    checks that), so the collections a load or a command would trigger only
+    walk the growing graph again and again and free nothing.  A nested use
+    leaves the collector as the outer one found it.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@collector_paused()
 def import_turtle(text: str) -> Graph:
-    """Parse a Turtle document into a graph.
+    """Parse a Turtle document into a graph, with the cyclic collector paused.
 
     Lenient about content: simulations missing members, unknown classes and
     unknown predicates are all representable, and the validator reports them.
@@ -369,12 +397,9 @@ def import_turtle(text: str) -> Graph:
     g = Graph()
     entities, extras = g.entities, g.extra_triples
 
-    def objects(subject: Iri, preds: dict, pred: Iri, keep: type) -> list:
-        """Takes ``pred``'s objects off ``preds``; one not of type ``keep`` is an
-        extra triple, and a literal for an IRI warns.  One C-level pass clears the usual list."""
-        found = preds.pop(pred, ())
-        if all(map(isinstance, found, repeat(keep))):
-            return found
+    def objects(subject: Iri, pred: Iri, found: list, keep: type) -> list:
+        """``found`` less each object not of type ``keep``, which is an extra
+        triple; a literal for an IRI warns."""
         kept = []
         for o in found:
             if isinstance(o, keep):
@@ -402,13 +427,20 @@ def import_turtle(text: str) -> Graph:
                     stated.append((subject, role))
                 else:
                     extras.add((subject, RDF_TYPE, t))
-            labels = objects(subject, preds, RDFS_LABEL, Literal)
-            label = min([o.text for o in labels]) if labels else subject.local_name
-            if len(labels) > 1 or labels and labels[0].lang:
+            labels = preds.pop(RDFS_LABEL, ())
+            if len(labels) == 1 and isinstance(labels[0], Literal) and not labels[0].lang:
+                label = labels[0].text
+            else:
+                labels = objects(subject, RDFS_LABEL, labels, Literal)
+                label = min([o.text for o in labels]) if labels else subject.local_name
                 # the entity holds one untagged label; the others are extra triples
                 extras.update((subject, RDFS_LABEL, o) for o in labels if o.lang or o.text != label)
-            entities[subject] = Entity(subject, label, frozenset(objects(subject, preds, OWL_SAME_AS, Iri)))
-            variant_edges += zip(repeat(subject), objects(subject, preds, SIM_HAS_VARIANT, Iri))
+            links = objects(subject, OWL_SAME_AS, preds.pop(OWL_SAME_AS), Iri) if OWL_SAME_AS in preds else ()
+            entities[subject] = Entity(subject, label, frozenset(links))
+            if SIM_HAS_VARIANT in preds:
+                variant_edges += zip(repeat(subject), objects(subject, SIM_HAS_VARIANT, preds.pop(SIM_HAS_VARIANT), Iri))
+            for pred, rest in preds.items():  # unknown predicates
+                extras.update(zip(repeat(subject), repeat(pred), rest))
         else:
             if len(kinds) < len(types):
                 unknown_types = [t for t in types if t not in KIND_BY_CLASS]
@@ -419,15 +451,18 @@ def import_turtle(text: str) -> Graph:
                     fate = "kept as an extra triple" if kinds else "defaulting to the generic simulation"
                     print(f"unknown class {first} on {subject}, {fate}", file=sys.stderr)
                 extras.update(zip(repeat(subject), repeat(RDF_TYPE), unknown_types))
-            groups: tuple[list, ...] = ([], [], [], [])  # simulacra, counterparts, contexts, sources
-            for pred in [p for p in preds if p in MEMBER_SLOT]:
-                index, rel = MEMBER_SLOT[pred]
-                iris = objects(subject, preds, pred, Iri)
-                groups[index].extend(iris if rel is None else zip(repeat(rel), iris))
+            groups = [(), (), (), ()]  # simulacra, counterparts, contexts, sources
+            for pred, found in preds.items():
+                slot = MEMBER_SLOT.get(pred)
+                if slot is None:  # an unknown predicate
+                    extras.update(zip(repeat(subject), repeat(pred), found))
+                    continue
+                index, rel = slot
+                if not all(map(isinstance, found, repeat(Iri))):  # one C-level pass clears the usual list
+                    found = objects(subject, pred, found, Iri)
+                groups[index] += tuple(found) if rel is None else tuple(zip(repeat(rel), found))
             for kind in kinds or (SimulationKind.GENERIC,):
-                g._store(Simulation(subject, kind, *map(tuple, groups)))
-        for pred, rest in preds.items():  # unknown predicates
-            extras.update(zip(repeat(subject), repeat(pred), rest))
+                g._store(Simulation(subject, kind, *groups))
 
     for iri in chain(*g._index_of_role.values(), (v for _, v in variant_edges)):
         if iri not in entities:

@@ -1,3 +1,4 @@
+import gc
 import sys
 from pathlib import Path
 
@@ -15,6 +16,16 @@ from simkg import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+@pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+def caller_state(request):
+    """The cyclic collector on or off, as a caller may have it; the state
+    from before the test is put back after it."""
+    before = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if before else gc.disable)()
 
 
 def kb(local: str) -> str:

@@ -689,11 +689,13 @@ class TestUsage:
             (["query", "--cq", "Q1.1", "--bind", "simulacrum=a b"], f"not an IRI: 'a b' {NOT_AN_IRI}"),
             (["casestudy", "--target", "kb:a b"], f"not an IRI: '{KB}a b' {NOT_AN_IRI}"),
             (["ingest-dict", "hook.dict", "--phrase-table", "list.json"], "phrase table: expected a JSON object, got list"),
+            (["ingest-dbpedia", "--triples", "eagle.nt", "--exclude-type", ""], "--exclude-type must name a class, got ''"),
         ],
         ids=[
             "dict", "dict-stem", "dict-blank", "dbpedia", "dbpedia-no-alnum", "wordnet", "casestudy", "palette-repeated",
             "palette-empty", "palette-upper-case", "palette-alias", "palette-fixture-name", "palette-two-words", "cq-id",
             "bind-syntax", "bind-repeated", "bind-iri", "casestudy-target", "phrase-table",
+            "exclude-type",
         ],
     )
     def test_unusable_label_argument_is_usage_error(self, argv, message, tmp_path, capsys):
@@ -749,13 +751,6 @@ class TestCollectorPause:
     """``main`` runs a command with the cyclic garbage collector paused and
     gives the caller back the collector state it had, however it ends."""
 
-    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
-    def caller_state(self, request):
-        before = gc.isenabled()
-        (gc.enable if request.param else gc.disable)()
-        yield request.param
-        (gc.enable if before else gc.disable)()
-
     @pytest.mark.parametrize(
         "argv, code",
         [
@@ -763,14 +758,17 @@ class TestCollectorPause:
             (["validate", "--graph", "{toy}", "--frobnicate"], 1),
             (["export", "--graph", "{bad}"], 2),
             (["validate", "--graph", "{missing}"], 3),
+            (["validate", "--graph", "{malformed}"], 3),
             (["--help"], 0),
         ],
-        ids=["exit-0", "exit-1", "exit-2", "exit-3", "help"],
+        ids=["exit-0", "exit-1", "exit-2", "exit-3", "syntax-error", "help"],
     )
     def test_state_is_restored(self, argv, code, caller_state, toy_file, tmp_path, capsys):
         bad = tmp_path / "bad.ttl"
         bad.write_text(HEADER + "kb:x-y sim:hasSimulacrum kb:x .\n", encoding="utf-8")
-        paths = {"toy": toy_file, "bad": bad, "missing": tmp_path / "missing.ttl"}
+        malformed = tmp_path / "malformed.ttl"
+        malformed.write_text(HEADER + "kb:x sim:hasSimulacrum kb:y ;", encoding="utf-8")
+        paths = {"toy": toy_file, "bad": bad, "missing": tmp_path / "missing.ttl", "malformed": malformed}
         frozen = gc.get_freeze_count()
         assert main([arg.format(**paths) for arg in argv]) == code
         assert gc.isenabled() is caller_state

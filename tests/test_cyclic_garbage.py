@@ -1,9 +1,10 @@
 """Graph work makes no cyclic garbage.
 
-The CLI pauses the cyclic garbage collector while a command runs, which
-is safe only while the library leaves no reference cycle behind.  Each
-step below runs with the collector off on the golden files, and a full
-collection afterwards must find nothing to free.
+The CLI pauses the cyclic garbage collector while a command runs, and
+``import_turtle`` (so ``load_graph``) pauses it while a library caller
+loads a graph; both are safe only while the library leaves no reference
+cycle behind.  Each step below runs with the collector off on the golden
+files, and a full collection afterwards must find nothing to free.
 """
 
 import gc

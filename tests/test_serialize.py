@@ -1,3 +1,5 @@
+import contextlib
+import gc
 import hashlib
 import os
 import random
@@ -47,6 +49,7 @@ from simkg.serialize import (
     _render_term,
     _SKIP_RE,
     _TOKEN_RE,
+    collector_paused,
     compact_iri,
     graph_triples,
     write_atomic,
@@ -771,6 +774,54 @@ def test_tokenizer_error_wins_over_an_earlier_parse_error():
     assert str(err.value) == "line 3, col 16: unexpected character '!'"
 
 
+@pytest.mark.parametrize(
+    "doc, message, reads",
+    [
+        # every word of the cut is one token: the cut's error is the regex tokens' error
+        (_KB_PREFIX + "kb:a kb:b kb:c .\n" * 200 + "kb:a kb:b kb:c ;", "line 202, col 1: unexpected end of document, expected a predicate", 1),
+        (_KB_PREFIX + "kb:a kb:b kb:c .\n" * 200 + "kb:a kb:b .\n", "line 202, col 11: expected an IRI, got '.'", 1),
+        # '!' is no token, so the regex tokens decide, and they put the stray character first
+        (_KB_PREFIX + "kb:a kb:b .\nkb:c kb:d kb:e ! .\n", "line 3, col 16: unexpected character '!'", 2),
+    ],
+    ids=["late-end", "late-object", "stray-character"],
+)
+def test_a_syntax_error_is_read_again_only_for_a_word_that_is_no_token(doc, message, reads, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _read_statements(*args)
+
+    monkeypatch.setattr("simkg.serialize._read_statements", counted)
+    with pytest.raises(TurtleSyntaxError) as err:
+        import_turtle(doc)
+    assert str(err.value) == message
+    assert len(calls) == reads
+
+
+@pytest.mark.parametrize("end, raises", [(".\n", False), (";", True)], ids=["ok", "syntax-error"])
+def test_import_runs_with_the_collector_paused_and_gives_its_state_back(end, raises, caller_state, monkeypatch):
+    seen = []
+
+    def parse(text):
+        seen.append(gc.isenabled())
+        return _parse_statements(text)
+
+    monkeypatch.setattr("simkg.serialize._parse_statements", parse)
+    with pytest.raises(TurtleSyntaxError) if raises else contextlib.nullcontext():
+        import_turtle(_KB_PREFIX + "kb:a kb:b kb:c " + end)
+    assert seen == [False]
+    assert gc.isenabled() is caller_state
+
+
+def test_a_nested_pause_leaves_the_collector_as_the_outer_one_found_it(caller_state):
+    with collector_paused():
+        with collector_paused():
+            assert not gc.isenabled()
+        assert not gc.isenabled()
+    assert gc.isenabled() is caller_state
+
+
 _LENIENT_DOC = """\
 @prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .
 @prefix owl: <http://www.w3.org/2002/07/owl#> .
@@ -794,6 +845,13 @@ kb:x-y a "z" ;
     sim:hasSimulacrum kb:x .
 kb:e a "x" ;
     rdfs:label "e" .
+kb:fig-joy a sim:Simulation ;
+    sim:hasSimulacrum kb:fig ;
+    sim:elicitedRealityCounterpart kb:joy ;
+    ex:note "between" ;
+    sim:preventedRealityCounterpart kb:grief ;
+    sim:hasContext kb:greek, "attic", kb:attica ;
+    prov:wasDerivedFrom kb:src .
 kb:rose a sim:Simulacrum, ex:Flower ;
     rdfs:label kb:roseLabel, "rose", "Rose"@en ;
     sim:hasVariant kb:whiteRose, "pink rose" ;
@@ -802,17 +860,37 @@ kb:rose a sim:Simulacrum, ex:Flower ;
 """
 
 _LENIENT_EXPORT = "".join(f"@prefix {name}: <{ns}> .\n" for name, ns in PREFIXES) + """
+kb:attica a sim:Context ;
+    rdfs:label "attica" .
+
 kb:death a sim:RealityCounterpart ;
     rdfs:label "death" .
 
 kb:e a "x" ;
     rdfs:label "e" .
 
+kb:fig a sim:Simulacrum ;
+    rdfs:label "fig" .
+
+kb:fig-joy a sim:Simulation ;
+    sim:hasSimulacrum kb:fig ;
+    sim:preventedRealityCounterpart kb:grief ;
+    sim:elicitedRealityCounterpart kb:joy ;
+    sim:hasContext kb:attica, kb:greek, "attic" ;
+    prov:wasDerivedFrom kb:src ;
+    <http://example.org/note> "between" .
+
 kb:greek a sim:Context ;
     rdfs:label "greek" .
 
+kb:grief a sim:RealityCounterpart ;
+    rdfs:label "grief" .
+
 kb:hindu a sim:Context ;
     rdfs:label "hindu" .
+
+kb:joy a sim:RealityCounterpart ;
+    rdfs:label "joy" .
 
 kb:olive a sim:Simulacrum ;
     rdfs:label "olive" .
@@ -861,9 +939,13 @@ kb:x-y a sim:Simulation, "z" ;
 def test_every_lenient_import_branch(capsys):
     # a literal member, literal types on an entity and on simulations, an
     # unknown class, two kinds, a role class beside an unknown type, a
-    # literal sameAs and variant, IRI and tagged labels, an unknown predicate
+    # literal sameAs and variant, IRI and tagged labels, an unknown predicate;
+    # fig-joy has counterparts out of rank order and an unknown predicate
+    # between its member predicates
     g = import_turtle(_LENIENT_DOC)
     assert capsys.readouterr().err.splitlines() == [
+        "ignoring literal object 'attic' of https://w3id.org/simulation/ontology/hasContext "
+        "on https://w3id.org/simulation/data/fig-joy",
         'unknown class "y" on https://w3id.org/simulation/data/olive-peace, kept as an extra triple',
         "ignoring literal object 'roman' of https://w3id.org/simulation/ontology/hasContext "
         "on https://w3id.org/simulation/data/olive-peace",
@@ -874,6 +956,19 @@ def test_every_lenient_import_branch(capsys):
         "on https://w3id.org/simulation/data/rose",
         'unknown class "z" on https://w3id.org/simulation/data/x-y, defaulting to the generic simulation',
     ]
+    fig = Iri(KB + "fig-joy")
+    assert g.simulations[fig] == (
+        fig,
+        SimulationKind.GENERIC,
+        (Iri(KB + "fig"),),
+        ((RcRelation.PREVENTED, Iri(KB + "grief")), (RcRelation.ELICITED, Iri(KB + "joy"))),
+        (Iri(KB + "attica"), Iri(KB + "greek")),
+        (Iri(KB + "src"),),
+    )
+    assert {t for t in g.extra_triples if t[0] == fig} == {
+        (fig, SIM_HAS_CONTEXT, Literal("attic")),
+        (fig, Iri("http://example.org/note"), Literal("between")),
+    }
     text = export_turtle(g, force=True)
     assert text == _LENIENT_EXPORT
     assert import_turtle(text) == g
